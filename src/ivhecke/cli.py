@@ -63,7 +63,10 @@ class RunConfig:
         kwargs = {}
         if self.max_elements is not None:
             kwargs["max_elements"] = self.max_elements
-        return parse_system(name or self.system, **kwargs)
+        system = parse_system(name or self.system, **kwargs)
+        if self.max_elements is not None:
+            system.order()  # refuses a W with more than max_elements elements
+        return system
 
 
 def _emit(text: str, path: Optional[str]) -> None:

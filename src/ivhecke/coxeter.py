@@ -6,12 +6,25 @@ are represented as plain tuples of generator indices in ShortLex-minimal
 reduced form: among all reduced words for an element, the lexicographically
 smallest.  The empty tuple is the identity.
 
-Normal forms are computed by Tits' solution to the word problem: a word is
-reduced iff no word in its braid-move closure contains an adjacent equal
-pair, and two reduced words represent the same element iff they are
-connected by braid moves alone.  The closure search memoizes every word it
-visits, so once a finite group has been enumerated all products reduce to
-table lookups.
+Words are multiplied in the geometric representation (Bjorner-Brenti,
+*Combinatorics of Coxeter Groups*, ch. 4; Casselman, "Computation in
+Coxeter groups I: multiplication").  W acts on the span of the simple roots
+by s(v) = v - 2B(alpha_s, v) alpha_s, where 2B(alpha_s, alpha_t) =
+-2cos(pi/m(s, t)).  These coefficients lie in Z[zeta_N], with N the lcm of
+2m over the bonds m other than 2, 3 and infinity, so every root is stored
+exactly, reduced modulo the cyclotomic polynomial Phi_N (plain integers
+when all bonds are 2, 3 or infinity).  Positive roots get ids as they are
+first reached, and a table records the id of s(root) for each generator s;
+for a finite W it saturates at the |Phi+| positive roots.
+
+Walking alpha_s through a reduced word a_1 ... a_k, a_1 first, computes
+w^-1(alpha_s).  The root stays positive unless, at some step j, it equals
+alpha_c for the letter c = a_j being applied; then s is a left descent and
+s*w is the word with letter j deleted (the exchange condition).  Walking
+from the right end finds right descents the same way, so only equality of
+roots is ever tested.  A word is reduced by appending its letters one at a
+time with this exchange, and a reduced word is brought to ShortLex form by
+stripping its smallest left descent, repeatedly.
 
 Bruhat order uses the lifting property: for s a left descent of w,
 x <= w iff (sx <= sw if sx < x else x <= sw).
@@ -23,15 +36,17 @@ x <= w iff (sx <= sw if sx < x else x <= sw).
 True
 >>> [len(w) for w in W.elements()]
 [0, 1, 1, 2, 2, 3]
+>>> [parse_system(name).positive_root_count() for name in ("B3", "H3", "F4")]
+[9, 15, 24]
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import re
-from collections import deque
 from typing import Iterable, Optional, Sequence, Union
 
 Word = tuple[int, ...]
@@ -155,12 +170,108 @@ def parse_system(spec: Union[str, dict], **kwargs) -> "CoxeterSystem":
 
 
 # ----------------------------------------------------------------------
+# exact root coordinates: Z[zeta_n] modulo the cyclotomic polynomial
+
+Cyclo = tuple[int, ...]  # integer coefficients, lowest degree first
+
+
+def _divide_monic(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num by the monic polynomial den."""
+    rem = list(num)
+    d = len(den) - 1
+    quot = [0] * max(len(rem) - d, 0)
+    for k in range(len(rem) - 1, d - 1, -1):
+        c = rem[k]
+        if c:
+            quot[k - d] = c
+            for i, f in enumerate(den):
+                rem[k - d + i] -= c * f
+    return quot, rem[:d]
+
+
+def cyclotomic_polynomial(n: int) -> Cyclo:
+    """Phi_n, lowest degree first: x^d - 1 divided by Phi_e for each e | d, e < d.
+
+    >>> cyclotomic_polynomial(10)
+    (1, -1, 1, -1, 1)
+    """
+    phi: dict[int, list[int]] = {}
+    for d in range(1, n + 1):
+        if n % d == 0:
+            poly = [-1] + [0] * (d - 1) + [1]
+            for e, f in phi.items():
+                if d % e == 0:
+                    poly, _ = _divide_monic(poly, f)
+            phi[d] = poly
+    return tuple(phi[n])
+
+
+class CyclotomicIntegers:
+    """Z[zeta_n], each element an integer tuple of length phi(n) reduced mod Phi_n.
+
+    Phi_n is monic, so the reduction is exact integer division and every
+    element has exactly one tuple: elements are equal iff their tuples are.
+
+    >>> ring = CyclotomicIntegers(10)
+    >>> tau = ring.two_cos_pi_over(5)  # the golden ratio
+    >>> ring.mul(tau, tau) == ring.add(tau, ring.one)
+    True
+    """
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.modulus = cyclotomic_polynomial(n)
+        self.degree = len(self.modulus) - 1
+        self.zero: Cyclo = (0,) * self.degree
+        self.one = self.reduce([1])
+
+    def reduce(self, poly: Sequence[int]) -> Cyclo:
+        _, rem = _divide_monic(poly, self.modulus)
+        return tuple(rem) + (0,) * (self.degree - len(rem))
+
+    def add(self, a: Cyclo, b: Cyclo) -> Cyclo:
+        return tuple(x + y for x, y in zip(a, b))
+
+    def neg(self, a: Cyclo) -> Cyclo:
+        return tuple(-x for x in a)
+
+    def mul(self, a: Cyclo, b: Cyclo) -> Cyclo:
+        prod = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        return self.reduce(prod)
+
+    def two_cos_pi_over(self, m: int) -> Cyclo:
+        """2cos(pi/m) = zeta_2m + zeta_2m^-1 for a bond m, with 0 meaning infinity (value 2).
+
+        Bonds other than 2, 3 and infinity need 2m to divide n.
+        """
+        if m == 0:
+            return self.reduce([2])
+        if m == 2:
+            return self.zero
+        if m == 3:
+            return self.one
+        if self.n % (2 * m):
+            raise ValueError(f"2cos(pi/{m}) is not in Z[zeta_{self.n}]")
+        k = self.n // (2 * m)
+        poly = [0] * (self.n - k + 1)
+        poly[k] += 1
+        poly[self.n - k] += 1
+        return self.reduce(poly)
+
+
+# ----------------------------------------------------------------------
 
 class CoxeterSystem:
     """A Coxeter system (W, S) with S = range(rank).
 
-    The instance memoizes braid-closure computations, so it should be
-    shared and reused; all words returned by its methods are ShortLex
+    The instance grows its table of positive roots as words need them, and
+    keeps the normal forms ``reduce`` has computed, the Bruhat cache and,
+    once ``elements()`` has run, the multiplication tables, so it should be
+    shared and reused.  All words returned by its methods are ShortLex
     normal forms.
     """
 
@@ -176,9 +287,28 @@ class CoxeterSystem:
         self.name = name
         self.max_word_length = max_word_length
         self.max_elements = max_elements
-        self._nf: dict[Word, Word] = {(): ()}
-        for s in range(self.rank):
-            self._nf[(s,)] = (s,)
+        # roots: ids 0..rank-1 are the simple roots; _act[p][c] is the id of
+        # s_c(root p), or ~c (the root -alpha_c) when p == c; None until needed
+        rank = self.rank
+        ring = CyclotomicIntegers(
+            math.lcm(1, *(2 * m for row in self.matrix for m in row if m not in (0, 1, 2, 3)))
+        )
+        self._ring = ring
+        # s(v) changes only coordinate s: v_s -> -v_s + sum of 2cos(pi/m(s,t)) v_t
+        self._bonds = [
+            [
+                (t, ring.two_cos_pi_over(self.matrix[s][t]))
+                for t in range(rank)
+                if t != s and self.matrix[s][t] != 2
+            ]
+            for s in range(rank)
+        ]
+        self._root_vecs: list[tuple[Cyclo, ...]] = [
+            tuple(ring.one if t == s else ring.zero for t in range(rank)) for s in range(rank)
+        ]
+        self._root_ids: dict[tuple[Cyclo, ...], int] = {v: i for i, v in enumerate(self._root_vecs)}
+        self._act: list[Optional[list[int]]] = [None] * rank
+        self._nf: dict[Word, Word] = {}  # normal forms of the words reduce() was given
         self._elements: Optional[list[Word]] = None
         self._index: dict[Word, int] = {}
         self._right: list[list[int]] = []
@@ -199,6 +329,82 @@ class CoxeterSystem:
         if self.name:
             return self.name
         return {"rank": self.rank, "matrix": [list(r) for r in self.matrix]}
+
+    # ------------------------------------------------------------------
+    # roots
+
+    def _grow(self, p: int) -> list[int]:
+        """Fill row p of the root table and return it.
+
+        s_c permutes the positive roots other than alpha_c, so every image
+        but the one at c is a positive root: no sign is ever decided.  Roots
+        met for the first time get the next ids and empty rows.
+        """
+        ring, vec = self._ring, self._root_vecs[p]
+        row = []
+        for c in range(self.rank):
+            if c == p:
+                row.append(~c)
+                continue
+            coord = ring.neg(vec[c])
+            for t, coef in self._bonds[c]:
+                coord = ring.add(coord, ring.mul(coef, vec[t]))
+            image = vec[:c] + (coord,) + vec[c + 1 :]
+            q = self._root_ids.get(image)
+            if q is None:
+                q = len(self._root_vecs)
+                self._root_vecs.append(image)
+                self._root_ids[image] = q
+                self._act.append(None)
+            row.append(q)
+        self._act[p] = row
+        return row
+
+    def positive_root_count(self) -> int:
+        """|Phi+|, which is the length of the longest element of a finite W.
+
+        Closes the simple roots under the simple reflections.  More than
+        ``max_word_length`` positive roots means W is infinite or its longest
+        element is longer than the word cap, and raises InfiniteOrTooLarge.
+        """
+        cap = self.max_word_length
+        p = 0
+        while p < len(self._root_vecs):
+            if len(self._root_vecs) > cap:
+                raise InfiniteOrTooLarge(
+                    f"more than {cap} positive roots: the group is infinite, "
+                    f"or its longest element is longer than the word cap {cap}"
+                )
+            if self._act[p] is None:
+                self._grow(p)
+            p += 1
+        return len(self._root_vecs)
+
+    def _left_flip(self, s: int, word: Sequence[int]) -> int:
+        """For a reduced word w: the j with s*w = w minus letter j, or -1 if s*w > w.
+
+        Walks alpha_s through the letters, first letter first, which computes
+        w^-1(alpha_s); it turns negative exactly where it meets alpha_c as c
+        is applied.
+        """
+        act = self._act
+        r = s
+        for j, c in enumerate(word):
+            if r == c:
+                return j
+            r = (act[r] or self._grow(r))[c]
+        return -1
+
+    def _right_flip(self, word: Sequence[int], s: int) -> int:
+        """For a reduced word w: the j with w*s = w minus letter j, or -1 if w*s > w."""
+        act = self._act
+        r = s
+        for j in range(len(word) - 1, -1, -1):
+            c = word[j]
+            if r == c:
+                return j
+            r = (act[r] or self._grow(r))[c]
+        return -1
 
     # ------------------------------------------------------------------
     # the word problem
@@ -222,46 +428,45 @@ class CoxeterSystem:
         nf = self._nf.get(word)
         if nf is not None:
             return nf
-        matrix = self.matrix
-        seen = {word}
-        queue = deque((word,))
-        while queue:
-            w = queue.popleft()
-            n = len(w)
-            for i in range(n - 1):
-                a, b = w[i], w[i + 1]
-                if a == b:
-                    # not reduced: cancel the pair and restart two letters down
-                    res = self._reduce(w[:i] + w[i + 2 :])
-                    for u in seen:
-                        self._nf[u] = res
-                    return res
-                m = matrix[a][b]
-                if m and i + m <= n:
-                    run_ok = True
-                    for k in range(2, m):
-                        if w[i + k] != (a if k % 2 == 0 else b):
-                            run_ok = False
-                            break
-                    if not run_ok:
-                        continue
-                    flipped = tuple(b if k % 2 == 0 else a for k in range(m))
-                    new = w[: i] + flipped + w[i + m :]
-                    if new in seen:
-                        continue
-                    hit = self._nf.get(new)
-                    if hit is not None:
-                        for u in seen:
-                            self._nf[u] = hit
-                        return hit
-                    seen.add(new)
-                    queue.append(new)
-        # no adjacent pair anywhere in the braid closure: the word is reduced,
-        # and `seen` is the complete set of its reduced expressions
-        nf = min(seen)
-        for u in seen:
-            self._nf[u] = nf
+        if self._elements is not None:
+            right = self._right
+            i = 0
+            for c in word:
+                i = right[i][c]
+            nf = self._elements[i]
+        else:
+            nf = self._shortlex(self._exchange((), word))
+        self._nf[word] = nf
         return nf
+
+    def _exchange(self, prefix: Sequence[int], letters: Iterable[int]) -> list[int]:
+        """A reduced word for prefix * letters, for a reduced ``prefix``.
+
+        Each letter cancels the letter its walk stops at, or is appended.
+        """
+        u = list(prefix)
+        for c in letters:
+            j = self._right_flip(u, c)
+            if j < 0:
+                u.append(c)
+            else:
+                del u[j]
+        return u
+
+    def _shortlex(self, word: Sequence[int]) -> Word:
+        """ShortLex normal form of a reduced word: strip the smallest left descent, repeatedly."""
+        u = list(word)
+        out = []
+        while u:
+            first, j = u[0], 0  # the first letter is always a left descent
+            for s in range(first):
+                k = self._left_flip(s, u)
+                if k >= 0:
+                    first, j = s, k
+                    break
+            out.append(first)
+            del u[j]
+        return tuple(out)
 
     def length(self, word: Iterable[int]) -> int:
         return len(self.reduce(word))
@@ -276,25 +481,35 @@ class CoxeterSystem:
             for s in b:
                 i = right[i][s]
             return self._elements[i]
-        return self._reduce(a + b)
+        return self._shortlex(self._exchange(a, b))
 
     def inverse(self, a: Iterable[int]) -> Word:
         a = self.reduce(a)
         if self._elements is not None:
             return self._elements[self._inv[self._index[a]]]
-        return self._reduce(tuple(reversed(a)))
+        return self._shortlex(a[::-1])
 
     def left_mult(self, s: int, a: Word) -> Word:
         """Normal form of s * a, for a already in normal form."""
         if self._elements is not None:
             return self._elements[self._left[self._index[a]][s]]
-        return self._reduce((s,) + a)
+        j = self._left_flip(s, a)
+        if j < 0:
+            return self._shortlex((s,) + a)
+        if j == 0:
+            return a[1:]  # a suffix of a normal form is one
+        return self._shortlex(a[:j] + a[j + 1 :])
 
     def right_mult(self, a: Word, s: int) -> Word:
         """Normal form of a * s, for a already in normal form."""
         if self._elements is not None:
             return self._elements[self._right[self._index[a]][s]]
-        return self._reduce(a + (s,))
+        j = self._right_flip(a, s)
+        if j < 0:
+            return self._shortlex(a + (s,))
+        if j == len(a) - 1:
+            return a[:-1]  # so is a prefix
+        return self._shortlex(a[:j] + a[j + 1 :])
 
     def is_descent(self, s: int, word: Iterable[int], side: str = "left") -> bool:
         """True iff multiplying by s on the given side shortens the element."""
@@ -331,10 +546,8 @@ class CoxeterSystem:
         cached = self._bruhat.get(key)
         if cached is not None:
             return cached
-        s = w[0]  # a left descent of w
-        sw = w[1:] if self._elements is None else self._elements[self._left[self._index[w]][s]]
-        if self._elements is None:
-            sw = self._reduce(sw)
+        s = w[0]  # a left descent of w; s*w = w[1:] is in normal form
+        sw = w[1:]
         sx = self.left_mult(s, x)
         if len(sx) < len(x):
             res = self._bruhat_leq(sx, sw)
@@ -346,41 +559,66 @@ class CoxeterSystem:
     # ------------------------------------------------------------------
     # enumeration
 
+    def _breadth_first(self, max_length: Optional[int]) -> tuple[list[Word], list[list[int]]]:
+        """Elements of length <= max_length (all if None), sorted by (length,
+        ShortLex word), and right[i][s] = index of elements[i] * s for every
+        element shorter than max_length.
+
+        An element w is keyed by the signed root ids of w^-1(alpha_t) for all
+        t (~p stands for minus root p), and w*s maps each to its image under
+        s.  The normal form of v is the least NF(v*s) + (s,) over its right
+        descents s; words of one length are visited in ShortLex order with s
+        ascending, so the first word to reach a key is its normal form.
+        """
+        rank, act, cap = self.rank, self._act, self.max_elements
+        key = tuple(range(rank))
+        keys = {key: 0}
+        elements: list[Word] = [()]
+        element_keys = [key]
+        right: list[list[int]] = []
+        start = 0
+        while start < len(elements) and (max_length is None or len(elements[start]) < max_length):
+            stop = len(elements)
+            for i in range(start, stop):
+                w, key = elements[i], element_keys[i]
+                row = []
+                for s in range(rank):
+                    image = tuple(
+                        (act[r] or self._grow(r))[s] if r >= 0 else ~(act[~r] or self._grow(~r))[s]
+                        for r in key
+                    )
+                    j = keys.get(image)
+                    if j is None:
+                        j = len(elements)
+                        if j >= cap:
+                            bound = "" if max_length is None else f" of length <= {max_length}"
+                            raise InfiniteOrTooLarge(
+                                f"more than {cap} elements{bound}; raise max_elements if intended"
+                            )
+                        keys[image] = j
+                        elements.append(w + (s,))
+                        element_keys.append(image)
+                    row.append(j)
+                right.append(row)
+            start = stop
+        return elements, right
+
     def _ensure_tables(self) -> None:
         if self._elements is not None:
             return
-        cap = self.max_elements
-        found: set[Word] = {()}
-        frontier: list[Word] = [()]
-        while frontier:
-            nxt: set[Word] = set()
-            for u in frontier:
-                for s in range(self.rank):
-                    w = self._reduce(u + (s,))
-                    if len(w) > len(u) and w not in found:
-                        if len(w) > self.max_word_length:
-                            raise InfiniteOrTooLarge(
-                                f"element longer than the word cap {self.max_word_length}"
-                            )
-                        found.add(w)
-                        nxt.add(w)
-                        if len(found) > cap:
-                            raise InfiniteOrTooLarge(
-                                f"more than {cap} elements; raise max_elements if intended"
-                            )
-            frontier = sorted(nxt)
-        elements = sorted(found, key=lambda w: (len(w), w))
-        index = {w: i for i, w in enumerate(elements)}
+        self.positive_root_count()  # refuses infinite systems before enumerating
+        elements, right = self._breadth_first(None)
+        inv = []
+        for w in elements:
+            i = 0
+            for c in reversed(w):
+                i = right[i][c]
+            inv.append(i)
+        self._index = {w: i for i, w in enumerate(elements)}
+        self._right = right
+        self._left = [[inv[j] for j in right[inv[i]]] for i in range(len(elements))]
+        self._inv = inv
         self._elements = elements
-        self._index = index
-        # with every element's braid closure memoized, these are all O(len) lookups
-        self._right = [
-            [index[self._reduce(w + (s,))] for s in range(self.rank)] for w in elements
-        ]
-        self._left = [
-            [index[self._reduce((s,) + w)] for s in range(self.rank)] for w in elements
-        ]
-        self._inv = [index[self._reduce(tuple(reversed(w)))] for w in elements]
 
     def elements(self) -> list[Word]:
         """All elements, sorted by (length, ShortLex word).  Finite systems only."""
@@ -400,24 +638,7 @@ class CoxeterSystem:
         if max_length is None:
             return self.elements()
         # breadth-first without requiring the group to be finite
-        found: set[Word] = {()}
-        frontier: list[Word] = [()]
-        while frontier:
-            nxt: set[Word] = set()
-            for u in frontier:
-                if len(u) >= max_length:
-                    continue
-                for s in range(self.rank):
-                    w = self._reduce(u + (s,))
-                    if len(w) > len(u) and w not in found:
-                        found.add(w)
-                        nxt.add(w)
-                        if len(found) > self.max_elements:
-                            raise InfiniteOrTooLarge(
-                                f"more than {self.max_elements} elements of length <= {max_length}"
-                            )
-            frontier = sorted(nxt)
-        return sorted(found, key=lambda w: (len(w), w))
+        return self._breadth_first(max_length)[0]
 
     def longest_element(self) -> Word:
         """The longest element w0.  Raises InfiniteOrTooLarge on infinite systems."""

@@ -23,7 +23,7 @@ every canonical-basis computation downstream.
 
 >>> p = LaurentPoly.from_terms({1: 1, -1: -1})   # v - v^-1
 >>> p.bar()
-LaurentPoly('-v + v^-1')
+LaurentPoly('v^-1 - v')
 >>> p * p
 LaurentPoly('v^-2 - 2 + v^2')
 >>> split_antisymmetric(LaurentPoly.from_terms({-2: 3, 2: -3}))
@@ -276,7 +276,7 @@ class LaurentPoly:
         a remainder.  Division by zero is always NotDivisible.
 
         >>> (U * U).exact_div(U)
-        LaurentPoly('v - v^-1')
+        LaurentPoly('-v^-1 + v')
         """
         divisor = self._coerce(divisor)
         if divisor is NotImplemented:

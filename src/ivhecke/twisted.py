@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .coxeter import CoxeterSystem, Word, parse_system
+from .coxeter import CoxeterSystem, InfiniteOrTooLarge, Word, parse_system
 
 Perm = tuple[int, ...]
 GroupElt = tuple[Word, Perm]  # element (x, alpha) of the extended group
@@ -142,7 +142,9 @@ class TwistedBlock:
     ``elements`` is sorted by (length, ShortLex word) -- a linear extension
     of Bruhat order.  ``cross[s][i] = (j, commutes, up)`` describes
     s |*| elements[i] = elements[j]; ``commutes`` is the s*x = x*theta(s)
-    flag and ``up`` says rho goes up.
+    flag and ``up`` says rho goes up.  The search raises InfiniteOrTooLarge
+    once the block has more than ``system.max_elements`` elements or an
+    element longer than ``system.max_word_length``.
     """
 
     def __init__(self, system: CoxeterSystem, theta: Sequence[int]) -> None:
@@ -168,6 +170,19 @@ class TwistedBlock:
                                 f"inconsistent rank at {y}: {rho_of[y]} vs {expected}"
                             )
                     elif up:
+                        if len(rho_of) >= system.max_elements:
+                            raise InfiniteOrTooLarge(
+                                f"twisted block for theta={self.theta}: more than "
+                                f"{system.max_elements} elements (reached {len(rho_of) + 1}); "
+                                "raise max_elements if intended"
+                            )
+                        if len(y) > system.max_word_length:
+                            raise InfiniteOrTooLarge(
+                                f"twisted block for theta={self.theta}: an element of length "
+                                f"{len(y)} (reached {len(rho_of) + 1} elements): the group is "
+                                f"infinite, or its longest element is longer than the word cap "
+                                f"{system.max_word_length}"
+                            )
                         rho_of[y] = r + 1
                         nxt.append(y)
             frontier = nxt

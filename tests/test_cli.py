@@ -6,6 +6,7 @@ arguments.
 """
 
 import json
+import time
 
 import pytest
 
@@ -175,6 +176,28 @@ def test_unknown_choice_exits_2():
 def test_max_elements_refusal(capsys):
     assert main(["table", "--system", "B3", "--basis", "h",
                  "--max-elements", "10"]) == 2
+
+
+@pytest.mark.parametrize("basis", ["iota", "pi"])
+@pytest.mark.parametrize("system,cap", [("B3", "10"), ("F4", "500"), ("E6", "500")])
+def test_max_elements_refusal_twisted(system, cap, basis, capsys):
+    start = time.perf_counter()
+    assert main(["table", "--system", system, "--basis", basis, "--max-elements", cap]) == 2
+    assert time.perf_counter() - start < 30
+    assert f"more than {cap} elements" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["verify"], ["invert"], ["pkernel", "--basis", "iota"]])
+def test_max_elements_refusal_other_commands(command, capsys):
+    assert main(command + ["--system", "E6", "--max-elements", "500"]) == 2
+    assert "more than 500 elements" in capsys.readouterr().err
+
+
+def test_infinite_system_refusal(capsys):
+    assert main(["table", "--system", "I2(0)", "--basis", "h"]) == 2
+    assert "the group is infinite" in capsys.readouterr().err
+    assert main(["table", "--system", "I2(0)", "--basis", "iota"]) == 2
+    assert "the group is infinite" in capsys.readouterr().err
 
 
 def test_runconfig_validation():

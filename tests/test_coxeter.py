@@ -194,7 +194,7 @@ class TestEnumeration:
 
     def test_infinite_raises(self):
         W = parse_system("I2(0)")
-        with pytest.raises(InfiniteOrTooLarge):
+        with pytest.raises(InfiniteOrTooLarge, match="the group is infinite"):
             W.elements()
         # bounded enumeration still works: two elements per positive length
         assert len(W.enumerate(max_length=5)) == 11

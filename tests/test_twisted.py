@@ -9,7 +9,7 @@ must be the identity).
 
 import pytest
 
-from ivhecke.coxeter import parse_system
+from ivhecke.coxeter import CoxeterSystem, InfiniteOrTooLarge, coxeter_matrix_from_name, parse_system
 from ivhecke.twisted import (
     NotAnInvolution,
     TwistedBlock,
@@ -93,6 +93,22 @@ def test_counts():
     assert len(twisted_involutions(parse_system("A2"), (0, 1))) == 4
     assert len(twisted_involutions(parse_system("A2"), (1, 0))) == 4
     assert len(twisted_involutions(parse_system("H3"), (0, 1, 2))) == 32
+    assert len(twisted_involutions(parse_system("F4"), (0, 1, 2, 3))) == 140
+    assert len(twisted_involutions(parse_system("F4"), (3, 2, 1, 0))) == 72
+
+
+@pytest.mark.parametrize("name,cap", [("B3", 10), ("E6", 500)])
+def test_block_honours_max_elements(name, cap):
+    W = CoxeterSystem(coxeter_matrix_from_name(name), max_elements=cap)
+    with pytest.raises(InfiniteOrTooLarge, match=f"twisted block .* more than {cap} elements"):
+        TwistedBlock(W, W.identity_perm())
+
+
+def test_infinite_block_refused():
+    W = parse_system("I2(0)")
+    for theta in involutive_automorphisms(W):
+        with pytest.raises(InfiniteOrTooLarge, match="twisted block .* the group is infinite"):
+            TwistedBlock(W, theta)
 
 
 def test_kappa_action_cases():
