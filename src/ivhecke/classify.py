@@ -48,9 +48,7 @@ from .ivmodules import (
     Vector,
     act_gen,
     act_word,
-    vec_add,
-    vec_scale,
-    vec_sub,
+    vec_axpy,
 )
 from .laurent import (
     ONE,
@@ -260,7 +258,8 @@ def check_representation(gamma: StructureMatrix, block) -> Optional[dict]:
             e = {i: ONE}
             once = act_gen(gamma, block, s, e)
             twice = act_gen(gamma, block, s, once)
-            if twice != vec_add(e, vec_scale(once, u)):
+            vec_axpy(e, u, once)
+            if twice != e:
                 return {
                     "relation": "quadratic",
                     "s": s,
@@ -329,8 +328,9 @@ def precanonical_test(gamma: StructureMatrix, block) -> dict[int, Vector]:
             base = psi[i] if i in psi else None
             if base is None:
                 raise fail("descent target missing", element=list(block.elements[j]))
-            acted = vec_add(act_gen(gamma, block, s, base), vec_scale(base, c))
-            num = vec_sub(acted, vec_scale(base, a2.bar()))
+            num = act_gen(gamma, block, s, base)
+            vec_axpy(num, c, base)
+            vec_axpy(num, -a2.bar(), base)
             divisor = a1.bar()
             try:
                 cand = {k: p.exact_div(divisor) for k, p in num.items()}
@@ -365,7 +365,7 @@ def precanonical_test(gamma: StructureMatrix, block) -> dict[int, Vector]:
     def apply_psi(vec: Vector) -> Vector:
         out: Vector = {}
         for i, coeff in vec.items():
-            out = vec_add(out, vec_scale(psi[i], coeff.bar()))
+            vec_axpy(out, coeff.bar(), psi[i])
         return out
 
     for j in range(n):
@@ -373,7 +373,8 @@ def precanonical_test(gamma: StructureMatrix, block) -> dict[int, Vector]:
             raise fail("psi squared is not the identity", element=list(block.elements[j]))
         for s in range(rank):
             lhs = apply_psi(act_gen(gamma, block, s, {j: ONE}))
-            rhs = vec_add(act_gen(gamma, block, s, psi[j]), vec_scale(psi[j], c))
+            rhs = act_gen(gamma, block, s, psi[j])
+            vec_axpy(rhs, c, psi[j])
             if lhs != rhs:
                 raise fail(
                     "intertwining failure", element=list(block.elements[j]), s=s

@@ -189,21 +189,19 @@ class HeckeAlgebra:
         out: Terms = {}
         for w, c in h.terms.items():
             sw = W.left_mult(s, w)
-            if len(sw) > len(w):
-                acc = out.get(sw)
-                val = c if acc is None else acc + c
+            acc = out.get(sw)
+            val = c if acc is None else acc + c
+            if val:
+                out[sw] = val
+            elif acc is not None:
+                del out[sw]
+            if len(sw) < len(w):
+                acc = out.get(w)
+                val = u * c if acc is None else acc.addmul(u, c)
                 if val:
-                    out[sw] = val
+                    out[w] = val
                 elif acc is not None:
-                    del out[sw]
-            else:
-                for tgt, add in ((sw, c), (w, u * c)):
-                    acc = out.get(tgt)
-                    val = add if acc is None else acc + add
-                    if val:
-                        out[tgt] = val
-                    elif acc is not None:
-                        del out[tgt]
+                    del out[w]
         return HeckeElt(self, out)
 
     # ------------------------------------------------------------------
@@ -222,9 +220,8 @@ class HeckeAlgebra:
         cb = self.c_bar
         out = dict(elt.terms)
         for x, c in rest.items():
-            add = cb * c
             acc = out.get(x)
-            val = add if acc is None else acc + add
+            val = cb * c if acc is None else acc.addmul(cb, c)
             if val:
                 out[x] = val
             elif acc is not None:
@@ -355,14 +352,15 @@ def solve_canonical(
 
         interval = [i for i in range(j) if leq(i, j)]
         entries[(j, j)] = ONE
-        column: dict[int, LaurentPoly] = {j: ONE}
+        # bar(pi_{y,w}) for each y solved so far in this column
+        column_bar: dict[int, LaurentPoly] = {j: ONE}
         order = sorted(interval, key=(lambda i: (-ranks[i], -i)) if reverse_ties else (lambda i: (-ranks[i], i)))
         for x in order:
             d = ZERO
-            for y, pi_y in column.items():
+            for y, pi_y_bar in column_bar.items():
                 r = rows[y].get(x)
                 if r:
-                    d = d + r * pi_y.bar()
+                    d = d.addmul(r, pi_y_bar)
             if not d:
                 continue
             try:
@@ -377,7 +375,7 @@ def solve_canonical(
                     },
                 ) from None
             if mu:
-                column[x] = mu
+                column_bar[x] = mu.bar()
                 entries[(x, j)] = mu
     return entries
 
@@ -401,6 +399,10 @@ class CanonicalTable:
     elements: list[Word]
     ranks: list[int]
     entries: dict[tuple[int, int], LaurentPoly]
+    # column index built by the first column() call
+    _columns: Optional[dict[int, dict[int, LaurentPoly]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def entry(self, i: int, j: int) -> LaurentPoly:
         return self.entries.get((i, j), ZERO)
@@ -411,7 +413,13 @@ class CanonicalTable:
         return self.entry(ix, iw)
 
     def column(self, j: int) -> dict[int, LaurentPoly]:
-        return {i: c for (i, jj), c in self.entries.items() if jj == j}
+        """{i: entry (i, j)}, in the order of ``entries``; a fresh dict."""
+        if self._columns is None:
+            columns: dict[int, dict[int, LaurentPoly]] = {}
+            for (i, jj), c in self.entries.items():
+                columns.setdefault(jj, {})[i] = c
+            self._columns = columns
+        return dict(self._columns.get(j, {}))
 
     def sorted_keys(self) -> list[tuple[int, int]]:
         return sorted(self.entries, key=lambda ij: (ij[1], ij[0]))

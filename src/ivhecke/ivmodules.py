@@ -68,13 +68,7 @@ Vector = dict[int, LaurentPoly]  # sparse combination of block basis vectors
 
 def vec_add(a: Vector, b: Vector) -> Vector:
     out = dict(a)
-    for i, c in b.items():
-        acc = out.get(i)
-        s = c if acc is None else acc + c
-        if s:
-            out[i] = s
-        elif acc is not None:
-            del out[i]
+    vec_axpy(out, ONE, b)
     return out
 
 
@@ -84,6 +78,19 @@ def vec_scale(a: Vector, c: LaurentPoly | int) -> Vector:
     if not c:
         return {}
     return {i: c * p for i, p in a.items()}
+
+
+def vec_axpy(out: Vector, coeff: LaurentPoly | int, b: Vector) -> None:
+    """out += coeff * b in place; keys are placed as by vec_add(out, vec_scale(b, coeff))."""
+    if not coeff:
+        return
+    for i, p in b.items():
+        acc = out.get(i)
+        val = coeff * p if acc is None else acc.addmul(coeff, p)
+        if val:
+            out[i] = val
+        elif acc is not None:
+            del out[i]
 
 
 def vec_sub(a: Vector, b: Vector) -> Vector:
@@ -220,17 +227,15 @@ def act_gen(gamma: StructureMatrix, block: TwistedBlock, s: int, vec: Vector) ->
         j, commutes, up = cross[i]
         a, b = gamma.row_for(commutes, up)
         if a:
-            add = a * c
             acc = out.get(j)
-            val = add if acc is None else acc + add
+            val = a * c if acc is None else acc.addmul(a, c)
             if val:
                 out[j] = val
             elif acc is not None:
                 del out[j]
         if b:
-            add = b * c
             acc = out.get(i)
-            val = add if acc is None else acc + add
+            val = b * c if acc is None else acc.addmul(b, c)
             if val:
                 out[i] = val
             elif acc is not None:
@@ -269,7 +274,7 @@ def bar_row_vector(
     for s in reversed(x):
         acted = act_gen(gamma, block, s, vec)
         if c is not None:
-            acted = vec_add(acted, vec_scale(vec, c))
+            vec_axpy(acted, c, vec)
         vec = acted
     if use_sign and len(x) % 2 == 1:
         vec = vec_scale(vec, -1)
@@ -303,8 +308,9 @@ class TwistedModule:
 
     def act_underline_gen(self, s: int, vec: Vector) -> Vector:
         """Action of the canonical generator H_s + v^-k."""
-        shift = monomial(-2 if self.gamma.squared else -1)
-        return vec_add(self.act(s, vec), vec_scale(vec, shift))
+        out = self.act(s, vec)
+        vec_axpy(out, monomial(-2 if self.gamma.squared else -1), vec)
+        return out
 
     def bar_row(self, i: int) -> Vector:
         row = self._bar_rows.get(i)
@@ -317,7 +323,7 @@ class TwistedModule:
         """The antilinear involution extending the basis recipe."""
         out: Vector = {}
         for i, c in vec.items():
-            out = vec_add(out, vec_scale(self.bar_row(i), c.bar()))
+            vec_axpy(out, c.bar(), self.bar_row(i))
         return out
 
     def canonical_table(self, reverse_ties: bool = False) -> CanonicalTable:
@@ -427,12 +433,11 @@ def _mu_prime_s(
             out = out + sign * LaurentPoly.from_int(c)
     # subtract sum over y < z < w with s |*| z < z
     for z in block.lower_indices(w):
-        if z == w or z == y or not block.leq(y, z):
-            continue
-        if block.cross[s][z][2]:
-            continue  # need rank-down at z
+        if z == w or z == y or block.cross[s][z][2]:
+            continue  # need z != y, w and rank-down at z
         c = md.mu_of(y, z) * md.mu_of(z, w)
-        if c:
+        # mu(y, z) != 0 already gives y <= z: entries lie on Bruhat intervals
+        if c and block.leq(y, z):
             out = out - c
     return out
 
@@ -491,13 +496,13 @@ def recurrence_check(which: str, system: CoxeterSystem, theta: Sequence[int]) ->
                     continue
                 lhs = mod.act_underline_gen(s, b_w)
                 if not commutes:
-                    rhs = dict(mod.underline(sw))
+                    rhs = mod.underline(sw)
                     for y in block.lower_indices(sw):
                         if y == sw:
                             continue
                         c = _mu_prime_s(s, y, w, block, md)
                         if c:
-                            rhs = vec_add(rhs, vec_scale(mod.underline(y), c))
+                            vec_axpy(rhs, c, mod.underline(y))
                 else:
                     rhs = vec_scale(mod.underline(sw), V + VI)
                     rhs = vec_sub(rhs, b_w)
@@ -506,14 +511,14 @@ def recurrence_check(which: str, system: CoxeterSystem, theta: Sequence[int]) ->
                             continue
                         c = _mu_prime_s(s, y, w, block, md) - md.mu_of(y, sw)
                         if c:
-                            rhs = vec_add(rhs, vec_scale(mod.underline(y), c))
+                            vec_axpy(rhs, c, mod.underline(y))
                 if lhs != rhs:
                     fail(s, w, lhs, rhs)
             elif which == "iota":
                 if not up:
                     continue
                 lhs = mod.act_underline_gen(s, b_w)
-                rhs = dict(mod.underline(sw))
+                rhs = mod.underline(sw)
                 if commutes:
                     rhs = vec_add(rhs, b_w)
                 for y in block.lower_indices(w):
@@ -521,7 +526,7 @@ def recurrence_check(which: str, system: CoxeterSystem, theta: Sequence[int]) ->
                         continue
                     c = _nu(s, y, w, block, md)
                     if c:
-                        rhs = vec_add(rhs, vec_scale(mod.underline(y), c))
+                        vec_axpy(rhs, c, mod.underline(y))
                 if lhs != rhs:
                     fail(s, w, lhs, rhs)
             else:
@@ -749,7 +754,7 @@ def inversion_check(label: str, system: CoxeterSystem) -> list[dict]:
                     if not b:
                         continue
                     sign = -1 if (blk.rho[xi] + blk.rho[w]) % 2 else 1
-                    total = total + sign * a * b
+                    total = total.addmul(sign * a, b)
                 expected = ONE if xi == yi else ZERO
                 if total != expected:
                     failures.append(

@@ -9,6 +9,20 @@ with ``coeffs`` trimmed of leading/trailing zeros.  The zero polynomial is
 the unique value with ``coeffs == ()``.  This makes equality and hashing
 structural, which the table-building code relies on heavily.
 
+Every value obeys this normalization invariant: either ``(val, coeffs) ==
+(0, ())`` or ``coeffs[0]`` and ``coeffs[-1]`` are both nonzero.  The public
+constructor trims to establish it.  Results that keep it by construction
+skip the trim and go through the private ``_make``: a product of two
+normalized polynomials (Z has no zero divisors, so the end coefficients
+multiply to nonzero ends), ``bar`` and negation (which reverse or negate
+the tuple), and the strictly negative part of an antisymmetric element
+(trimmed at its one open end).  Sums are trimmed once, in the buffer they
+were accumulated in; ``p.addmul(a, b)`` computes p + a*b that way without
+the temporary product:
+
+>>> V.addmul(U, 2)   # v + 2*(v - v^-1)
+LaurentPoly('-2*v^-1 + 3*v')
+
 Besides ring arithmetic the module provides the three ring endomorphisms
 used throughout:
 
@@ -57,20 +71,9 @@ class LaurentPoly:
     __slots__ = ("val", "coeffs")
 
     def __init__(self, val: int = 0, coeffs: Iterable[int] = ()) -> None:
-        cs = tuple(coeffs)
-        # trim zeros at both ends; normalize zero to (0, ())
-        lo = 0
-        hi = len(cs)
-        while lo < hi and cs[lo] == 0:
-            lo += 1
-        while hi > lo and cs[hi - 1] == 0:
-            hi -= 1
-        if lo == hi:
-            object.__setattr__(self, "val", 0)
-            object.__setattr__(self, "coeffs", ())
-        else:
-            object.__setattr__(self, "val", val + lo)
-            object.__setattr__(self, "coeffs", cs[lo:hi])
+        val, cs = _normalize(val, tuple(coeffs))
+        _set_val(self, val)
+        _set_coeffs(self, cs)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("LaurentPoly is immutable")
@@ -170,26 +173,56 @@ class LaurentPoly:
         return hash((self.val, self.coeffs))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.val, tuple(-c for c in self.coeffs))
+        return _make(self.val, tuple([-c for c in self.coeffs]))
 
     def __add__(self, other: IntLike) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.coeffs:
+        if other.__class__ is not LaurentPoly:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a = self.coeffs
+        b = other.coeffs
+        if not a:
             return other
-        if not other.coeffs:
+        if not b:
             return self
-        lo = min(self.val, other.val)
-        hi = max(self.val + len(self.coeffs), other.val + len(other.coeffs))
-        out = [0] * (hi - lo)
-        for i, c in enumerate(self.coeffs):
-            out[self.val - lo + i] = c
-        for i, c in enumerate(other.coeffs):
-            out[other.val - lo + i] += c
-        return LaurentPoly(lo, out)
+        lo = self.val
+        off = other.val - lo
+        if off < 0:
+            lo, off, a, b = other.val, -off, b, a
+        out = list(a)
+        end = off + len(b)
+        if end > len(out):
+            out += [0] * (end - len(out))
+        for i, c in enumerate(b, off):
+            out[i] += c
+        return _trimmed(lo, out)
 
     __radd__ = __add__
+
+    def addmul(self, a: IntLike, b: IntLike) -> "LaurentPoly":
+        """self + a * b, accumulated in one buffer and trimmed once."""
+        if a.__class__ is not LaurentPoly:
+            a = self._coerce(a)
+        if b.__class__ is not LaurentPoly:
+            b = self._coerce(b)
+        if a is NotImplemented or b is NotImplemented:
+            raise TypeError("addmul takes int or LaurentPoly factors")
+        ac = a.coeffs
+        bc = b.coeffs
+        if not ac or not bc:
+            return self
+        pc = self.coeffs
+        if not pc:
+            return a * b
+        pv = a.val + b.val
+        sv = self.val
+        lo = sv if sv < pv else pv
+        hi = max(sv + len(pc), pv + len(ac) + len(bc) - 1)
+        out = [0] * (hi - lo)
+        out[sv - lo:sv - lo + len(pc)] = pc
+        _mac(out, pv - lo, ac, bc)
+        return _trimmed(lo, out)
 
     def __sub__(self, other: IntLike) -> "LaurentPoly":
         other = self._coerce(other)
@@ -204,19 +237,23 @@ class LaurentPoly:
         return other + (-self)
 
     def __mul__(self, other: IntLike) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        if other.__class__ is not LaurentPoly:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a = self.coeffs
+        b = other.coeffs
+        if not a or not b:
             return ZERO
-        a, b = self.coeffs, other.coeffs
+        val = self.val + other.val
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            c = b[0]
+            return _make(val, a if c == 1 else tuple([x * c for x in a]))
         out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return LaurentPoly(self.val + other.val, out)
+        _mac(out, 0, a, b)
+        return _make(val, tuple(out))
 
     __rmul__ = __mul__
 
@@ -244,9 +281,10 @@ class LaurentPoly:
 
     def bar(self) -> "LaurentPoly":
         """The involution v |-> v^-1."""
-        if not self.coeffs:
+        cs = self.coeffs
+        if not cs:
             return self
-        return LaurentPoly(-(self.val + len(self.coeffs) - 1), tuple(reversed(self.coeffs)))
+        return _make(-(self.val + len(cs) - 1), cs[::-1])
 
     def negate_v(self) -> "LaurentPoly":
         """The involution v |-> -v (negates odd-exponent coefficients)."""
@@ -348,6 +386,57 @@ class LaurentPoly:
 
 
 # ----------------------------------------------------------------------
+# the kernel: every result below is built already trimmed
+
+_set_val = LaurentPoly.val.__set__
+_set_coeffs = LaurentPoly.coeffs.__set__
+
+
+def _make(val: int, coeffs: tuple[int, ...]) -> LaurentPoly:
+    """Trusted constructor: ``coeffs`` must already satisfy the invariant."""
+    p = object.__new__(LaurentPoly)
+    _set_val(p, val)
+    _set_coeffs(p, coeffs)
+    return p
+
+
+def _normalize(val: int, cs) -> tuple[int, tuple[int, ...]]:
+    """(val, coeffs) with the zeros at both ends of ``cs`` trimmed off."""
+    hi = len(cs)
+    while hi and not cs[hi - 1]:
+        hi -= 1
+    if not hi:
+        return 0, ()
+    lo = 0
+    while not cs[lo]:
+        lo += 1
+    return val + lo, tuple(cs[lo:hi])
+
+
+def _trimmed(val: int, out: list[int]) -> LaurentPoly:
+    if out[0] and out[-1]:
+        return _make(val, tuple(out))
+    return _make(*_normalize(val, out))
+
+
+def _mac(out: list[int], base: int, a: tuple[int, ...], b: tuple[int, ...]) -> None:
+    """out[base + i + j] += a[i] * b[j] for all i, j."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        ca = a[0]
+        for j, cb in enumerate(b, base):
+            if cb:
+                out[j] += ca * cb
+        return
+    for i, ca in enumerate(a, base):
+        if ca:
+            for j, cb in enumerate(b, i):
+                if cb:
+                    out[j] += ca * cb
+
+
+# ----------------------------------------------------------------------
 # constants
 
 ZERO = LaurentPoly(0, ())
@@ -380,9 +469,16 @@ def split_antisymmetric(d: LaurentPoly) -> LaurentPoly:
     >>> split_antisymmetric(LaurentPoly.from_terms({-1: 2, 1: -2}))
     LaurentPoly('2*v^-1')
     """
-    if d.bar() != -d:
+    cs = d.coeffs
+    if not cs:
+        return d
+    # bar(d) == -d: exponents symmetric about 0, coefficients mirrored with sign
+    if d.val + d.val + len(cs) - 1 or cs != tuple([-c for c in reversed(cs)]):
         raise NotAntisymmetric(f"bar(d) != -d for d = {d}")
-    return d.negative_part()
+    hi = -d.val  # cs[:hi] holds the negative exponents, and cs[0] != 0
+    while not cs[hi - 1]:
+        hi -= 1
+    return _make(d.val, cs[:hi])
 
 
 # ----------------------------------------------------------------------

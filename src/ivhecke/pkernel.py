@@ -171,7 +171,7 @@ class IncidenceFunction:
             acc = ZERO
             for t in range(i, j + 1):
                 if self.poset.leq(i, t) and self.poset.leq(t, j):
-                    acc = acc + self.value(i, t) * other.value(t, j)
+                    acc = acc.addmul(self.value(i, t), other.value(t, j))
             if acc:
                 out[(i, j)] = acc
         return IncidenceFunction(self.poset, out)
@@ -236,7 +236,11 @@ class BarMatrix:
                     continue
                 acc = ZERO
                 for t in range(i, j + 1):
-                    acc = acc + self.entry(i, t) * self.entry(t, j).bar()
+                    a = self.entries.get((i, t))
+                    if a:
+                        b = self.entries.get((t, j))
+                        if b:
+                            acc = acc.addmul(a, b.bar())
                 if acc != (ONE if i == j else ZERO):
                     return False
         return True

@@ -18,6 +18,7 @@ from ivhecke.hecke import (
     NotPreCanonical,
     solve_canonical,
 )
+from ivhecke.ivmodules import canonical_table
 from ivhecke.laurent import (
     ONE,
     U,
@@ -233,6 +234,18 @@ class TestCanonicalBasis:
         a = solve_canonical(ranks, leq, bar_row)
         b = solve_canonical(ranks, leq, bar_row, reverse_ties=True)
         assert a == b
+
+
+    def test_column_index_matches_scan(self):
+        B3 = parse_system("B3")
+        for label in ("h", "iota"):
+            table = canonical_table(B3, B3.identity_perm(), label)
+            for j in range(len(table.elements)):
+                scan = {i: c for (i, jj), c in table.entries.items() if jj == j}
+                col = table.column(j)
+                assert list(col.items()) == list(scan.items())
+                col.clear()  # callers own the returned dict
+                assert table.column(j) == scan
 
 
 class TestSolverFailures:

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import laurent_oracle as oracle
+
 from ivhecke.laurent import (
     ONE,
     U,
@@ -211,3 +213,75 @@ def test_json_text_roundtrip(p):
     assert LaurentPoly.from_json(p.to_json()) == p
     # text form is injective on our representation: re-parse by eval-free check
     assert (p.to_text() == "0") == (not p)
+
+
+# ----------------------------------------------------------------------
+# the fused kernel against the arithmetic it replaced (tests/laurent_oracle.py)
+
+operands = st.one_of(polys, st.integers(-5, 5))
+
+
+def assert_normalized(p):
+    assert type(p) is LaurentPoly
+    assert type(p.coeffs) is tuple
+    if p.coeffs:
+        assert p.coeffs[0] and p.coeffs[-1]
+    else:
+        assert (p.val, p.coeffs) == (0, ())
+
+
+@settings(max_examples=500)
+@given(polys, operands, operands)
+def test_kernel_matches_oracle(p, a, b):
+    results = [
+        (p + a, oracle.add(p, a)),
+        (a + p, oracle.add(a, p)),
+        (p - a, oracle.sub(p, a)),
+        (a - p, oracle.sub(a, p)),
+        (p * a, oracle.mul(p, a)),
+        (a * p, oracle.mul(a, p)),
+        (p.addmul(a, b), oracle.addmul(p, a, b)),
+        (p.bar(), oracle.bar(p)),
+        (-p, oracle.neg(p)),
+    ]
+    for got, want in results:
+        assert got == want
+        assert_normalized(got)
+
+
+@given(polys, polys)
+def test_kernel_cancelling_ends(p, r):
+    # q = r - p makes p + q and p.addmul(1, q) cancel p's ends
+    q = oracle.sub(r, p)
+    assert p + q == r
+    assert p.addmul(ONE, q) == r
+    assert p.addmul(q, -1) == oracle.sub(p, q)
+    for got in (p + q, p.addmul(ONE, q), p.addmul(q, -1)):
+        assert_normalized(got)
+
+
+@given(polys, st.booleans())
+def test_split_matches_oracle(p, antisymmetric):
+    d = p - p.bar() if antisymmetric else p
+    try:
+        want = oracle.split_antisymmetric(d)
+    except NotAntisymmetric:
+        with pytest.raises(NotAntisymmetric):
+            split_antisymmetric(d)
+        return
+    got = split_antisymmetric(d)
+    assert got == want
+    assert_normalized(got)
+
+
+def test_int_operands_and_immutability():
+    assert 2 * V == lp({1: 2})
+    assert 1 - V == lp({0: 1, 1: -1})
+    assert ONE.addmul(2, V) == lp({0: 1, 1: 2})
+    with pytest.raises(TypeError):
+        ONE.addmul(1.5, V)
+    for p in (V * U, U.bar(), -U, U + V, ONE.addmul(V, U), split_antisymmetric(U)):
+        with pytest.raises(AttributeError):
+            p.val = 3
+        with pytest.raises(AttributeError):
+            p.coeffs = ()
