@@ -38,7 +38,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .coxeter import CoxeterSystem, Word, parse_system
+from .coxeter import CoxeterSystem, parse_system
 from .hecke import CanonicalTable, NotPreCanonical, solve_canonical
 from .ivmodules import (
     IOTA_MATRIX,
@@ -48,6 +48,8 @@ from .ivmodules import (
     Vector,
     act_gen,
     act_word,
+    bar_row_vector,
+    precanonical_failure,
     vec_axpy,
 )
 from .laurent import (
@@ -57,16 +59,15 @@ from .laurent import (
     VI,
     ZERO,
     LaurentPoly,
-    NotDivisible,
     monomial,
 )
-from .twisted import TwistedBlock, involutive_automorphisms
+from .twisted import GroupBlock, TwistedBlock, involutive_automorphisms
 
 # ----------------------------------------------------------------------
 # further seed structures
 
 #: parameter v; the sibling of the iota structure with the opposite signs
-#: in the commuting rows (bar recipe without the (-1)^l sign)
+#: in the commuting rows, whose derived psi lacks iota's (-1)^l sign
 IOTA_ALT_MATRIX = StructureMatrix(
     False,
     ((ONE, ZERO), (ONE, U), (ONE, -ONE), (-U, U + 1)),
@@ -200,45 +201,6 @@ def enumerate_candidates(case: str, mode: str = "hi") -> list[Candidate]:
 # ----------------------------------------------------------------------
 # blocks, including the group itself as a two-row block
 
-class GroupBlock:
-    """Adapter presenting W itself with the TwistedBlock interface.
-
-    cross[s][i] targets s * w; the commutes flag is meaningless for
-    two-row structures and is set to False.
-    """
-
-    def __init__(self, system: CoxeterSystem) -> None:
-        self.system = system
-        self.theta = system.identity_perm()
-        self.elements: list[Word] = system.elements()
-        self.index = {w: i for i, w in enumerate(self.elements)}
-        self.rho = [len(w) for w in self.elements]
-        self.cross = []
-        for s in range(system.rank):
-            row = []
-            for w in self.elements:
-                sw = system.left_mult(s, w)
-                row.append((self.index[sw], False, len(sw) > len(w)))
-            self.cross.append(row)
-        self._lower: dict[int, tuple[int, ...]] = {}
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def leq(self, i: int, j: int) -> bool:
-        return self.system.bruhat_leq(self.elements[i], self.elements[j])
-
-    def lower_indices(self, j: int) -> tuple[int, ...]:
-        cached = self._lower.get(j)
-        if cached is None:
-            cached = tuple(i for i in range(j + 1) if self.leq(i, j))
-            self._lower[j] = cached
-        return cached
-
-    def length(self, i: int) -> int:
-        return len(self.elements[i])
-
-
 def blocks_for_mode(system: CoxeterSystem, mode: str) -> list:
     if mode == "hw":
         return [GroupBlock(system)]
@@ -290,75 +252,30 @@ def check_representation(gamma: StructureMatrix, block) -> Optional[dict]:
 # stage 2: the pre-canonicity test
 
 def precanonical_test(gamma: StructureMatrix, block) -> dict[int, Vector]:
-    """Build the candidate bar involution psi; return its rows or raise.
+    """Derive the candidate bar involution psi; return its rows or raise.
 
     psi fixes the lowest basis vector and must satisfy
-    psi(op_s m) = (op_s + c) psi(m) with c = v^-k - v^k.  Along a rank
-    ascent w' -> w = s |*| w' with ascent coefficients op_s(e_{w'}) =
-    a1 e_w + a2 e_{w'} this forces
-
-        psi(e_w) = [ (op_s + c) psi(e_{w'}) - bar(a2) psi(e_{w'}) ] / bar(a1),
-
-    an exact division in A.  The construction fails (NotPreCanonical) if a
-    division is inexact, different descents disagree, the result is not
-    unitriangular with diagonal 1, psi^2 != id, or the intertwining
-    property fails for some generator.
+    psi(op_s m) = (op_s + c) psi(m) with c = v^-k - v^k, which determines
+    it row by row along rank ascents (``bar_row_vector``).  The
+    construction fails (NotPreCanonical) if that descent recursion fails,
+    the result is not unitriangular with diagonal 1, psi^2 != id, or the
+    intertwining property fails for some generator.
     """
     c = gamma.bar_shift
     n = len(block.elements)
     rank = block.system.rank
     psi: dict[int, Vector] = {0: {0: ONE}}
-
-    def fail(reason: str, **extra) -> NotPreCanonical:
-        witness = {"reason": reason, "theta": list(block.theta)}
-        witness.update(extra)
-        return NotPreCanonical(f"pre-canonicity failure: {reason}", witness)
-
     for j in range(1, n):
-        result: Optional[Vector] = None
-        used_any = False
-        for s in range(rank):
-            i, commutes, up = block.cross[s][j]
-            if up:
-                continue  # need a descent of j
-            a1, a2 = gamma.row_for(commutes, True)  # the ascent row at i
-            if not a1:
-                continue  # this descent cannot reach j
-            used_any = True
-            base = psi[i] if i in psi else None
-            if base is None:
-                raise fail("descent target missing", element=list(block.elements[j]))
-            num = act_gen(gamma, block, s, base)
-            vec_axpy(num, c, base)
-            vec_axpy(num, -a2.bar(), base)
-            divisor = a1.bar()
-            try:
-                cand = {k: p.exact_div(divisor) for k, p in num.items()}
-            except NotDivisible:
-                raise fail(
-                    "inexact division",
-                    element=list(block.elements[j]),
-                    s=s,
-                ) from None
-            cand = {k: p for k, p in cand.items() if p}
-            if result is None:
-                result = cand
-            elif result != cand:
-                raise fail("descent-dependent bar", element=list(block.elements[j]), s=s)
-        if not used_any or result is None:
-            raise fail("no usable descent", element=list(block.elements[j]))
+        result = bar_row_vector(gamma, block, j, psi)
+        lower = set(block.lower_indices(j))
         for k in result:
-            if k > j or not block.leq(k, j):
-                raise fail(
-                    "not unitriangular",
-                    element=list(block.elements[j]),
-                    offender=list(block.elements[k]),
+            if k not in lower:
+                raise precanonical_failure(
+                    block, j, "not unitriangular", offender=list(block.elements[k])
                 )
         if result.get(j) != ONE:
-            raise fail(
-                "diagonal not 1",
-                element=list(block.elements[j]),
-                diagonal=(result.get(j) or ZERO).to_json(),
+            raise precanonical_failure(
+                block, j, "diagonal not 1", diagonal=(result.get(j) or ZERO).to_json()
             )
         psi[j] = result
 
@@ -370,15 +287,13 @@ def precanonical_test(gamma: StructureMatrix, block) -> dict[int, Vector]:
 
     for j in range(n):
         if apply_psi(psi[j]) != {j: ONE}:
-            raise fail("psi squared is not the identity", element=list(block.elements[j]))
+            raise precanonical_failure(block, j, "psi squared is not the identity")
         for s in range(rank):
             lhs = apply_psi(act_gen(gamma, block, s, {j: ONE}))
             rhs = act_gen(gamma, block, s, psi[j])
             vec_axpy(rhs, c, psi[j])
             if lhs != rhs:
-                raise fail(
-                    "intertwining failure", element=list(block.elements[j]), s=s
-                )
+                raise precanonical_failure(block, j, "intertwining failure", s=s)
     return psi
 
 
@@ -534,7 +449,7 @@ def classification_run(
         for (name, blk), psi in zip(all_blocks, psis[cand.provenance]):
             entries = solve_canonical(
                 blk.rho,
-                blk.leq,
+                blk.lower_indices,
                 lambda j, _psi=psi: _psi[j],
                 labels=blk.elements,
             )

@@ -47,6 +47,7 @@ from .laurent import (
     monomial,
     split_antisymmetric,
 )
+from .twisted import GroupBlock
 
 Terms = dict[Word, LaurentPoly]
 
@@ -267,25 +268,18 @@ class HeckeAlgebra:
 
     def kl_table(self) -> "CanonicalTable":
         """The canonical (Kazhdan-Lusztig) basis table of the regular module."""
-        W = self.system
-        elements = W.elements()
-        index = {w: i for i, w in enumerate(elements)}
-        ranks = [len(w) for w in elements]
+        block = GroupBlock(self.system)
 
         def bar_row(j: int) -> dict[int, LaurentPoly]:
-            return {index[x]: c for x, c in self.bar_basis_terms(elements[j]).items()}
+            return {block.index[x]: c for x, c in self.bar_basis_terms(block.elements[j]).items()}
 
-        entries = solve_canonical(
-            ranks,
-            lambda i, j: W.bruhat_leq(elements[i], elements[j]),
-            bar_row,
-        )
+        entries = solve_canonical(block.rho, block.lower_indices, bar_row)
         return CanonicalTable(
             label="h",
-            system=W,
-            theta=W.identity_perm(),
-            elements=elements,
-            ranks=ranks,
+            system=self.system,
+            theta=block.theta,
+            elements=block.elements,
+            ranks=block.rho,
             entries=entries,
         )
 
@@ -293,16 +287,8 @@ class HeckeAlgebra:
         """The canonical basis element attached to w."""
         if table is None:
             table = self.kl_table()
-        W = self.system
-        j = table.elements.index(W.reduce(w))
-        return HeckeElt(
-            self,
-            {
-                table.elements[i]: c
-                for (i, jj), c in table.entries.items()
-                if jj == j and c
-            },
-        )
+        j = table.elements.index(self.system.reduce(w))
+        return HeckeElt(self, {table.elements[i]: c for i, c in table.column(j).items()})
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +296,7 @@ class HeckeAlgebra:
 
 def solve_canonical(
     ranks: Sequence[int],
-    leq: Callable[[int, int], bool],
+    lower: Callable[[int], Sequence[int]],
     bar_row: Callable[[int], dict[int, LaurentPoly]],
     reverse_ties: bool = False,
     labels: Optional[Sequence] = None,
@@ -318,7 +304,8 @@ def solve_canonical(
     """Solve for the canonical basis of a pre-canonical involution.
 
     ``ranks`` lists a grading, indexed in a linear extension of the order
-    ``leq`` (strictly comparable elements have distinct ranks).
+    (strictly comparable elements have distinct ranks); ``lower(j)`` lists
+    the indices i <= j, j included.
     ``bar_row(j)`` gives the expansion of psi(a_j) as {i: coefficient}.
     Returns all nonzero entries pi_{x,w} keyed by (x_index, w_index),
     including the unit diagonal.
@@ -343,18 +330,20 @@ def solve_canonical(
                 f"bar matrix diagonal at {name(j)} is {diag}, expected 1",
                 {"element": name(j), "diagonal": diag.to_json()},
             )
+        interval = lower(j)
+        members = set(interval)
         for i in row:
-            if row[i] and not leq(i, j):
+            if row[i] and i not in members:
                 raise NotPreCanonical(
                     f"bar matrix not unitriangular: psi(a_{name(j)}) hits {name(i)}",
                     {"element": name(j), "offender": name(i)},
                 )
 
-        interval = [i for i in range(j) if leq(i, j)]
         entries[(j, j)] = ONE
         # bar(pi_{y,w}) for each y solved so far in this column
         column_bar: dict[int, LaurentPoly] = {j: ONE}
-        order = sorted(interval, key=(lambda i: (-ranks[i], -i)) if reverse_ties else (lambda i: (-ranks[i], i)))
+        key = (lambda i: (-ranks[i], -i)) if reverse_ties else (lambda i: (-ranks[i], i))
+        order = sorted((i for i in interval if i != j), key=key)
         for x in order:
             d = ZERO
             for y, pi_y_bar in column_bar.items():

@@ -17,20 +17,16 @@ up/down).  The three named structures are:
 * ``pi``        -- parameter v^2, the module whose canonical basis has the
                    classical Lusztig-Vogan coefficients;
 * ``pi_prime``  -- parameter v^2, same underlying action in the
-                   noncommuting rows but a sign flip in the commuting ones,
-                   with an unsigned bar involution;
+                   noncommuting rows but a sign flip in the commuting ones;
 * ``iota``      -- parameter v, a structure with coefficients in the
                    smaller ring whose canonical basis interpolates between
                    the regular module's and the block modules'.
 
-Each comes with a bar involution given on basis vectors by a "recipe":
-letting x be the group part of w and c = v^-k - v^k,
-
-    bar(m_w) = sign * (op_{s_1} + c) ... (op_{s_r} + c) m_{(x^{-1}, theta)}
-
-for a reduced word s_1 ... s_r of x, where pi and iota take
-sign = (-1)^{l(x)} and pi_prime takes sign = +1 (recipes without the +c
-convolution also occur among the classified structures; see classify).
+A module is a block plus a structure matrix.  Its bar involution psi is
+the unique compatible involution: antilinear, fixing the lowest basis
+vector, and with psi(op_s m) = (op_s + c) psi(m) for c = v^-k - v^k.  It
+is built by the descent recursion (``bar_row_vector``), one basis vector
+at a time in index order, so no structure carries a hand-written bar.
 
 The canonical tables are produced by the generic solver in ``hecke``.
 """
@@ -41,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .coxeter import CoxeterSystem, Word
-from .hecke import CanonicalTable, HeckeAlgebra, solve_canonical
+from .hecke import CanonicalTable, HeckeAlgebra, NotPreCanonical, solve_canonical
 from .laurent import (
     ONE,
     U,
@@ -50,6 +46,7 @@ from .laurent import (
     VI,
     ZERO,
     LaurentPoly,
+    NotDivisible,
     bar_invariant,
     mod2_equal,
     monomial,
@@ -58,7 +55,7 @@ from .laurent import (
     one_plus_positive,
     only_nonpositive_exponents,
 )
-from .twisted import Perm, TwistedBlock, involutive_automorphisms
+from .twisted import Block, Perm, TwistedBlock, involutive_automorphisms
 
 Vector = dict[int, LaurentPoly]  # sparse combination of block basis vectors
 
@@ -219,7 +216,7 @@ IOTA_MATRIX = StructureMatrix(
 # ----------------------------------------------------------------------
 # the generator action
 
-def act_gen(gamma: StructureMatrix, block: TwistedBlock, s: int, vec: Vector) -> Vector:
+def act_gen(gamma: StructureMatrix, block: Block, s: int, vec: Vector) -> Vector:
     """Apply the generator's action in the structure gamma to a vector."""
     cross = block.cross[s]
     out: Vector = {}
@@ -243,7 +240,7 @@ def act_gen(gamma: StructureMatrix, block: TwistedBlock, s: int, vec: Vector) ->
     return out
 
 
-def act_word(gamma: StructureMatrix, block: TwistedBlock, word: Word, vec: Vector) -> Vector:
+def act_word(gamma: StructureMatrix, block: Block, word: Word, vec: Vector) -> Vector:
     """Apply H_{s_1} ... H_{s_r} (letters act right-to-left)."""
     for s in reversed(word):
         vec = act_gen(gamma, block, s, vec)
@@ -251,44 +248,65 @@ def act_word(gamma: StructureMatrix, block: TwistedBlock, word: Word, vec: Vecto
 
 
 # ----------------------------------------------------------------------
-# bar involutions on block modules
+# the bar involution, derived from the structure
 
-#: recipe name -> (use bar(H_x) rather than H_x, sign (-1)^{l(x)})
-BAR_RECIPES: dict[str, tuple[bool, bool]] = {
-    "bar_signed": (True, True),
-    "bar": (True, False),
-    "signed": (False, True),
-    "plain": (False, False),
-}
+def precanonical_failure(block: Block, j: int, reason: str, **extra) -> NotPreCanonical:
+    """The NotPreCanonical error for ``reason`` at element j, with its witness."""
+    witness = {"reason": reason, "theta": list(block.theta), "element": list(block.elements[j])}
+    witness.update(extra)
+    return NotPreCanonical(f"pre-canonicity failure: {reason}", witness)
 
 
 def bar_row_vector(
-    gamma: StructureMatrix, block: TwistedBlock, i: int, recipe: str
+    gamma: StructureMatrix, block: Block, j: int, psi: dict[int, Vector]
 ) -> Vector:
-    """Expansion of bar(m_w) for w = block.elements[i] under the recipe."""
-    use_bar, use_sign = BAR_RECIPES[recipe]
-    x = block.elements[i]
-    x_inv = block.system.inverse(x)
-    vec: Vector = {block.index[x_inv]: ONE}
-    c = gamma.bar_shift if use_bar else None
-    for s in reversed(x):
-        acted = act_gen(gamma, block, s, vec)
-        if c is not None:
-            vec_axpy(acted, c, vec)
-        vec = acted
-    if use_sign and len(x) % 2 == 1:
-        vec = vec_scale(vec, -1)
-    return vec
+    """psi(m_j), derived from the rows of psi at the descents of j.
+
+    Along a rank ascent i -> j = s |*| i with ascent coefficients
+    op_s(m_i) = a1 m_j + a2 m_i, compatibility forces
+
+        psi(m_j) = [ (op_s + c) psi(m_i) - bar(a2) psi(m_i) ] / bar(a1),
+
+    an exact division in A.  Every descent with a1 != 0 is used, and all
+    must give the same row.  Raises NotPreCanonical if there is no such
+    descent, a descent's row is missing from psi, a division is inexact,
+    or two descents disagree.
+    """
+    c = gamma.bar_shift
+    result: Optional[Vector] = None
+    for s in range(block.system.rank):
+        i, commutes, up = block.cross[s][j]
+        if up:
+            continue  # need a descent of j
+        a1, a2 = gamma.row_for(commutes, True)  # the ascent row at i
+        if not a1:
+            continue  # this descent cannot reach j
+        base = psi.get(i)
+        if base is None:
+            raise precanonical_failure(block, j, "descent target missing")
+        row = act_gen(gamma, block, s, base)
+        vec_axpy(row, c - a2.bar(), base)
+        divisor = a1.bar()
+        if divisor != ONE:
+            try:
+                row = {k: p.exact_div(divisor) for k, p in row.items()}
+            except NotDivisible:
+                raise precanonical_failure(block, j, "inexact division", s=s) from None
+        if result is None:
+            result = row
+        elif result != row:
+            raise precanonical_failure(block, j, "descent-dependent bar", s=s)
+    if result is None:
+        raise precanonical_failure(block, j, "no usable descent")
+    return result
 
 
-#: label -> (structure, bar recipe)
-NAMED_STRUCTURES: dict[str, tuple[StructureMatrix, str]] = {
-    "pi": (PI_MATRIX, "bar_signed"),
-    "pi_prime": (PI_PRIME_MATRIX, "bar"),
-    "iota": (IOTA_MATRIX, "bar_signed"),
+#: label -> structure
+NAMED_STRUCTURES: dict[str, StructureMatrix] = {
+    "pi": PI_MATRIX,
+    "pi_prime": PI_PRIME_MATRIX,
+    "iota": IOTA_MATRIX,
 }
-
-TABLE_LABELS = ("h", "pi", "pi_prime", "iota")
 
 
 class TwistedModule:
@@ -299,8 +317,8 @@ class TwistedModule:
             raise ValueError(f"unknown structure label {label!r}; pick from {sorted(NAMED_STRUCTURES)}")
         self.block = block
         self.label = label
-        self.gamma, self.recipe = NAMED_STRUCTURES[label]
-        self._bar_rows: dict[int, Vector] = {}
+        self.gamma = NAMED_STRUCTURES[label]
+        self._bar_rows: dict[int, Vector] = {0: {0: ONE}}
         self._table: Optional[CanonicalTable] = None
 
     def act(self, s: int, vec: Vector) -> Vector:
@@ -313,14 +331,14 @@ class TwistedModule:
         return out
 
     def bar_row(self, i: int) -> Vector:
-        row = self._bar_rows.get(i)
-        if row is None:
-            row = bar_row_vector(self.gamma, self.block, i, self.recipe)
-            self._bar_rows[i] = row
-        return row
+        """psi(m_i); rows are derived once each, in index order."""
+        rows = self._bar_rows
+        for j in range(len(rows), i + 1):
+            rows[j] = bar_row_vector(self.gamma, self.block, j, rows)
+        return rows[i]
 
     def bar(self, vec: Vector) -> Vector:
-        """The antilinear involution extending the basis recipe."""
+        """The antilinear involution psi, applied to any vector."""
         out: Vector = {}
         for i, c in vec.items():
             vec_axpy(out, c.bar(), self.bar_row(i))
@@ -332,7 +350,7 @@ class TwistedModule:
         blk = self.block
         entries = solve_canonical(
             blk.rho,
-            blk.leq,
+            blk.lower_indices,
             self.bar_row,
             reverse_ties=reverse_ties,
             labels=blk.elements,
@@ -437,7 +455,7 @@ def _mu_prime_s(
             continue  # need z != y, w and rank-down at z
         c = md.mu_of(y, z) * md.mu_of(z, w)
         # mu(y, z) != 0 already gives y <= z: entries lie on Bruhat intervals
-        if c and block.leq(y, z):
+        if c and y in block.lower_indices(z):
             out = out - c
     return out
 
@@ -581,7 +599,7 @@ def invariant_suite(
             if mod.bar(mod.bar_row(i)) != unit:
                 fails.append({"check": "psi_squared", "element": list(block.elements[i])})
             row = mod.bar_row(i)
-            if row.get(i) != ONE or any(not block.leq(k, i) for k in row):
+            if row.get(i) != ONE or not row.keys() <= set(block.lower_indices(i)):
                 fails.append({"check": "unitriangular", "element": list(block.elements[i])})
             for s in range(system.rank):
                 lhs = mod.bar(mod.act(s, unit))

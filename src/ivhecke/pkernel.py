@@ -38,7 +38,7 @@ from .coxeter import CoxeterSystem, Word
 from .hecke import HeckeAlgebra, solve_canonical
 from .ivmodules import TwistedModule
 from .laurent import ONE, ZERO, LaurentPoly, monomial
-from .twisted import TwistedBlock
+from .twisted import Block, GroupBlock, TwistedBlock
 
 
 class NotParityCompatible(ValueError):
@@ -93,10 +93,13 @@ class Poset:
     def leq(self, i: int, j: int) -> bool:
         return self.leq_matrix[i][j]
 
+    def lower_indices(self, j: int) -> tuple[int, ...]:
+        """Indices of all elements <= elements[j], ascending (j last)."""
+        return tuple(i for i in range(j + 1) if self.leq_matrix[i][j])
+
     def pairs(self) -> list[tuple[int, int]]:
         """All order-related index pairs (i, j), i <= j, sorted."""
-        n = len(self.elements)
-        return [(i, j) for j in range(n) for i in range(j + 1) if self.leq_matrix[i][j]]
+        return [(i, j) for j in range(len(self.elements)) for i in self.lower_indices(j)]
 
     @classmethod
     def from_json(cls, data: dict) -> "Poset":
@@ -231,9 +234,7 @@ class BarMatrix:
         """Whether the antilinear operator squares to the identity."""
         n = len(self.poset)
         for j in range(n):
-            for i in range(j + 1):
-                if not self.poset.leq(i, j):
-                    continue
+            for i in self.poset.lower_indices(j):
                 acc = ZERO
                 for t in range(i, j + 1):
                     a = self.entries.get((i, t))
@@ -269,11 +270,14 @@ def kernel_from_bar(bar: BarMatrix, r: Optional[Sequence[int]] = None) -> Incide
 
     Requires every matrix entry to lie in Z[v^-2] * v^{r(x,y)}; the
     recovered K(x, y) is bar(v^{-r(x,y)} * entry) read as a polynomial
-    in q = v^2.
+    in q = v^2.  Entries are checked column by column, each from the
+    diagonal outwards (then by index), so the witness does not depend on
+    the order the entries were built in.
     """
     r = check_grading(bar.poset, bar.grading if r is None else r)
     values = {}
-    for (i, j), p in bar.entries.items():
+    for i, j in sorted(bar.entries, key=lambda ij: (ij[1], r[ij[1]] - r[ij[0]], ij[0])):
+        p = bar.entries[(i, j)]
         g = p * monomial(-(r[j] - r[i]))
         if g.degree > 0 or any(e % 2 for e, _c in g.terms()):
             raise NotParityCompatible(
@@ -312,7 +316,7 @@ def kls_function(K: IncidenceFunction, r: Sequence[int]) -> IncidenceFunction:
     r = bar.grading
     poset = K.poset
     entries = solve_canonical(
-        list(r), poset.leq, bar.column, labels=poset.elements
+        list(r), poset.lower_indices, bar.column, labels=poset.elements
     )
     values = {}
     for (i, j), p in entries.items():
@@ -338,31 +342,25 @@ def kls_function(K: IncidenceFunction, r: Sequence[int]) -> IncidenceFunction:
 # ----------------------------------------------------------------------
 # bridges from the Hecke world
 
-def poset_of_block(block) -> Poset:
+def poset_of_block(block: Block) -> Poset:
     """The Bruhat order on a (twisted or group) block as a Poset."""
-    n = len(block.elements)
-    matrix = tuple(
-        tuple(block.leq(i, j) for j in range(n)) for i in range(n)
-    )
-    return Poset(tuple(block.elements), matrix)
+    n = len(block)
+    matrix = [[False] * n for _ in range(n)]
+    for j in range(n):
+        for i in block.lower_indices(j):
+            matrix[i][j] = True
+    return Poset(tuple(block.elements), tuple(map(tuple, matrix)))
 
 
 def hecke_bar_matrix(system: CoxeterSystem) -> BarMatrix:
     """The bar involution of the regular module, graded by length."""
     H = HeckeAlgebra(system)
-    elements = system.elements()
-    index = {w: i for i, w in enumerate(elements)}
-    n = len(elements)
-    matrix = tuple(
-        tuple(system.bruhat_leq(elements[i], elements[j]) for j in range(n))
-        for i in range(n)
-    )
-    poset = Poset(tuple(elements), matrix)
+    block = GroupBlock(system)
     entries = {}
-    for j, w in enumerate(elements):
+    for j, w in enumerate(block.elements):
         for x, c in H.bar_basis_terms(w).items():
-            entries[(index[x], j)] = c
-    return BarMatrix(poset, tuple(len(w) for w in elements), entries)
+            entries[(block.index[x], j)] = c
+    return BarMatrix(poset_of_block(block), tuple(block.rho), entries)
 
 
 def module_bar_matrix(

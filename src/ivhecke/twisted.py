@@ -17,7 +17,8 @@ theta(x) = x^{-1}.  They carry:
 A ``TwistedBlock`` enumerates one theta's worth of twisted involutions by
 breadth-first search from the identity and precomputes, for every generator
 s and element index i, the triple (target index, commutes flag, rank-up
-flag) that all module arithmetic downstream consumes.
+flag) that all module arithmetic downstream consumes.  A ``GroupBlock``
+presents W itself through the same ``Block`` interface.
 
 >>> W = parse_system("A2")
 >>> blk = TwistedBlock(W, (0, 1))
@@ -136,15 +137,45 @@ def rho_recursive(system: CoxeterSystem, theta: Sequence[int], word: Iterable[in
 
 # ----------------------------------------------------------------------
 
-class TwistedBlock:
+class Block:
+    """Elements of a Coxeter system with a generator action, in Bruhat order.
+
+    Each subclass's ``__init__`` sets ``system``, ``theta``, ``elements``
+    (sorted by (length, ShortLex word) -- a linear extension of Bruhat
+    order), ``index``, ``rho``, ``cross`` (``cross[s][i] = (j, commutes,
+    up)``: s acts on elements[i] with target elements[j]) and an empty
+    ``_lower`` cache of Bruhat intervals.
+    """
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def leq(self, i: int, j: int) -> bool:
+        """Bruhat order on the block (for twisted involutions, on x-components)."""
+        return self.system.bruhat_leq(self.elements[i], self.elements[j])
+
+    def lower_indices(self, j: int) -> tuple[int, ...]:
+        """Indices of all elements <= elements[j], ascending (j last)."""
+        cached = self._lower.get(j)
+        if cached is None:
+            cached = tuple(
+                i for i in range(j + 1) if self.leq(i, j)
+            )  # elements are sorted by length, so i > j cannot be <= j
+            self._lower[j] = cached
+        return cached
+
+    def length(self, i: int) -> int:
+        return len(self.elements[i])
+
+
+class TwistedBlock(Block):
     """All twisted involutions for one involutive theta, with action tables.
 
-    ``elements`` is sorted by (length, ShortLex word) -- a linear extension
-    of Bruhat order.  ``cross[s][i] = (j, commutes, up)`` describes
-    s |*| elements[i] = elements[j]; ``commutes`` is the s*x = x*theta(s)
-    flag and ``up`` says rho goes up.  The search raises InfiniteOrTooLarge
-    once the block has more than ``system.max_elements`` elements or an
-    element longer than ``system.max_word_length``.
+    ``cross[s][i] = (j, commutes, up)`` describes s |*| elements[i] =
+    elements[j]; ``commutes`` is the s*x = x*theta(s) flag and ``up`` says
+    rho goes up.  The search raises InfiniteOrTooLarge once the block has
+    more than ``system.max_elements`` elements or an element longer than
+    ``system.max_word_length``.
     """
 
     def __init__(self, system: CoxeterSystem, theta: Sequence[int]) -> None:
@@ -201,28 +232,31 @@ class TwistedBlock:
             self.cross.append(row)
         self._lower: dict[int, tuple[int, ...]] = {}
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
     def __repr__(self) -> str:
         return f"TwistedBlock({self.system!r}, theta={self.theta}, size={len(self)})"
 
-    def leq(self, i: int, j: int) -> bool:
-        """Bruhat order on the block (same theta, order on x-components)."""
-        return self.system.bruhat_leq(self.elements[i], self.elements[j])
 
-    def lower_indices(self, j: int) -> tuple[int, ...]:
-        """Indices of all elements <= elements[j], ascending."""
-        cached = self._lower.get(j)
-        if cached is None:
-            cached = tuple(
-                i for i in range(j + 1) if self.leq(i, j)
-            )  # elements are sorted by length, so i > j cannot be <= j
-            self._lower[j] = cached
-        return cached
+class GroupBlock(Block):
+    """W itself as a block: cross[s][i] targets s * w.
 
-    def length(self, i: int) -> int:
-        return len(self.elements[i])
+    rho is the length, theta the identity, and the commutes flag, which
+    two-row structures ignore, is False.
+    """
+
+    def __init__(self, system: CoxeterSystem) -> None:
+        self.system = system
+        self.theta = system.identity_perm()
+        self.elements: list[Word] = system.elements()
+        self.index = {w: i for i, w in enumerate(self.elements)}
+        self.rho = [len(w) for w in self.elements]
+        self.cross = []
+        for s in range(system.rank):
+            row = []
+            for w in self.elements:
+                sw = system.left_mult(s, w)
+                row.append((self.index[sw], False, len(sw) > len(w)))
+            self.cross.append(row)
+        self._lower: dict[int, tuple[int, ...]] = {}
 
 
 def twisted_involutions(system: CoxeterSystem, theta: Sequence[int]) -> list[Word]:

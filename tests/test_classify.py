@@ -2,8 +2,8 @@
 
 The candidate grids are exhaustive by construction, so most tests here are
 exact-count checks plus cross-validation of the structurally derived bar
-involution against the recipe-based ones from ivmodules and the Hecke
-algebra bar.
+involution against the letterwise recipes (tests/bar_recipe_oracle.py) and
+the Hecke algebra bar, and exact witnesses of its failures.
 """
 
 import json
@@ -14,7 +14,6 @@ from ivhecke.classify import (
     DEFAULT_SYSTEMS,
     GROUP_FLIP_MATRIX,
     GROUP_PLAIN_MATRIX,
-    GroupBlock,
     IOTA_ALT_MATRIX,
     base_structures,
     check_representation,
@@ -34,10 +33,11 @@ from ivhecke.ivmodules import (
     PI_MATRIX,
     PI_PRIME_MATRIX,
     StructureMatrix,
-    bar_row_vector,
 )
 from ivhecke.laurent import ONE, U, U2, V, VI, ZERO, LaurentPoly, monomial
-from ivhecke.twisted import TwistedBlock, involutive_automorphisms
+from ivhecke.twisted import GroupBlock, TwistedBlock, involutive_automorphisms
+
+from bar_recipe_oracle import recipe_bar_row
 
 
 def block(name, theta=None):
@@ -124,7 +124,7 @@ def test_named_structures_pass_representation():
         sysm = parse_system(name)
         for theta in involutive_automorphisms(sysm):
             blk = TwistedBlock(sysm, theta)
-            for gamma, _recipe in NAMED_STRUCTURES.values():
+            for gamma in NAMED_STRUCTURES.values():
                 assert check_representation(gamma, blk) is None
 
 
@@ -164,12 +164,10 @@ def test_precanonical_matches_bar_recipes():
         sysm = parse_system(name)
         for theta in involutive_automorphisms(sysm):
             blk = TwistedBlock(sysm, theta)
-            for label, (gamma, recipe) in NAMED_STRUCTURES.items():
+            for label, gamma in NAMED_STRUCTURES.items():
                 psi = precanonical_test(gamma, blk)
                 for j in range(len(blk.elements)):
-                    assert psi[j] == bar_row_vector(gamma, blk, j, recipe), (
-                        name, label, j,
-                    )
+                    assert psi[j] == recipe_bar_row(label, blk, j), (name, label, j)
 
 
 def test_precanonical_group_mode_matches_hecke_bar():
@@ -190,9 +188,31 @@ def test_precanonical_rejects_v_scalings():
         assert exc.value.witness["reason"] == "diagonal not 1"
 
 
+def test_precanonical_witness_no_usable_descent():
+    # the all-zero-first-column both_zero candidate: nothing reaches past e
+    gamma = StructureMatrix(False, ((ZERO, -VI),) * 4)
+    with pytest.raises(NotPreCanonical) as exc:
+        precanonical_test(gamma, block("A2"))
+    assert exc.value.witness == {"reason": "no usable descent", "theta": [0, 1], "element": [0]}
+
+
+def test_precanonical_witness_inexact_division():
+    # doubling the noncommuting ascent coefficient of iota: psi(m_sts)
+    # would need a division by 2
+    gamma = StructureMatrix(False, ((2 * ONE, ZERO),) + IOTA_MATRIX.rows[1:])
+    with pytest.raises(NotPreCanonical) as exc:
+        precanonical_test(gamma, block("A2"))
+    assert exc.value.witness == {
+        "reason": "inexact division",
+        "theta": [0, 1],
+        "element": [0, 1, 0],
+        "s": 0,
+    }
+
+
 def test_precanonical_accepts_sign_scalings():
     blk = block("A2")
-    for gamma, _recipe in NAMED_STRUCTURES.values():
+    for gamma in NAMED_STRUCTURES.values():
         for alpha in (ONE, -ONE):
             for beta in (ONE, -ONE):
                 psi = precanonical_test(gamma.scaled(alpha, beta), blk)
@@ -307,7 +327,7 @@ def test_class_report_json():
 # structural identities
 
 def test_quadratic_constraints_on_named():
-    for gamma, _recipe in NAMED_STRUCTURES.values():
+    for gamma in NAMED_STRUCTURES.values():
         assert quadratic_constraints_hold(gamma)
     for gamma in base_structures("hi").values():
         assert quadratic_constraints_hold(gamma)

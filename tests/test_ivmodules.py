@@ -1,11 +1,12 @@
 """Block-module tests.
 
 Frozen single-generator values come first (independently hand-checkable),
-then structural oracles: every canonical column must be fixed by the
-module's own bar involution (computed by the letterwise recipe, a code
-path disjoint from the solver), unitriangular with diagonal 1, and have
-off-diagonal entries in v^-1 Z[v^-1].  Those properties characterize the
-table uniquely, so they are a complete correctness oracle.
+then structural oracles: the module's bar involution, derived from the
+structure by the descent recursion, must equal the letterwise recipe
+(tests/bar_recipe_oracle.py); every canonical column must be fixed by it
+(a code path disjoint from the solver), unitriangular with diagonal 1, and
+have off-diagonal entries in v^-1 Z[v^-1].  Those properties characterize
+the table uniquely, so they are a complete correctness oracle.
 """
 
 import pytest
@@ -21,7 +22,6 @@ from ivhecke.ivmodules import (
     TwistedModule,
     act_gen,
     act_word,
-    bar_row_vector,
     canonical_table,
     embedding_check,
     invariant_suite,
@@ -43,7 +43,9 @@ from ivhecke.laurent import (
     monomial,
     only_negative_exponents,
 )
-from ivhecke.twisted import TwistedBlock
+from ivhecke.twisted import TwistedBlock, involutive_automorphisms
+
+from bar_recipe_oracle import recipe_bar_row
 
 
 @pytest.fixture(scope="module")
@@ -143,16 +145,26 @@ class TestMatrixAlgebra:
 class TestBarRecipes:
     def test_bar_of_iota_generator(self, a1_block):
         # bar(I_s) = I_s - (v - v^-1) I_1
-        row = bar_row_vector(IOTA_MATRIX, a1_block, 1, "bar_signed")
-        assert row == {1: ONE, 0: -U}
+        assert TwistedModule(a1_block, "iota").bar_row(1) == {1: ONE, 0: -U}
+        assert recipe_bar_row("iota", a1_block, 1) == {1: ONE, 0: -U}
 
     def test_bar_of_pi_generator(self, a1_block):
-        row = bar_row_vector(PI_MATRIX, a1_block, 1, "bar_signed")
-        assert row == {1: ONE, 0: VI - V}
+        assert TwistedModule(a1_block, "pi").bar_row(1) == {1: ONE, 0: VI - V}
+        assert recipe_bar_row("pi", a1_block, 1) == {1: ONE, 0: VI - V}
 
     def test_bar_of_pi_prime_generator(self, a1_block):
-        row = bar_row_vector(PI_PRIME_MATRIX, a1_block, 1, "bar")
-        assert row == {1: ONE, 0: VI - V}
+        assert TwistedModule(a1_block, "pi_prime").bar_row(1) == {1: ONE, 0: VI - V}
+        assert recipe_bar_row("pi_prime", a1_block, 1) == {1: ONE, 0: VI - V}
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "I2(5)", "I2(8)"])
+    def test_derived_bar_matches_recipe(self, name):
+        W = parse_system(name)
+        for theta in involutive_automorphisms(W):
+            blk = TwistedBlock(W, theta)
+            for label in ("pi", "pi_prime", "iota"):
+                mod = TwistedModule(blk, label)
+                for i in range(len(blk)):
+                    assert mod.bar_row(i) == recipe_bar_row(label, blk, i), (theta, label, i)
 
     def test_bar_is_involution(self, a2_block):
         for label in ("pi", "pi_prime", "iota"):

@@ -171,6 +171,26 @@ def test_parity_failure_witness():
         kernel_from_bar(bm)
 
 
+def test_parity_witness_is_nearest_the_diagonal():
+    # two bad entries in column 2: the one with the smaller shift is reported,
+    # whatever the order of the entries
+    p = chain(3)
+    bad = {(0, 2): monomial(1), (1, 2): monomial(1) + ONE}
+    for entries in (bad, dict(reversed(bad.items()))):
+        with pytest.raises(NotParityCompatible) as exc:
+            kernel_from_bar(BarMatrix(p, (0, 1, 2), entries))
+        assert exc.value.witness == {"pair": [1, 2], "entry": {"0": 1, "1": 1}, "shift": 1}
+    # a block module: I2(5), the flip, iota graded by rho
+    bm = module_bar_matrix(parse_system("I2(5)"), (1, 0), "iota", "rho")
+    with pytest.raises(NotParityCompatible) as exc:
+        kernel_from_bar(bm)
+    assert exc.value.witness == {
+        "pair": [[0, 1], [0, 1, 0, 1, 0]],
+        "entry": {"-2": 1, "-1": -1, "0": -2, "1": 1, "2": 1},
+        "shift": 2,
+    }
+
+
 # ----------------------------------------------------------------------
 # Hecke bridges
 

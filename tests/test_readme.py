@@ -1,8 +1,10 @@
-"""README's CLI examples run as written.
+"""README's CLI examples run as written, and the files it names exist.
 
 Each line of the fenced block under "## CLI" that starts with ``ivhecke``
 is split like a shell would split it and passed to ``cli.main``.  The
-expected exit code is 0 unless the line's comment says ``exits N``.
+expected exit code is 0 unless the line's comment says ``exits N``.  Every
+repo path README names in backticks (``scripts/...``, ``tests/...``,
+``src/...``) must exist.
 """
 
 import re
@@ -13,7 +15,8 @@ import pytest
 
 from ivhecke.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def cli_examples():
@@ -43,3 +46,14 @@ def test_readme_example(argv, code, tmp_path, monkeypatch, capsys):
     except SystemExit as exc:  # argparse rejects bad arguments this way
         result = exc.code
     assert result == code
+
+
+def readme_paths():
+    spans = re.findall(r"`([^`]*)`", README.read_text())
+    return sorted({p for span in spans for p in re.findall(r"\b(?:scripts|tests|src)/[\w./-]*\w", span)})
+
+
+def test_readme_paths_exist():
+    paths = readme_paths()
+    assert "tests/test_acceptance.py" in paths  # the scan finds paths inside commands too
+    assert [p for p in paths if not (ROOT / p).exists()] == []
