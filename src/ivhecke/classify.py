@@ -39,17 +39,16 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .coxeter import CoxeterSystem, parse_system
-from .hecke import CanonicalTable, NotPreCanonical, solve_canonical
+from .hecke import CanonicalTable, NotPreCanonical
 from .ivmodules import (
+    GROUP_PLAIN_MATRIX,
     IOTA_MATRIX,
     PI_MATRIX,
     PI_PRIME_MATRIX,
     StructureMatrix,
-    Vector,
+    TwistedModule,
     act_gen,
     act_word,
-    bar_row_vector,
-    precanonical_failure,
     vec_axpy,
 )
 from .laurent import (
@@ -73,8 +72,7 @@ IOTA_ALT_MATRIX = StructureMatrix(
     ((ONE, ZERO), (ONE, U), (ONE, -ONE), (-U, U + 1)),
 )
 
-#: parameter v, two-row structures on the group itself
-GROUP_PLAIN_MATRIX = StructureMatrix(False, ((ONE, ZERO), (ONE, U)))
+#: parameter v, the two-row sibling of GROUP_PLAIN_MATRIX on the group itself
 GROUP_FLIP_MATRIX = StructureMatrix(False, ((ONE, U), (ONE, ZERO)))
 
 
@@ -251,50 +249,19 @@ def check_representation(gamma: StructureMatrix, block) -> Optional[dict]:
 # ----------------------------------------------------------------------
 # stage 2: the pre-canonicity test
 
-def precanonical_test(gamma: StructureMatrix, block) -> dict[int, Vector]:
-    """Derive the candidate bar involution psi; return its rows or raise.
+def precanonical_test(gamma: StructureMatrix, block) -> TwistedModule:
+    """The module gamma on block, once its bar involution psi is checked.
 
     psi fixes the lowest basis vector and must satisfy
     psi(op_s m) = (op_s + c) psi(m) with c = v^-k - v^k, which determines
-    it row by row along rank ascents (``bar_row_vector``).  The
-    construction fails (NotPreCanonical) if that descent recursion fails,
-    the result is not unitriangular with diagonal 1, psi^2 != id, or the
-    intertwining property fails for some generator.
+    it row by row along rank ascents.  Raises NotPreCanonical if that
+    descent recursion fails, the result is not unitriangular with
+    diagonal 1, psi^2 != id, or the intertwining property fails for some
+    generator (``TwistedModule.check_precanonical``).
     """
-    c = gamma.bar_shift
-    n = len(block.elements)
-    rank = block.system.rank
-    psi: dict[int, Vector] = {0: {0: ONE}}
-    for j in range(1, n):
-        result = bar_row_vector(gamma, block, j, psi)
-        lower = set(block.lower_indices(j))
-        for k in result:
-            if k not in lower:
-                raise precanonical_failure(
-                    block, j, "not unitriangular", offender=list(block.elements[k])
-                )
-        if result.get(j) != ONE:
-            raise precanonical_failure(
-                block, j, "diagonal not 1", diagonal=(result.get(j) or ZERO).to_json()
-            )
-        psi[j] = result
-
-    def apply_psi(vec: Vector) -> Vector:
-        out: Vector = {}
-        for i, coeff in vec.items():
-            vec_axpy(out, coeff.bar(), psi[i])
-        return out
-
-    for j in range(n):
-        if apply_psi(psi[j]) != {j: ONE}:
-            raise precanonical_failure(block, j, "psi squared is not the identity")
-        for s in range(rank):
-            lhs = apply_psi(act_gen(gamma, block, s, {j: ONE}))
-            rhs = act_gen(gamma, block, s, psi[j])
-            vec_axpy(rhs, c, psi[j])
-            if lhs != rhs:
-                raise precanonical_failure(block, j, "intertwining failure", s=s)
-    return psi
+    module = TwistedModule(block, "candidate", gamma)
+    module.check_precanonical()
+    return module
 
 
 # ----------------------------------------------------------------------
@@ -417,7 +384,7 @@ def classification_run(
     candidates = enumerate_candidates("classified_families", mode)
     records = []
     survivors: list[Candidate] = []
-    psis: dict[str, list[dict[int, Vector]]] = {}
+    modules: dict[str, list[TwistedModule]] = {}
     for cand in candidates:
         rec: dict = {"provenance": cand.provenance, "base": cand.base}
         status = "survivor"
@@ -440,30 +407,12 @@ def classification_run(
         records.append(rec)
         if status == "survivor":
             survivors.append(cand)
-            psis[cand.provenance] = found
+            modules[cand.provenance] = found
 
     # canonical tables for every survivor over every block, for grouping
-    tables: dict[str, list[CanonicalTable]] = {}
-    for cand in survivors:
-        ts = []
-        for (name, blk), psi in zip(all_blocks, psis[cand.provenance]):
-            entries = solve_canonical(
-                blk.rho,
-                blk.lower_indices,
-                lambda j, _psi=psi: _psi[j],
-                labels=blk.elements,
-            )
-            ts.append(
-                CanonicalTable(
-                    label=cand.provenance,
-                    system=blk.system,
-                    theta=blk.theta,
-                    elements=list(blk.elements),
-                    ranks=list(blk.rho),
-                    entries=entries,
-                )
-            )
-        tables[cand.provenance] = ts
+    tables = {
+        prov: [module.canonical_table() for module in found] for prov, found in modules.items()
+    }
 
     # union-find under transport-relatedness
     parent = {c.provenance: c.provenance for c in survivors}

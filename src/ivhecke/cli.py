@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .classify import DEFAULT_SYSTEMS, classification_run
@@ -37,36 +36,13 @@ from .pkernel import (
 from .twisted import parse_theta
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation; all commands funnel through this."""
-
-    command: str
-    system: str = ""
-    theta: str = "id"
-    basis: str = "h"
-    mode: str = "hi"
-    systems: tuple[str, ...] = ()
-    grading: str = "length"
-    fmt: str = "text"
-    out: Optional[str] = None
-    report: Optional[str] = None
-    expect_survivors: Optional[int] = None
-    expect_classes: Optional[int] = None
-    max_elements: Optional[int] = None
-
-    def __post_init__(self):
-        if self.max_elements is not None and self.max_elements <= 0:
-            raise ValueError("--max-elements must be positive")
-
-    def build_system(self, name: Optional[str] = None) -> CoxeterSystem:
-        kwargs = {}
-        if self.max_elements is not None:
-            kwargs["max_elements"] = self.max_elements
-        system = parse_system(name or self.system, **kwargs)
-        if self.max_elements is not None:
-            system.order()  # refuses a W with more than max_elements elements
-        return system
+def build_system(args: argparse.Namespace) -> CoxeterSystem:
+    """The system named by --system; with --max-elements, refuse a larger W."""
+    if args.max_elements is None:
+        return parse_system(args.system)
+    system = parse_system(args.system, max_elements=args.max_elements)
+    system.order()  # refuses a W with more than max_elements elements
+    return system
 
 
 def _emit(text: str, path: Optional[str]) -> None:
@@ -105,42 +81,42 @@ def _fail(witness: dict, fmt: str, out: Optional[str]) -> int:
 # ----------------------------------------------------------------------
 # subcommands
 
-def _cmd_table(cfg: RunConfig) -> int:
-    system = cfg.build_system()
-    theta = parse_theta(system, cfg.theta)
+def _cmd_table(args: argparse.Namespace) -> int:
+    system = build_system(args)
+    theta = parse_theta(system, args.theta)
     try:
-        table = canonical_table(system, theta, cfg.basis)
+        table = canonical_table(system, theta, args.basis)
     except NotPreCanonical as exc:
-        return _fail(exc.witness, cfg.fmt, cfg.out)
-    if cfg.fmt == "json":
-        _emit(table.to_json(), cfg.out)
-    elif cfg.fmt == "csv":
-        _emit(table.to_csv(), cfg.out)
+        return _fail(exc.witness, args.fmt, args.out)
+    if args.fmt == "json":
+        _emit(table.to_json(), args.out)
+    elif args.fmt == "csv":
+        _emit(table.to_csv(), args.out)
     else:
-        _emit(table.to_text(), cfg.out)
+        _emit(table.to_text(), args.out)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    system = cfg.build_system()
-    theta = parse_theta(system, cfg.theta)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    system = build_system(args)
+    theta = parse_theta(system, args.theta)
     report = invariant_suite(system, theta)
-    if cfg.fmt == "json":
-        _emit(json.dumps(report, indent=2, sort_keys=True), cfg.out)
+    if args.fmt == "json":
+        _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
     else:
-        _emit(_report_text(report), cfg.out)
+        _emit(_report_text(report), args.out)
     return 0 if report["ok"] else 1
 
 
-def _cmd_classify(cfg: RunConfig) -> int:
-    systems = cfg.systems or DEFAULT_SYSTEMS
-    report = classification_run(cfg.mode, list(systems))
+def _cmd_classify(args: argparse.Namespace) -> int:
+    systems = [s.strip() for s in (args.systems or "").split(",") if s.strip()]
+    report = classification_run(args.mode, systems or list(DEFAULT_SYSTEMS))
     data = report.to_json_dict()
-    if cfg.report:
-        with open(cfg.report, "w") as fh:
+    if args.report:
+        with open(args.report, "w") as fh:
             fh.write(report.to_json() + "\n")
-    if cfg.fmt == "json":
-        _emit(report.to_json(), cfg.out)
+    if args.fmt == "json":
+        _emit(report.to_json(), args.out)
     else:
         lines = [
             f"mode: {report.mode}",
@@ -151,67 +127,67 @@ def _cmd_classify(cfg: RunConfig) -> int:
         ]
         for cl in report.classes:
             lines.append(f"  class ({len(cl)}): {', '.join(cl)}")
-        _emit("\n".join(lines), cfg.out)
-    if cfg.expect_survivors is not None and report.survivor_count != cfg.expect_survivors:
+        _emit("\n".join(lines), args.out)
+    if args.expect_survivors is not None and report.survivor_count != args.expect_survivors:
         return _fail(
             {
                 "check": "survivor count",
-                "expected": cfg.expect_survivors,
+                "expected": args.expect_survivors,
                 "actual": report.survivor_count,
             },
-            cfg.fmt,
+            args.fmt,
             None,
         )
-    if cfg.expect_classes is not None and len(report.classes) != cfg.expect_classes:
+    if args.expect_classes is not None and len(report.classes) != args.expect_classes:
         return _fail(
             {
                 "check": "class count",
-                "expected": cfg.expect_classes,
+                "expected": args.expect_classes,
                 "actual": len(report.classes),
             },
-            cfg.fmt,
+            args.fmt,
             None,
         )
     return 0
 
 
-def _cmd_invert(cfg: RunConfig) -> int:
-    system = cfg.build_system()
-    report: dict = {"system": cfg.system, "bases": {}}
+def _cmd_invert(args: argparse.Namespace) -> int:
+    system = build_system(args)
+    report: dict = {"system": args.system, "bases": {}}
     ok = True
     for label in ("pi", "pi_prime", "iota"):
         failures = inversion_check(label, system)
         report["bases"][label] = {"ok": not failures, "failures": failures}
         ok = ok and not failures
     report["ok"] = ok
-    if cfg.fmt == "json":
-        _emit(json.dumps(report, indent=2, sort_keys=True), cfg.out)
+    if args.fmt == "json":
+        _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
     else:
-        _emit(_report_text(report), cfg.out)
+        _emit(_report_text(report), args.out)
     return 0 if ok else 1
 
 
-def _cmd_pkernel(cfg: RunConfig) -> int:
-    system = cfg.build_system()
-    theta = parse_theta(system, cfg.theta)
-    if cfg.basis == "h":
+def _cmd_pkernel(args: argparse.Namespace) -> int:
+    system = build_system(args)
+    theta = parse_theta(system, args.theta)
+    if args.basis == "h":
         bar = hecke_bar_matrix(system)
     else:
-        bar = module_bar_matrix(system, theta, cfg.basis, cfg.grading)
+        bar = module_bar_matrix(system, theta, args.basis, args.grading)
     try:
         kernel = kernel_from_bar(bar)
     except NotParityCompatible as exc:
         witness = dict(exc.witness)
         witness["check"] = "kernel_from_bar"
-        witness["basis"] = cfg.basis
-        witness["grading"] = cfg.grading
-        return _fail(witness, cfg.fmt, cfg.out)
+        witness["basis"] = args.basis
+        witness["grading"] = args.grading
+        return _fail(witness, args.fmt, args.out)
     roundtrip = bar_from_kernel(kernel, bar.grading).entries == bar.entries
     involution = bar.is_involution()
     report = {
-        "system": cfg.system,
-        "basis": cfg.basis,
-        "grading": cfg.grading,
+        "system": args.system,
+        "basis": args.basis,
+        "grading": args.grading,
         "in_image": True,
         "roundtrip_identity": roundtrip,
         "is_involution": involution,
@@ -222,15 +198,25 @@ def _cmd_pkernel(cfg: RunConfig) -> int:
             f"{list(bar.poset.elements[i])}<={list(bar.poset.elements[j])}": p.to_text()
             for (i, j), p in sorted(gamma.values.items())
         }
-    if cfg.fmt == "json":
-        _emit(json.dumps(report, indent=2, sort_keys=True), cfg.out)
+    if args.fmt == "json":
+        _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
     else:
-        _emit(_report_text(report), cfg.out)
+        _emit(_report_text(report), args.out)
     return 0 if roundtrip and involution else 1
 
 
 # ----------------------------------------------------------------------
 # argument parsing
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -252,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", default="text",
                        choices=("json", "csv", "text"))
         p.add_argument("--out", default=None, help="write output to this path")
-        p.add_argument("--max-elements", type=int, default=None,
+        p.add_argument("--max-elements", type=_positive_int, default=None,
                        help="refuse systems larger than this")
 
     p = sub.add_parser("table", help="emit one canonical table")
@@ -281,27 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    systems = ()
-    if getattr(args, "systems", None):
-        systems = tuple(s.strip() for s in args.systems.split(",") if s.strip())
-    return RunConfig(
-        command=args.command,
-        system=getattr(args, "system", ""),
-        theta=getattr(args, "theta", "id"),
-        basis=getattr(args, "basis", "h"),
-        mode=getattr(args, "mode", "hi"),
-        systems=systems,
-        grading=getattr(args, "grading", "length"),
-        fmt=getattr(args, "fmt", "text"),
-        out=getattr(args, "out", None),
-        report=getattr(args, "report", None),
-        expect_survivors=getattr(args, "expect_survivors", None),
-        expect_classes=getattr(args, "expect_classes", None),
-        max_elements=getattr(args, "max_elements", None),
-    )
-
-
 COMMANDS = {
     "table": _cmd_table,
     "verify": _cmd_verify,
@@ -312,14 +277,9 @@ COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-    except ValueError as exc:
-        parser.error(str(exc))  # exits 2
-    try:
-        return COMMANDS[cfg.command](cfg)
+        return COMMANDS[args.command](args)
     except (ValueError, InfiniteOrTooLarge) as exc:
         # covers bad system/theta specs and size-cap refusals
         print(f"error: {exc}", file=sys.stderr)

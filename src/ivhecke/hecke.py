@@ -12,7 +12,10 @@ ring map phi: v^n H_w |-> v^{2n} K_w intertwines the two.
 
 The bar involution is the antilinear map fixing each H_s^{-1}-story:
 bar(H_w) = (H_{s1} + c) ... (H_{sk} + c) for any reduced word s1...sk of w,
-with c = v^-1 - v.  It is computed incrementally and cached.
+with c = v^-1 - v.  It is computed incrementally and cached.  This
+word-level algebra (elements, bar, phi, theta) is the independent
+reference for the module code: ``kl_table`` itself is the canonical table
+of the group block with its two-row structure (``ivmodules``).
 
 ``solve_canonical`` is the generic engine used by every basis in the
 package: given a finite poset interval structure and a bar involution that
@@ -267,21 +270,16 @@ class HeckeAlgebra:
     # canonical basis of the algebra itself
 
     def kl_table(self) -> "CanonicalTable":
-        """The canonical (Kazhdan-Lusztig) basis table of the regular module."""
-        block = GroupBlock(self.system)
+        """The canonical (Kazhdan-Lusztig) basis table of the regular module.
 
-        def bar_row(j: int) -> dict[int, LaurentPoly]:
-            return {block.index[x]: c for x, c in self.bar_basis_terms(block.elements[j]).items()}
+        The regular module is the group block with the two-row structure
+        H_s H_w = H_{sw} (up), H_{sw} + (v^k - v^-k) H_w (down); its bar
+        involution is derived from that structure like every block module's.
+        """
+        from .ivmodules import StructureMatrix, TwistedModule  # ivmodules imports hecke
 
-        entries = solve_canonical(block.rho, block.lower_indices, bar_row)
-        return CanonicalTable(
-            label="h",
-            system=self.system,
-            theta=block.theta,
-            elements=block.elements,
-            ranks=block.rho,
-            entries=entries,
-        )
+        gamma = StructureMatrix(self.squared, ((ONE, ZERO), (ONE, self.u)))
+        return TwistedModule(GroupBlock(self.system), "h", gamma).canonical_table()
 
     def underline(self, w: Iterable[int], table: Optional["CanonicalTable"] = None) -> HeckeElt:
         """The canonical basis element attached to w."""

@@ -12,7 +12,9 @@ s |*| w relative to w:
     row 3:  s*x == x*theta(s), rank down
 
 (a two-row matrix is the analogous structure on the group itself, rows
-up/down).  The three named structures are:
+up/down; ``GROUP_PLAIN_MATRIX`` is the regular module, whose canonical
+basis is the Kazhdan-Lusztig table ``h``).  The three named block
+structures are:
 
 * ``pi``        -- parameter v^2, the module whose canonical basis has the
                    classical Lusztig-Vogan coefficients;
@@ -22,11 +24,15 @@ up/down).  The three named structures are:
                    smaller ring whose canonical basis interpolates between
                    the regular module's and the block modules'.
 
-A module is a block plus a structure matrix.  Its bar involution psi is
-the unique compatible involution: antilinear, fixing the lowest basis
-vector, and with psi(op_s m) = (op_s + c) psi(m) for c = v^-k - v^k.  It
-is built by the descent recursion (``bar_row_vector``), one basis vector
-at a time in index order, so no structure carries a hand-written bar.
+A module (``TwistedModule``) is any block -- a ``TwistedBlock`` or the
+``GroupBlock`` -- plus a structure matrix.  Its bar involution psi is the
+unique compatible involution: antilinear, fixing the lowest basis vector,
+and with psi(op_s m) = (op_s + c) psi(m) for c = v^-k - v^k.  It is built
+by the descent recursion (``bar_row_vector``), one basis vector at a time
+in index order, so no structure carries a hand-written bar; whether the
+result is pre-canonical is checked in one place
+(``TwistedModule.check_precanonical``), and psi is applied to vectors by
+``apply_psi``.
 
 The canonical tables are produced by the generic solver in ``hecke``.
 """
@@ -34,7 +40,7 @@ The canonical tables are produced by the generic solver in ``hecke``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .coxeter import CoxeterSystem, Word
 from .hecke import CanonicalTable, HeckeAlgebra, NotPreCanonical, solve_canonical
@@ -47,15 +53,13 @@ from .laurent import (
     ZERO,
     LaurentPoly,
     NotDivisible,
-    bar_invariant,
     mod2_equal,
     monomial,
-    nonnegative_coeffs,
     one_plus_even_positive,
     one_plus_positive,
     only_nonpositive_exponents,
 )
-from .twisted import Block, Perm, TwistedBlock, involutive_automorphisms
+from .twisted import Block, Perm, TwistedBlock, compose_perms, involutive_automorphisms
 
 Vector = dict[int, LaurentPoly]  # sparse combination of block basis vectors
 
@@ -168,9 +172,6 @@ class StructureMatrix:
             "rows": [[a.to_json(), b.to_json()] for a, b in self.rows],
         }
 
-    def pretty(self) -> str:
-        return "; ".join(f"[{a.to_text()}, {b.to_text()}]" for a, b in self.rows)
-
 
 def _rows(*pairs) -> tuple[tuple[LaurentPoly, LaurentPoly], ...]:
     def lift(x):
@@ -211,6 +212,9 @@ IOTA_MATRIX = StructureMatrix(
         (U, U - 1),
     ),
 )
+
+#: parameter v, on the group block: the regular module, canonical basis h
+GROUP_PLAIN_MATRIX = StructureMatrix(False, _rows((1, 0), (1, U)))
 
 
 # ----------------------------------------------------------------------
@@ -309,15 +313,31 @@ NAMED_STRUCTURES: dict[str, StructureMatrix] = {
 }
 
 
-class TwistedModule:
-    """One of the named module structures on a twisted-involution block."""
+def apply_psi(rows: dict[int, Vector], vec: Vector) -> Vector:
+    """psi(vec) for the antilinear map with psi(m_i) = rows[i]; a missing row is zero."""
+    out: Vector = {}
+    for i, c in vec.items():
+        row = rows.get(i)
+        if row:
+            vec_axpy(out, c.bar(), row)
+    return out
 
-    def __init__(self, block: TwistedBlock, label: str) -> None:
-        if label not in NAMED_STRUCTURES:
-            raise ValueError(f"unknown structure label {label!r}; pick from {sorted(NAMED_STRUCTURES)}")
+
+class TwistedModule:
+    """A block (twisted or the group itself) with a module structure gamma.
+
+    ``gamma`` defaults to the named block structure ``label``; with an
+    explicit gamma, ``label`` only names the canonical table.
+    """
+
+    def __init__(self, block: Block, label: str, gamma: Optional[StructureMatrix] = None) -> None:
+        if gamma is None:
+            if label not in NAMED_STRUCTURES:
+                raise ValueError(f"unknown structure label {label!r}; pick from {sorted(NAMED_STRUCTURES)}")
+            gamma = NAMED_STRUCTURES[label]
         self.block = block
         self.label = label
-        self.gamma = NAMED_STRUCTURES[label]
+        self.gamma = gamma
         self._bar_rows: dict[int, Vector] = {0: {0: ONE}}
         self._table: Optional[CanonicalTable] = None
 
@@ -339,10 +359,42 @@ class TwistedModule:
 
     def bar(self, vec: Vector) -> Vector:
         """The antilinear involution psi, applied to any vector."""
-        out: Vector = {}
-        for i, c in vec.items():
-            vec_axpy(out, c.bar(), self.bar_row(i))
-        return out
+        if vec:
+            self.bar_row(max(vec))
+        return apply_psi(self._bar_rows, vec)
+
+    def check_precanonical(self) -> None:
+        """Raise NotPreCanonical unless psi is a pre-canonical involution.
+
+        Every row must come out of the descent recursion unitriangular
+        with diagonal 1 (checked row by row, in index order); then psi^2
+        must be the identity and psi(op_s m) = (op_s + c) psi(m) must hold
+        on every basis vector and generator.
+        """
+        block = self.block
+        for j in range(1, len(block)):
+            row = self.bar_row(j)
+            lower = set(block.lower_indices(j))
+            for k in row:
+                if k not in lower:
+                    raise precanonical_failure(
+                        block, j, "not unitriangular", offender=list(block.elements[k])
+                    )
+            if row.get(j) != ONE:
+                raise precanonical_failure(
+                    block, j, "diagonal not 1", diagonal=(row.get(j) or ZERO).to_json()
+                )
+        c = self.gamma.bar_shift
+        for j in range(len(block)):
+            row = self.bar_row(j)
+            if self.bar(row) != {j: ONE}:
+                raise precanonical_failure(block, j, "psi squared is not the identity")
+            for s in range(block.system.rank):
+                lhs = self.bar(self.act(s, {j: ONE}))
+                rhs = self.act(s, row)
+                vec_axpy(rhs, c, row)
+                if lhs != rhs:
+                    raise precanonical_failure(block, j, "intertwining failure", s=s)
 
     def canonical_table(self, reverse_ties: bool = False) -> CanonicalTable:
         if self._table is not None and not reverse_ties:
@@ -590,25 +642,13 @@ def invariant_suite(
     checks: dict[str, list] = {}
     obs: dict = {}
 
-    # --- bar involution squared, compatibility, unitriangularity
+    # --- psi unitriangular, psi^2 = id, compatibility (one witness on failure)
     for label, mod in mods.items():
-        fails = []
-        c = mod.gamma.bar_shift
-        for i in range(len(block)):
-            unit = {i: ONE}
-            if mod.bar(mod.bar_row(i)) != unit:
-                fails.append({"check": "psi_squared", "element": list(block.elements[i])})
-            row = mod.bar_row(i)
-            if row.get(i) != ONE or not row.keys() <= set(block.lower_indices(i)):
-                fails.append({"check": "unitriangular", "element": list(block.elements[i])})
-            for s in range(system.rank):
-                lhs = mod.bar(mod.act(s, unit))
-                rhs = vec_add(mod.act(s, row), vec_scale(row, c))
-                if lhs != rhs:
-                    fails.append(
-                        {"check": "compatibility", "s": s, "element": list(block.elements[i])}
-                    )
-        checks[f"bar_structure_{label}"] = fails
+        try:
+            mod.check_precanonical()
+            checks[f"bar_structure_{label}"] = []
+        except NotPreCanonical as exc:
+            checks[f"bar_structure_{label}"] = [exc.witness]
 
     # --- solver order independence
     fails = []
@@ -747,8 +787,6 @@ def inversion_check(label: str, system: CoxeterSystem) -> list[dict]:
         theta: canonical_table(system, theta, label, block=blocks[theta]) for theta in thetas
     }
     failures: list[dict] = []
-    from .twisted import compose_perms  # local import to avoid cycle noise
-
     for theta in thetas:
         blk = blocks[theta]
         t = tables[theta]

@@ -137,20 +137,6 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def is_constant(self) -> bool:
-        return not self.coeffs or (self.val == 0 and len(self.coeffs) == 1)
-
-    def constant_value(self) -> int:
-        """The integer value, if constant; raises otherwise."""
-        if not self.coeffs:
-            return 0
-        if self.val == 0 and len(self.coeffs) == 1:
-            return self.coeffs[0]
-        raise ValueError(f"not a constant: {self}")
-
-    def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
-
     # ------------------------------------------------------------------
     # ring structure
 
@@ -343,10 +329,6 @@ class LaurentPoly:
         if any(a):
             raise NotDivisible(f"{self} is not divisible by {divisor}")
         return LaurentPoly(self.val - divisor.val, q)
-
-    def negative_part(self) -> "LaurentPoly":
-        """The terms with strictly negative exponent."""
-        return LaurentPoly.from_terms({e: c for e, c in self.terms() if e < 0})
 
     # ------------------------------------------------------------------
     # rendering

@@ -34,9 +34,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .coxeter import CoxeterSystem, Word
-from .hecke import HeckeAlgebra, solve_canonical
-from .ivmodules import TwistedModule
+from .coxeter import CoxeterSystem
+from .hecke import solve_canonical
+from .ivmodules import GROUP_PLAIN_MATRIX, TwistedModule, apply_psi
 from .laurent import ONE, ZERO, LaurentPoly, monomial
 from .twisted import Block, GroupBlock, TwistedBlock
 
@@ -223,28 +223,32 @@ class BarMatrix:
     poset: Poset
     grading: tuple[int, ...]
     entries: dict[tuple[int, int], LaurentPoly]
+    # column index built by the first column() call
+    _columns: Optional[dict[int, dict[int, LaurentPoly]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def entry(self, i: int, j: int) -> LaurentPoly:
         return self.entries.get((i, j), ZERO)
 
+    def _column_index(self) -> dict[int, dict[int, LaurentPoly]]:
+        if self._columns is None:
+            columns: dict[int, dict[int, LaurentPoly]] = {}
+            for (i, j), p in self.entries.items():
+                columns.setdefault(j, {})[i] = p
+            self._columns = columns
+        return self._columns
+
     def column(self, j: int) -> dict[int, LaurentPoly]:
-        return {i: p for (i, jj), p in self.entries.items() if jj == j}
+        """{i: entry (i, j)}, in the order of ``entries``; a fresh dict."""
+        return dict(self._column_index().get(j, {}))
 
     def is_involution(self) -> bool:
         """Whether the antilinear operator squares to the identity."""
-        n = len(self.poset)
-        for j in range(n):
-            for i in self.poset.lower_indices(j):
-                acc = ZERO
-                for t in range(i, j + 1):
-                    a = self.entries.get((i, t))
-                    if a:
-                        b = self.entries.get((t, j))
-                        if b:
-                            acc = acc.addmul(a, b.bar())
-                if acc != (ONE if i == j else ZERO):
-                    return False
-        return True
+        columns = self._column_index()
+        return all(
+            apply_psi(columns, columns.get(j, {})) == {j: ONE} for j in range(len(self.poset))
+        )
 
 
 def _halve_exponents(p: LaurentPoly) -> LaurentPoly:
@@ -352,15 +356,20 @@ def poset_of_block(block: Block) -> Poset:
     return Poset(tuple(block.elements), tuple(map(tuple, matrix)))
 
 
+def _bar_matrix(module: TwistedModule, r: tuple[int, ...]) -> BarMatrix:
+    """The matrix of a module's bar involution, graded by r."""
+    block = module.block
+    entries = {}
+    for j in range(len(block)):
+        for i, c in module.bar_row(j).items():
+            entries[(i, j)] = c
+    return BarMatrix(poset_of_block(block), r, entries)
+
+
 def hecke_bar_matrix(system: CoxeterSystem) -> BarMatrix:
     """The bar involution of the regular module, graded by length."""
-    H = HeckeAlgebra(system)
     block = GroupBlock(system)
-    entries = {}
-    for j, w in enumerate(block.elements):
-        for x, c in H.bar_basis_terms(w).items():
-            entries[(block.index[x], j)] = c
-    return BarMatrix(poset_of_block(block), tuple(block.rho), entries)
+    return _bar_matrix(TwistedModule(block, "h", GROUP_PLAIN_MATRIX), tuple(block.rho))
 
 
 def module_bar_matrix(
@@ -372,15 +381,10 @@ def module_bar_matrix(
     """The bar involution of a block module, graded by "length" or "rho"."""
     block = TwistedBlock(system, tuple(theta))
     module = TwistedModule(block, label)
-    n = len(block.elements)
-    entries = {}
-    for j in range(n):
-        for i, c in module.bar_row(j).items():
-            entries[(i, j)] = c
     if grading == "length":
-        r = tuple(block.length(i) for i in range(n))
+        r = tuple(block.length(i) for i in range(len(block)))
     elif grading == "rho":
         r = tuple(block.rho)
     else:
         raise ValueError(f"unknown grading {grading!r}; pick 'length' or 'rho'")
-    return BarMatrix(poset_of_block(block), r, entries)
+    return _bar_matrix(module, r)

@@ -30,7 +30,7 @@ presents W itself through the same ``Block`` interface.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .coxeter import CoxeterSystem, InfiniteOrTooLarge, Word, parse_system
 
@@ -151,8 +151,12 @@ class Block:
         return len(self.elements)
 
     def leq(self, i: int, j: int) -> bool:
-        """Bruhat order on the block (for twisted involutions, on x-components)."""
-        return self.system.bruhat_leq(self.elements[i], self.elements[j])
+        """Bruhat order on the block (for twisted involutions, on x-components).
+
+        The elements are normal forms already, so they skip the public
+        method's re-validation and re-reduction.
+        """
+        return self.system._bruhat_leq(self.elements[i], self.elements[j])
 
     def lower_indices(self, j: int) -> tuple[int, ...]:
         """Indices of all elements <= elements[j], ascending (j last)."""

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from ivhecke.cli import RunConfig, build_parser, main
+from ivhecke.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -200,9 +200,12 @@ def test_infinite_system_refusal(capsys):
     assert "the group is infinite" in capsys.readouterr().err
 
 
-def test_runconfig_validation():
-    with pytest.raises(ValueError):
-        RunConfig(command="table", max_elements=0)
+@pytest.mark.parametrize("cap", ["0", "-3", "x"])
+def test_max_elements_must_be_positive(cap, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--system", "A1", "--max-elements", cap])
+    assert exc.value.code == 2
+    assert "--max-elements" in capsys.readouterr().err
 
 
 def test_parser_covers_all_commands():

@@ -28,7 +28,9 @@ from ivhecke.pkernel import (
     poset_of_block,
 )
 from ivhecke.pkernel import _halve_exponents
-from ivhecke.twisted import TwistedBlock
+from ivhecke.twisted import TwistedBlock, involutive_automorphisms
+
+from bar_matrix_oracle import column_by_scan, is_involution_by_scan
 
 Q = monomial(1)  # the variable q
 
@@ -267,6 +269,31 @@ def test_iota_not_parity_compatible():
         with pytest.raises(NotParityCompatible) as exc:
             kernel_from_bar(bm)
         assert "pair" in exc.value.witness and "entry" in exc.value.witness
+
+
+def _perturbed(bm):
+    """A copy with the first off-diagonal entry (by column, then row) plus 1."""
+    key = min((ij for ij in bm.entries if ij[0] != ij[1]), key=lambda ij: (ij[1], ij[0]))
+    entries = dict(bm.entries)
+    entries[key] = entries[key] + 1
+    return BarMatrix(bm.poset, bm.grading, entries)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(5)"])
+def test_bar_matrix_checks_match_the_scan_oracle(name):
+    sysm = parse_system(name)
+    matrices = [hecke_bar_matrix(sysm)]
+    for theta in involutive_automorphisms(sysm):
+        for label in ("pi", "pi_prime", "iota"):
+            for grading in ("length", "rho"):
+                matrices.append(module_bar_matrix(sysm, theta, label, grading))
+    for bm in matrices:
+        assert bm.is_involution() and is_involution_by_scan(bm)
+        for j in range(len(bm.poset)):
+            assert bm.column(j) == column_by_scan(bm, j)
+            assert list(bm.column(j)) == list(column_by_scan(bm, j))
+        bad = _perturbed(bm)
+        assert not bad.is_involution() and not is_involution_by_scan(bad)
 
 
 def test_module_bar_matrix_bad_grading():
