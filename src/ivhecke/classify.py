@@ -8,8 +8,9 @@ involutive twists:
    presentation -- the quadratic relation (op - v^k)(op + v^-k) = 0 and
    the braid relations -- on every block basis vector?
 2. *Pre-canonicity*: does the unique antilinear map psi fixing the lowest
-   basis vector and intertwining op_s with op_s + (v^-k - v^k) id exist,
-   square to the identity, and come out unitriangular with unit diagonal?
+   basis vector and intertwining op_s with op_s + (v^-k - v^k) id exist
+   and come out unitriangular with unit diagonal?  Such a psi squares to
+   the identity (see ``TwistedModule.check_precanonical``).
 3. *Isomorphism grouping*: which surviving structures produce canonical
    tables related by a legal transport (entrywise sign pattern
    (-1)^{a l + b rho} together with an optional v |-> -v twist)?
@@ -256,8 +257,8 @@ def precanonical_test(gamma: StructureMatrix, block) -> TwistedModule:
     psi(op_s m) = (op_s + c) psi(m) with c = v^-k - v^k, which determines
     it row by row along rank ascents.  Raises NotPreCanonical if that
     descent recursion fails, the result is not unitriangular with
-    diagonal 1, psi^2 != id, or the intertwining property fails for some
-    generator (``TwistedModule.check_precanonical``).
+    diagonal 1, or the intertwining property fails for some generator
+    (``TwistedModule.check_precanonical``); psi^2 = id then follows.
     """
     module = TwistedModule(block, "candidate", gamma)
     module.check_precanonical()

@@ -47,8 +47,10 @@ from .laurent import (
     ZERO,
     LaurentPoly,
     NotAntisymmetric,
+    accumulate,
     monomial,
     split_antisymmetric,
+    vec_axpy,
 )
 from .twisted import GroupBlock
 
@@ -86,13 +88,7 @@ class HeckeElt:
     def __add__(self, other: "HeckeElt") -> "HeckeElt":
         self._check_same(other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = out.get(w)
-            s = c if acc is None else acc + c
-            if s:
-                out[w] = s
-            elif acc is not None:
-                del out[w]
+        vec_axpy(out, ONE, other.terms)
         return HeckeElt(self.algebra, out)
 
     def __sub__(self, other: "HeckeElt") -> "HeckeElt":
@@ -193,19 +189,9 @@ class HeckeAlgebra:
         out: Terms = {}
         for w, c in h.terms.items():
             sw = W.left_mult(s, w)
-            acc = out.get(sw)
-            val = c if acc is None else acc + c
-            if val:
-                out[sw] = val
-            elif acc is not None:
-                del out[sw]
+            accumulate(out, sw, ONE, c)
             if len(sw) < len(w):
-                acc = out.get(w)
-                val = u * c if acc is None else acc.addmul(u, c)
-                if val:
-                    out[w] = val
-                elif acc is not None:
-                    del out[w]
+                accumulate(out, w, u, c)
         return HeckeElt(self, out)
 
     # ------------------------------------------------------------------
@@ -220,16 +206,8 @@ class HeckeAlgebra:
         s = w[0]
         rest = self.bar_basis_terms(w[1:])
         # bar(H_w) = (H_s + c_bar) * bar(H_{w'})
-        elt = self.mult_gen(s, HeckeElt(self, dict(rest)))
-        cb = self.c_bar
-        out = dict(elt.terms)
-        for x, c in rest.items():
-            acc = out.get(x)
-            val = cb * c if acc is None else acc.addmul(cb, c)
-            if val:
-                out[x] = val
-            elif acc is not None:
-                del out[x]
+        out = self.mult_gen(s, HeckeElt(self, dict(rest))).terms
+        vec_axpy(out, self.c_bar, rest)
         self._bar_cache[w] = out
         return out
 

@@ -419,6 +419,27 @@ def _mac(out: list[int], base: int, a: tuple[int, ...], b: tuple[int, ...]) -> N
 
 
 # ----------------------------------------------------------------------
+# sparse vectors: dicts from any key to a nonzero LaurentPoly
+
+def accumulate(out: dict, key, a: LaurentPoly, b: LaurentPoly) -> None:
+    """out[key] += a * b in place; a new key goes last, a sum of zero is deleted."""
+    acc = out.get(key)
+    val = a * b if acc is None else acc.addmul(a, b)
+    if val:
+        out[key] = val
+    elif acc is not None:
+        del out[key]
+
+
+def vec_axpy(out: dict, coeff: IntLike, b: dict) -> None:
+    """out += coeff * b in place, one ``accumulate`` per key of b, in b's order."""
+    if not coeff:
+        return
+    for i, p in b.items():
+        accumulate(out, i, coeff, p)
+
+
+# ----------------------------------------------------------------------
 # constants
 
 ZERO = LaurentPoly(0, ())

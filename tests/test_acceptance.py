@@ -31,6 +31,7 @@ from ivhecke.classify import (
 from ivhecke.coxeter import CoxeterSystem, parse_system
 from ivhecke.hecke import CanonicalTable, HeckeAlgebra, solve_canonical
 from ivhecke.ivmodules import (
+    TwistedModule,
     embedding_check,
     invariant_suite,
     inversion_check,
@@ -400,8 +401,13 @@ def test_criterion_12_structural_suite():
     blocks = 0
     for name in DEGREE_BATTERY:
         for theta, report in suite_reports(name):
+            block = TwistedBlock(system(name), theta)
             for label in ("pi", "pi_prime", "iota"):
                 assert report["checks"][f"bar_structure_{label}"] == [], (name, theta, label)
+                # check_precanonical proves psi^2 = id rather than testing it
+                mod = TwistedModule(block, label)
+                for j in range(len(block)):
+                    assert mod.bar(mod.bar_row(j)) == {j: ONE}, (name, theta, label, j)
             assert report["checks"]["order_independence"] == [], (name, theta)
             assert report["ok"] is True, (name, theta)
             blocks += 1
@@ -423,6 +429,6 @@ def test_criterion_12_structural_suite():
             entries = solve_canonical(t.ranks, lower, bar_row, reverse_ties=reverse)
             assert entries == t.entries, (name, reverse)
     print(
-        f"\n[criterion 12] bar structure checks + solver order-independence on"
+        f"\n[criterion 12] bar structure checks, psi^2 = id + solver order-independence on"
         f" {blocks} blocks and 3 regular tables: PASS"
     )
