@@ -61,7 +61,7 @@ from .laurent import (
     LaurentPoly,
     monomial,
 )
-from .twisted import GroupBlock, TwistedBlock, involutive_automorphisms
+from .twisted import Block, GroupBlock, TwistedBlock, involutive_automorphisms
 
 # ----------------------------------------------------------------------
 # further seed structures
@@ -206,6 +206,12 @@ def blocks_for_mode(system: CoxeterSystem, mode: str) -> list:
     return [TwistedBlock(system, theta) for theta in involutive_automorphisms(system)]
 
 
+def battery(systems: Sequence[str], mode: str) -> list[tuple[str, Block]]:
+    """(name, block) for every block of every system; all names parse first."""
+    parsed = [(name, parse_system(name)) for name in systems]
+    return [(name, blk) for name, system in parsed for blk in blocks_for_mode(system, mode)]
+
+
 # ----------------------------------------------------------------------
 # stage 1: the representation check
 
@@ -340,8 +346,7 @@ def representation_scan(
 ) -> ClassReport:
     """Run only the representation check; candidates fail fast."""
     names = list(systems)
-    parsed = [parse_system(name) for name in names]
-    all_blocks = [(name, blk) for name, sysm in zip(names, parsed) for blk in blocks_for_mode(sysm, mode)]
+    all_blocks = battery(names, mode)
     records = []
     survivors = []
     for cand in candidates:
@@ -378,10 +383,7 @@ def classification_run(
 ) -> ClassReport:
     """The full classification: representation, pre-canonicity, grouping."""
     names = list(systems)
-    parsed = [parse_system(name) for name in names]
-    all_blocks = [
-        (name, blk) for name, sysm in zip(names, parsed) for blk in blocks_for_mode(sysm, mode)
-    ]
+    all_blocks = battery(names, mode)
     candidates = enumerate_candidates("classified_families", mode)
     records = []
     survivors: list[Candidate] = []

@@ -46,11 +46,13 @@ def build_system(args: argparse.Namespace) -> CoxeterSystem:
 
 
 def _emit(text: str, path: Optional[str]) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def _report_text(data: dict, indent: int = 0) -> str:
@@ -67,6 +69,14 @@ def _report_text(data: dict, indent: int = 0) -> str:
         else:
             lines.append(f"{pad}{key}: {val}")
     return "\n".join(lines)
+
+
+def _emit_report(report: dict, fmt: str, out: Optional[str]) -> None:
+    """``report`` as sorted JSON for --format json, as text otherwise (csv too)."""
+    if fmt == "json":
+        _emit(json.dumps(report, indent=2, sort_keys=True), out)
+    else:
+        _emit(_report_text(report), out)
 
 
 def _fail(witness: dict, fmt: str, out: Optional[str]) -> int:
@@ -101,17 +111,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     system = build_system(args)
     theta = parse_theta(system, args.theta)
     report = invariant_suite(system, theta)
-    if args.fmt == "json":
-        _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
-    else:
-        _emit(_report_text(report), args.out)
+    _emit_report(report, args.fmt, args.out)
     return 0 if report["ok"] else 1
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     systems = [s.strip() for s in (args.systems or "").split(",") if s.strip()]
     report = classification_run(args.mode, systems or list(DEFAULT_SYSTEMS))
-    data = report.to_json_dict()
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(report.to_json() + "\n")
@@ -160,10 +166,7 @@ def _cmd_invert(args: argparse.Namespace) -> int:
         report["bases"][label] = {"ok": not failures, "failures": failures}
         ok = ok and not failures
     report["ok"] = ok
-    if args.fmt == "json":
-        _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
-    else:
-        _emit(_report_text(report), args.out)
+    _emit_report(report, args.fmt, args.out)
     return 0 if ok else 1
 
 
@@ -198,10 +201,7 @@ def _cmd_pkernel(args: argparse.Namespace) -> int:
             f"{list(bar.poset.elements[i])}<={list(bar.poset.elements[j])}": p.to_text()
             for (i, j), p in sorted(gamma.values.items())
         }
-    if args.fmt == "json":
-        _emit(json.dumps(report, indent=2, sort_keys=True), args.out)
-    else:
-        _emit(_report_text(report), args.out)
+    _emit_report(report, args.fmt, args.out)
     return 0 if roundtrip and involution else 1
 
 

@@ -37,6 +37,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .coxeter import CoxeterSystem, Word
@@ -348,6 +349,14 @@ def solve_canonical(
 # ----------------------------------------------------------------------
 # tables
 
+def column_index(entries: dict[tuple[int, int], LaurentPoly]) -> dict[int, dict[int, LaurentPoly]]:
+    """{j: {i: entries[(i, j)]}}, each column in the order of ``entries``."""
+    columns: dict[int, dict[int, LaurentPoly]] = {}
+    for (i, j), p in entries.items():
+        columns.setdefault(j, {})[i] = p
+    return columns
+
+
 @dataclass
 class CanonicalTable:
     """A computed canonical basis: unitriangular coefficient table.
@@ -364,10 +373,6 @@ class CanonicalTable:
     elements: list[Word]
     ranks: list[int]
     entries: dict[tuple[int, int], LaurentPoly]
-    # column index built by the first column() call
-    _columns: Optional[dict[int, dict[int, LaurentPoly]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def entry(self, i: int, j: int) -> LaurentPoly:
         return self.entries.get((i, j), ZERO)
@@ -377,13 +382,12 @@ class CanonicalTable:
         iw = self.elements.index(self.system.reduce(w))
         return self.entry(ix, iw)
 
+    @cached_property
+    def _columns(self) -> dict[int, dict[int, LaurentPoly]]:
+        return column_index(self.entries)
+
     def column(self, j: int) -> dict[int, LaurentPoly]:
         """{i: entry (i, j)}, in the order of ``entries``; a fresh dict."""
-        if self._columns is None:
-            columns: dict[int, dict[int, LaurentPoly]] = {}
-            for (i, jj), c in self.entries.items():
-                columns.setdefault(jj, {})[i] = c
-            self._columns = columns
         return dict(self._columns.get(j, {}))
 
     def sorted_keys(self) -> list[tuple[int, int]]:

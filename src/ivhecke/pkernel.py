@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .coxeter import CoxeterSystem
-from .hecke import solve_canonical
+from .hecke import column_index, solve_canonical
 from .ivmodules import GROUP_PLAIN_MATRIX, TwistedModule, apply_psi
 from .laurent import ONE, ZERO, LaurentPoly, monomial
 from .twisted import Block, GroupBlock, TwistedBlock
@@ -223,29 +224,21 @@ class BarMatrix:
     poset: Poset
     grading: tuple[int, ...]
     entries: dict[tuple[int, int], LaurentPoly]
-    # column index built by the first column() call
-    _columns: Optional[dict[int, dict[int, LaurentPoly]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def entry(self, i: int, j: int) -> LaurentPoly:
         return self.entries.get((i, j), ZERO)
 
-    def _column_index(self) -> dict[int, dict[int, LaurentPoly]]:
-        if self._columns is None:
-            columns: dict[int, dict[int, LaurentPoly]] = {}
-            for (i, j), p in self.entries.items():
-                columns.setdefault(j, {})[i] = p
-            self._columns = columns
-        return self._columns
+    @cached_property
+    def _columns(self) -> dict[int, dict[int, LaurentPoly]]:
+        return column_index(self.entries)
 
     def column(self, j: int) -> dict[int, LaurentPoly]:
         """{i: entry (i, j)}, in the order of ``entries``; a fresh dict."""
-        return dict(self._column_index().get(j, {}))
+        return dict(self._columns.get(j, {}))
 
     def is_involution(self) -> bool:
         """Whether the antilinear operator squares to the identity."""
-        columns = self._column_index()
+        columns = self._columns
         return all(
             apply_psi(columns, columns.get(j, {})) == {j: ONE} for j in range(len(self.poset))
         )

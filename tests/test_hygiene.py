@@ -3,7 +3,7 @@
 Each module of ``src/ivhecke`` is parsed with ``ast``.  A module-level
 import must be used in the module (in code, an annotation, or a doctest
 example); a def or class must be referenced somewhere in ``src/``,
-``tests/``, ``scripts/`` or ``perfbench/`` besides its own definition.
+``tests/`` or ``perfbench/`` besides its own definition.
 """
 
 import ast
@@ -17,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ivhecke"
 MODULES = sorted(PACKAGE.glob("*.py"))
-SEARCHED = ("src", "tests", "scripts", "perfbench")
+SEARCHED = ("src", "tests", "perfbench")
 
 
 def used_names(tree: ast.Module) -> set[str]:

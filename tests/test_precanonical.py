@@ -12,9 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 from ivhecke.classify import blocks_for_mode, enumerate_candidates
 from ivhecke.coxeter import parse_system
 from ivhecke.hecke import NotPreCanonical
-from ivhecke.ivmodules import StructureMatrix, TwistedModule
+from ivhecke.ivmodules import GROUP_PLAIN_MATRIX, StructureMatrix, TwistedModule
 from ivhecke.laurent import ONE, U, U2, V, VI, ZERO, monomial
-from ivhecke.twisted import GroupBlock, TwistedBlock
+from ivhecke.twisted import Block, GroupBlock, TwistedBlock
 
 from precanonical_oracle import check_precanonical_with_psi_squared
 
@@ -56,6 +56,31 @@ def assert_agrees_with_oracle(gamma: StructureMatrix, block) -> bool:
     return got is None
 
 
+class LastGeneratorBlock(Block):
+    """Two elements of A2 on which only the last generator breaks intertwining.
+
+    s = 0 swaps the elements as a group block would; s = 1 fixes
+    element 0 but marks the move "up", which no real block does.  No
+    real block has been found whose first intertwining failure is at the
+    last generator, so this one keeps that generator in the check.
+    """
+
+    def __init__(self) -> None:
+        self.system = parse_system("A2")
+        self.theta = (0, 1)
+        self.elements = [(), (0,)]
+        self.index = {w: i for i, w in enumerate(self.elements)}
+        self.rho = [0, 1]
+        self.cross = [
+            [(1, False, True), (0, False, False)],
+            [(0, False, True), (1, False, True)],
+        ]
+        self._lower = {}
+
+    def leq(self, i: int, j: int) -> bool:
+        return i <= j
+
+
 @st.composite
 def structures(draw):
     squared = draw(st.booleans())
@@ -68,7 +93,8 @@ def structures(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(structures())
-# fail intertwining first at s = 0 on the B2 group block, at s = 1 on the A3 flip block
+# fail intertwining first at s = 0 on the B2 group block, at s = 1 on the A3 flip block,
+# and at the last generator s = 1 on the synthetic A2 block
 @example((StructureMatrix(False, ((-ONE, V), (-U, V))), GroupBlock(parse_system("B2"))))
 @example(
     (
@@ -76,6 +102,7 @@ def structures(draw):
         TwistedBlock(parse_system("A3"), (2, 1, 0)),
     )
 )
+@example((GROUP_PLAIN_MATRIX, LastGeneratorBlock()))
 def test_random_structures_agree_with_the_psi_squared_oracle(case):
     assert_agrees_with_oracle(*case)
 

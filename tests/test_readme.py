@@ -3,8 +3,8 @@
 Each line of the fenced block under "## CLI" that starts with ``ivhecke``
 is split like a shell would split it and passed to ``cli.main``.  The
 expected exit code is 0 unless the line's comment says ``exits N``.  Every
-repo path README names in backticks (``scripts/...``, ``tests/...``,
-``src/...``) must exist.
+repo path README names in backticks (``tests/...``, ``src/...``) must
+exist.
 """
 
 import re
