@@ -21,14 +21,27 @@ of the group block with its two-row structure (``ivmodules``).
 package: given a finite poset interval structure and a bar involution that
 is antilinear, involutive and unitriangular with diagonal 1, it produces
 the unique basis {b_w} with bar(b_w) = b_w and
-b_w in a_w + sum_{x < w} v^-1 Z[v^-1] a_x.  Columns are solved top-down:
-writing psi(a_y) = sum_x r_{x,y} a_x, the coefficients of b_w satisfy
+b_w in a_w + sum_{x < w} v^-1 Z[v^-1] a_x.  Each column comes from one of
+two sources.
 
-    pi_{x,w} - bar(pi_{x,w}) = sum_{x < y <= w} r_{x,y} bar(pi_{y,w}),
+* psi's rows.  Writing psi(a_y) = sum_x r_{x,y} a_x, the coefficients of
+  b_w satisfy
 
-and the right-hand side determines pi_{x,w} by the antisymmetric split.
-Elements of equal rank are independent, which the solver exploits (and
-which the reverse_ties flag lets tests confirm).
+      pi_{x,w} - bar(pi_{x,w}) = sum_{x < y <= w} r_{x,y} bar(pi_{y,w}),
+
+  and the right-hand side determines pi_{x,w} by the antisymmetric split,
+  top-down, at O(|interval|) Laurent operations per entry.  Elements of
+  equal rank are independent, which the reverse_ties flag lets callers
+  confirm.  P-kernels (``pkernel.kls_function``) have nothing else to
+  offer, and module tables are cross-checked this way.
+* A psi-invariant seed: a vector X = a1 b_w + (lower terms), such as
+  (H_s + v^-k) b_y at a descent w = s y of a module (du Cloux's approach
+  for Kazhdan-Lusztig polynomials, Lusztig-Vogan's for twisted
+  involutions).  Walking x < w downward, the solver subtracts the
+  bar-invariant multiple of b_x that ``split_bar_invariant`` reads off
+  X's coefficient at x, and divides by a1.  Every module table
+  (``ivmodules.TwistedModule.canonical_table``), ``kl_table`` included,
+  is built this way.
 """
 
 from __future__ import annotations
@@ -48,14 +61,17 @@ from .laurent import (
     ZERO,
     LaurentPoly,
     NotAntisymmetric,
+    NotDivisible,
     accumulate,
     monomial,
     split_antisymmetric,
+    split_bar_invariant,
     vec_axpy,
 )
 from .twisted import GroupBlock
 
 Terms = dict[Word, LaurentPoly]
+Column = dict[int, LaurentPoly]  # {index: coefficient}: a psi row, or a canonical column
 
 
 class NotPreCanonical(ValueError):
@@ -255,9 +271,9 @@ class HeckeAlgebra:
         H_s H_w = H_{sw} (up), H_{sw} + (v^k - v^-k) H_w (down); its bar
         involution is derived from that structure like every block module's.
         """
-        from .ivmodules import StructureMatrix, TwistedModule  # ivmodules imports hecke
+        from .ivmodules import REGULAR_STRUCTURES, TwistedModule  # ivmodules imports hecke
 
-        gamma = StructureMatrix(self.squared, ((ONE, ZERO), (ONE, self.u)))
+        gamma = REGULAR_STRUCTURES[self.squared]
         return TwistedModule(GroupBlock(self.system), "h", gamma).canonical_table()
 
     def underline(self, w: Iterable[int], table: Optional["CanonicalTable"] = None) -> HeckeElt:
@@ -274,41 +290,65 @@ class HeckeAlgebra:
 def solve_canonical(
     ranks: Sequence[int],
     lower: Callable[[int], Sequence[int]],
-    bar_row: Callable[[int], dict[int, LaurentPoly]],
+    bar_row: Optional[Callable[[int], Column]] = None,
     reverse_ties: bool = False,
     labels: Optional[Sequence] = None,
+    seed: Optional[Callable[[int, dict[int, Column]], tuple[Column, LaurentPoly]]] = None,
 ) -> dict[tuple[int, int], LaurentPoly]:
     """Solve for the canonical basis of a pre-canonical involution.
 
     ``ranks`` lists a grading, indexed in a linear extension of the order
     (strictly comparable elements have distinct ranks); ``lower(j)`` lists
-    the indices i <= j, j included.
-    ``bar_row(j)`` gives the expansion of psi(a_j) as {i: coefficient}.
+    the indices i <= j, j included.  Each column comes from exactly one of
+    two sources:
+
+    * ``bar_row(j)``, the expansion of psi(a_j) as {i: coefficient}: the
+      column is solved top-down from the defect equation.  This serves
+      posets with no module structure (``pkernel.kls_function``) and the
+      cross-check ``TwistedModule.canonical_table(reverse_ties=True)``.
+    * ``seed(j, columns)``, a psi-invariant vector X with top coefficient
+      a1 at j, returned as (X, a1); ``columns`` holds every solved column
+      b_i = {x: pi_{x,i}} with i < j.  Walking x < j downward, the solver
+      subtracts p_x b_x, p_x the bar-invariant part of X_x
+      (``split_bar_invariant``), and divides by a1.  This serves every
+      module table (``TwistedModule.canonical_table``), whose seed is
+      (H_s + v^-k) b_i at a descent j = s |*| i.
+
     Returns all nonzero entries pi_{x,w} keyed by (x_index, w_index),
-    including the unit diagonal.
+    including the unit diagonal, each column in the walk order.
 
     Raises NotPreCanonical if psi is not unitriangular with diagonal 1, or
     if a column's defect fails the antisymmetric split (which is exactly
-    the failure mode of psi^2 != 1 or a non-bar-involutive setup).
+    the failure mode of psi^2 != 1 or a non-bar-involutive setup); with a
+    seed, if its top coefficient is not a1, it reaches outside lower(j),
+    or a coefficient has no bar-invariant split.
     """
+    if (bar_row is None) == (seed is None):
+        raise TypeError("solve_canonical takes exactly one of bar_row and seed")
     n = len(ranks)
     entries: dict[tuple[int, int], LaurentPoly] = {}
-    rows: dict[int, dict[int, LaurentPoly]] = {}
+    solved: dict[int, Column] = {}  # psi rows, or the solved columns
 
     def name(i: int):
         return labels[i] if labels is not None else i
 
+    key = (lambda i: (-ranks[i], -i)) if reverse_ties else (lambda i: (-ranks[i], i))
     for j in range(n):
+        interval = lower(j)
+        members = set(interval)
+        order = sorted((i for i in interval if i != j), key=key)
+        entries[(j, j)] = ONE
+        if seed is not None:
+            solved[j] = _column_from_seed(j, members, order, seed, solved, entries, name)
+            continue
         row = bar_row(j)
-        rows[j] = row
+        solved[j] = row
         diag = row.get(j, ZERO)
         if diag != ONE:
             raise NotPreCanonical(
                 f"bar matrix diagonal at {name(j)} is {diag}, expected 1",
                 {"element": name(j), "diagonal": diag.to_json()},
             )
-        interval = lower(j)
-        members = set(interval)
         for i in row:
             if row[i] and i not in members:
                 raise NotPreCanonical(
@@ -316,15 +356,12 @@ def solve_canonical(
                     {"element": name(j), "offender": name(i)},
                 )
 
-        entries[(j, j)] = ONE
         # bar(pi_{y,w}) for each y solved so far in this column
         column_bar: dict[int, LaurentPoly] = {j: ONE}
-        key = (lambda i: (-ranks[i], -i)) if reverse_ties else (lambda i: (-ranks[i], i))
-        order = sorted((i for i in interval if i != j), key=key)
         for x in order:
             d = ZERO
             for y, pi_y_bar in column_bar.items():
-                r = rows[y].get(x)
+                r = solved[y].get(x)
                 if r:
                     d = d.addmul(r, pi_y_bar)
             if not d:
@@ -344,6 +381,58 @@ def solve_canonical(
                 column_bar[x] = mu.bar()
                 entries[(x, j)] = mu
     return entries
+
+
+def _column_from_seed(
+    j: int,
+    members: set[int],
+    order: list[int],
+    seed: Callable[[int, dict[int, Column]], tuple[Column, LaurentPoly]],
+    columns: dict[int, Column],
+    entries: dict[tuple[int, int], LaurentPoly],
+    name: Callable[[int], object],
+) -> Column:
+    """Column j of ``solve_canonical``, reduced from its psi-invariant seed.
+
+    X = a1 b_j + sum_{x < j} p_x b_x with every p_x bar-invariant, as X and
+    the b_x are psi-invariant.  At x, every b_y holding a_x with y above x
+    is already peeled off, so X_x = a1 pi_{x,j} + p_x, which
+    ``split_bar_invariant`` separates.
+    """
+    vec, a1 = seed(j, columns)
+    if vec.get(j) != a1:
+        top = vec.get(j, ZERO)
+        raise NotPreCanonical(
+            f"column {name(j)}: seed has top coefficient {top}, expected {a1}",
+            {"column": name(j), "top": top.to_json(), "expected": a1.to_json()},
+        )
+    for i in vec:
+        if i not in members:
+            raise NotPreCanonical(
+                f"column {name(j)}: seed hits {name(i)}, which is not below it",
+                {"column": name(j), "offender": name(i)},
+            )
+    column = {j: ONE}
+    for x in order:
+        f = vec.get(x)
+        if not f:
+            continue
+        try:
+            p = split_bar_invariant(f, a1)
+        except NotDivisible:
+            raise NotPreCanonical(
+                f"column {name(j)}: seed coefficient at {name(x)} has no bar-invariant split: {f}",
+                {"column": name(j), "element": name(x), "coefficient": f.to_json()},
+            ) from None
+        if p:
+            vec_axpy(vec, -p, columns[x])
+            f = vec.get(x)
+            if not f:
+                continue
+        pi = f if a1 == ONE else -f if a1 == -ONE else f.exact_div(a1)
+        column[x] = pi
+        entries[(x, j)] = pi
+    return column
 
 
 # ----------------------------------------------------------------------

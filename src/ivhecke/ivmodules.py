@@ -34,16 +34,22 @@ result is pre-canonical is checked in one place
 (``TwistedModule.check_precanonical``), and psi is applied to vectors by
 ``apply_psi``.
 
-The canonical tables are produced by the generic solver in ``hecke``.
+Canonical tables come from the generic solver in ``hecke``, fed by the
+descent recurrence (``TwistedModule.canonical_table``): at a descent
+j = s |*| i, C_j is reduced from the psi-invariant (H_s + v^-k) C_i.  A
+structure the paper does not prove pre-canonical (``proven_precanonical``)
+is checked before its table is built, and the solve from psi's rows stays
+as the cross-check of ``invariant_suite``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .coxeter import CoxeterSystem, Word
-from .hecke import CanonicalTable, HeckeAlgebra, NotPreCanonical, solve_canonical
+from .hecke import CanonicalTable, HeckeAlgebra, NotPreCanonical, column_index, solve_canonical
 from .laurent import (
     ONE,
     U,
@@ -61,7 +67,7 @@ from .laurent import (
     only_nonpositive_exponents,
     vec_axpy,
 )
-from .twisted import Block, Perm, TwistedBlock, compose_perms, involutive_automorphisms
+from .twisted import Block, GroupBlock, Perm, TwistedBlock, compose_perms, involutive_automorphisms
 
 Vector = dict[int, LaurentPoly]  # sparse combination of block basis vectors
 
@@ -291,6 +297,20 @@ NAMED_STRUCTURES: dict[str, StructureMatrix] = {
     "iota": IOTA_MATRIX,
 }
 
+#: the regular module's two-row structure, keyed by ``squared``
+REGULAR_STRUCTURES = {False: GROUP_PLAIN_MATRIX, True: StructureMatrix(True, _rows((1, 0), (1, U2)))}
+
+
+def proven_precanonical(block: Block, gamma: StructureMatrix) -> bool:
+    """Whether the paper proves gamma pre-canonical on block.
+
+    True for the named structures on a twisted-involution block and for
+    the regular module's structure, in v or v^2, on the group block.
+    """
+    if isinstance(block, TwistedBlock):
+        return gamma in NAMED_STRUCTURES.values()
+    return isinstance(block, GroupBlock) and gamma == REGULAR_STRUCTURES[gamma.squared]
+
 
 def apply_psi(rows: dict[int, Vector], vec: Vector) -> Vector:
     """psi(vec) for the antilinear map with psi(m_i) = rows[i]; a missing row is zero."""
@@ -319,6 +339,7 @@ class TwistedModule:
         self.gamma = gamma
         self._bar_rows: dict[int, Vector] = {0: {0: ONE}}
         self._table: Optional[CanonicalTable] = None
+        self._checked = False  # check_precanonical has passed
 
     def act(self, s: int, vec: Vector) -> Vector:
         return act_gen(self.gamma, self.block, s, vec)
@@ -358,7 +379,11 @@ class TwistedModule:
         intertwining holds below j, induction gives a1 psi^2(m_j) = a1 m_j,
         and psi^2(m_j) = m_j as the module is free over a domain.  A psi^2
         test at j made after intertwining below j can never fail first.
+
+        A pass is remembered, so the check runs at most once per module.
         """
+        if self._checked:
+            return
         block = self.block
         for j in range(1, len(block)):
             row = self.bar_row(j)
@@ -381,18 +406,55 @@ class TwistedModule:
                 vec_axpy(rhs, c, row)
                 if lhs != rhs:
                     raise precanonical_failure(block, j, "intertwining failure", s=s)
+        self._checked = True
+
+    def _seed(self, j: int, columns: dict[int, Vector]) -> tuple[Vector, LaurentPoly]:
+        """(H_s + v^-k) C_i and its top coefficient a1, at a descent j = s |*| i.
+
+        The descent's ascent coefficient a1 must be nonzero; +-1 is preferred
+        over any other.  The lowest element, with no descent, seeds m_j.
+        """
+        block = self.block
+        best = None
+        for s in range(block.system.rank):
+            i, commutes, up = block.cross[s][j]
+            if up:
+                continue
+            a1 = self.gamma.row_for(commutes, True)[0]
+            if a1 == ONE or a1 == -ONE:
+                best = (s, i, a1)
+                break
+            if a1 and best is None:
+                best = (s, i, a1)
+        if best is None:
+            return {j: ONE}, ONE
+        s, i, a1 = best
+        return self.act_underline_gen(s, columns[i]), a1
 
     def canonical_table(self, reverse_ties: bool = False) -> CanonicalTable:
-        if self._table is not None and not reverse_ties:
-            return self._table
+        """The canonical basis {C_j}: psi(C_j) = C_j, C_j in m_j + sum v^-1 Z[v^-1] m_i.
+
+        Built column by column by the descent recurrence: H_s + v^-k
+        commutes with psi, so (H_s + v^-k) C_i is psi-invariant, and
+        ``solve_canonical`` reduces that seed (``_seed``) to C_j.  The seed
+        is psi-invariant only if psi exists, so a structure the paper does
+        not prove pre-canonical (``proven_precanonical``) is checked first,
+        and NotPreCanonical carries that check's witness.  With
+        ``reverse_ties`` the table is solved from psi's rows instead,
+        taking equal ranks in reverse order: the independent cross-check
+        of ``invariant_suite``.
+        """
         blk = self.block
-        entries = solve_canonical(
-            blk.rho,
-            blk.lower_indices,
-            self.bar_row,
-            reverse_ties=reverse_ties,
-            labels=blk.elements,
-        )
+        if reverse_ties:
+            entries = solve_canonical(
+                blk.rho, blk.lower_indices, self.bar_row, reverse_ties=True, labels=blk.elements
+            )
+        elif self._table is not None:
+            return self._table
+        else:
+            if not proven_precanonical(blk, self.gamma):
+                self.check_precanonical()
+            entries = solve_canonical(blk.rho, blk.lower_indices, seed=self._seed, labels=blk.elements)
         table = CanonicalTable(
             label=self.label,
             system=blk.system,
@@ -444,6 +506,11 @@ class MuData:
     def mu_of(self, i: int, j: int) -> int:
         return self.mu.get((i, j), 0)
 
+    @cached_property
+    def mu_columns(self) -> dict[int, dict[int, int]]:
+        """{j: {i: mu(i, j)}} over the nonzero mu only."""
+        return column_index(self.mu)
+
     def mu2_of(self, i: int, j: int) -> LaurentPoly:
         assert self.mu2 is not None
         return self.mu2.get((i, j), ZERO)
@@ -487,12 +554,12 @@ def _mu_prime_s(
         c = md.mu_of(sy, w)
         if c:
             out = out + sign * LaurentPoly.from_int(c)
-    # subtract sum over y < z < w with s |*| z < z
-    for z in block.lower_indices(w):
-        if z == w or z == y or block.cross[s][z][2]:
-            continue  # need z != y, w and rank-down at z
-        c = md.mu_of(y, z) * md.mu_of(z, w)
-        # mu(y, z) != 0 already gives y <= z: entries lie on Bruhat intervals
+    # subtract sum over y < z < w with s |*| z < z; mu(y, z) != 0 already
+    # gives y <= z, as entries lie on Bruhat intervals
+    for z, mu_zw in md.mu_columns.get(w, {}).items():
+        if z == y or block.cross[s][z][2]:
+            continue  # need z != y and rank-down at z (mu(w, w) = 0)
+        c = md.mu_of(y, z) * mu_zw
         if c:
             out = out - c
     return out
@@ -636,7 +703,7 @@ def invariant_suite(
         except NotPreCanonical as exc:
             checks[f"bar_structure_{label}"] = [exc.witness]
 
-    # --- solver order independence
+    # --- the recurrence's table against the psi-row solve with ties reversed
     fails = []
     for label, mod in mods.items():
         if mod.canonical_table().entries != mod.canonical_table(reverse_ties=True).entries:

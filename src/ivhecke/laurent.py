@@ -32,8 +32,10 @@ used throughout:
 
 exact division, and the "split" operation that extracts the strictly
 negative part mu of a bar-antisymmetric element d, i.e. the unique
-mu in v^-1 Z[v^-1] with mu - bar(mu) = d.  That split is the engine of
-every canonical-basis computation downstream.
+mu in v^-1 Z[v^-1] with mu - bar(mu) = d.  That split drives the
+canonical-basis solve from a bar involution's rows; its companion
+``split_bar_invariant`` drives the descent recurrence, peeling the
+bar-invariant part off a coefficient.
 
 >>> p = LaurentPoly.from_terms({1: 1, -1: -1})   # v - v^-1
 >>> p.bar()
@@ -482,6 +484,60 @@ def split_antisymmetric(d: LaurentPoly) -> LaurentPoly:
     while not cs[hi - 1]:
         hi -= 1
     return _make(d.val, cs[:hi])
+
+
+_V_PLUS_VI = LaurentPoly(-1, (1, 0, 1))
+
+
+def split_bar_invariant(f: LaurentPoly, a1: LaurentPoly) -> LaurentPoly:
+    """Return the unique bar-invariant p with f - p in a1 * v^-1 Z[v^-1].
+
+    a1 must be +-1 or +-(v + v^-1), the ascent coefficients of every
+    pre-canonical structure in the package; any other a1 raises ValueError.
+    For a1 = +-1, p copies the coefficients of f at the exponents e >= 0
+    to e and -e.  For a1 = +-(v + v^-1) the target is (1 + v^-2) Z[v^-1]:
+    p copies the exponents e >= 1 the same way, and its constant term is
+    the real part of f - p at v^-1 = i, whose imaginary part must vanish
+    (NotDivisible otherwise).
+
+    >>> split_bar_invariant(LaurentPoly.from_terms({-1: 5, 0: 3, 1: 2}), ONE)
+    LaurentPoly('2*v^-1 + 3 + 2*v')
+    >>> split_bar_invariant(LaurentPoly.from_terms({-1: 5}), -ONE)
+    LaurentPoly('0')
+    >>> split_bar_invariant(LaurentPoly.from_terms({-2: 1}), V + VI)  # (v + v^-1) v^-1 - 1
+    LaurentPoly('-1')
+    >>> split_bar_invariant(VI, V + VI)
+    Traceback (most recent call last):
+    ...
+    ivhecke.laurent.NotDivisible: v^-1 - p is outside (v^-1 + v) * v^-1 Z[v^-1] for every bar-invariant p
+    """
+    if a1 == ONE or a1 == -ONE:
+        lowest = 0
+    elif a1 == _V_PLUS_VI or a1 == -_V_PLUS_VI:
+        lowest = 1
+    else:
+        raise ValueError(f"no bar-invariant split for the ascent coefficient {a1}")
+    coeff = f.coeff
+    top = f.val + len(f.coeffs) - 1  # the degree; -1 for zero
+    mirrored = [coeff(abs(e)) for e in range(-top, top + 1)]
+    if not lowest:
+        return _make(-top, tuple(mirrored)) if top >= 0 else ZERO
+    # f - p = g - r with g = f - (the mirrored part, e != 0); r = g(i) must be real
+    real = imag = 0
+    for n in range(max(-f.val, top) + 1):
+        g = coeff(-n) - (coeff(n) if n else 0)
+        if n % 2:
+            imag += g if n % 4 == 1 else -g
+        else:
+            real += g if n % 4 == 0 else -g
+    if imag:
+        raise NotDivisible(
+            f"{f} - p is outside ({a1}) * v^-1 Z[v^-1] for every bar-invariant p"
+        )
+    if top < 1:
+        return monomial(0, real)
+    mirrored[top] = real
+    return _make(-top, tuple(mirrored))
 
 
 # ----------------------------------------------------------------------

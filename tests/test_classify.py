@@ -231,6 +231,26 @@ def test_precanonical_witness_inexact_division():
     }
 
 
+@pytest.mark.parametrize(
+    "gamma",
+    [
+        IOTA_MATRIX.scaled(V, ONE),
+        StructureMatrix(False, ((ZERO, -VI),) * 4),
+        StructureMatrix(False, ((2 * ONE, ZERO),) + IOTA_MATRIX.rows[1:]),
+    ],
+    ids=["v_scaling", "no_usable_descent", "inexact_division"],
+)
+def test_canonical_table_refuses_with_the_precanonical_witness(gamma):
+    # the descent recurrence would return a table for the first: its seeds
+    # are psi-invariant only when psi exists
+    blk = block("A2")
+    with pytest.raises(NotPreCanonical) as expected:
+        precanonical_test(gamma, blk)
+    with pytest.raises(NotPreCanonical) as exc:
+        TwistedModule(blk, "x", gamma).canonical_table()
+    assert exc.value.witness == expected.value.witness
+
+
 def test_precanonical_accepts_sign_scalings():
     blk = block("A2")
     for gamma in NAMED_STRUCTURES.values():

@@ -22,6 +22,7 @@ from ivhecke.laurent import (
     only_negative_exponents,
     only_nonpositive_exponents,
     split_antisymmetric,
+    split_bar_invariant,
 )
 
 
@@ -272,6 +273,25 @@ def test_split_matches_oracle(p, antisymmetric):
     got = split_antisymmetric(d)
     assert got == want
     assert_normalized(got)
+
+
+ASCENT_COEFFICIENTS = (ONE, -ONE, V + VI, -(V + VI))
+
+
+@given(polys, polys, st.sampled_from(ASCENT_COEFFICIENTS))
+def test_split_bar_invariant_roundtrip(c, q, a1):
+    # c in v^-1 Z[v^-1] and p bar-invariant, both built from arbitrary polys
+    c = LaurentPoly.from_terms((-abs(e) - 1, k) for e, k in c.terms())
+    p = q + q.bar() - q.coeff(0)
+    got = split_bar_invariant(a1 * c + p, a1)
+    assert got == p
+    assert_normalized(got)
+
+
+@given(polys, polys.filter(lambda a: a not in ASCENT_COEFFICIENTS))
+def test_split_bar_invariant_refuses_other_coefficients(f, a1):
+    with pytest.raises(ValueError):
+        split_bar_invariant(f, a1)
 
 
 def test_int_operands_and_immutability():
