@@ -6,11 +6,16 @@ involutive twists:
 
 1. *Representation*: do the generator operators satisfy the Hecke
    presentation -- the quadratic relation (op - v^k)(op + v^-k) = 0 and
-   the braid relations -- on every block basis vector?
+   the braid relations -- on every block basis vector?  Every generator
+   pairs a real block, so the quadratic relation is read off the
+   structure's 2x2 matrices (``ivmodules.quadratic_failures``).
 2. *Pre-canonicity*: does the unique antilinear map psi fixing the lowest
    basis vector and intertwining op_s with op_s + (v^-k - v^k) id exist
    and come out unitriangular with unit diagonal?  Such a psi squares to
-   the identity (see ``TwistedModule.check_precanonical``).
+   the identity, and the descent recursion that builds psi already proves
+   intertwining at every pair with a nonzero ascent coefficient once the
+   quadratic relation holds, so only the rest is tested (see
+   ``TwistedModule.check_precanonical``).
 3. *Isomorphism grouping*: which surviving structures produce canonical
    tables related by a legal transport (entrywise sign pattern
    (-1)^{a l + b rho} together with an optional v |-> -v twist)?
@@ -50,6 +55,7 @@ from .ivmodules import (
     TwistedModule,
     act_gen,
     act_word,
+    quadratic_failures,
     vec_axpy,
 )
 from .laurent import (
@@ -216,23 +222,38 @@ def battery(systems: Sequence[str], mode: str) -> list[tuple[str, Block]]:
 # stage 1: the representation check
 
 def check_representation(gamma: StructureMatrix, block) -> Optional[dict]:
-    """First witness of a failed quadratic or braid relation, or None."""
+    """First witness of a failed quadratic or braid relation, or None.
+
+    Quadratic relations come first, generator by generator, then braid
+    relations, each at the first failing basis vector in index order.  For
+    a generator that pairs the block the quadratic relation is read off
+    gamma's 2x2 matrices by ``quadratic_failures``; any other generator,
+    and every braid relation, is tested on each basis vector.
+    """
     system = block.system
     u = gamma.parameter_diff
     n = len(block.elements)
+    failures = quadratic_failures(gamma, block)
+
+    def quadratic_fails(s: int, i: int) -> bool:
+        e = {i: ONE}
+        once = act_gen(gamma, block, s, e)
+        twice = act_gen(gamma, block, s, once)
+        vec_axpy(e, u, once)
+        return twice != e
+
     for s in range(system.rank):
-        for i in range(n):
-            e = {i: ONE}
-            once = act_gen(gamma, block, s, e)
-            twice = act_gen(gamma, block, s, once)
-            vec_axpy(e, u, once)
-            if twice != e:
-                return {
-                    "relation": "quadratic",
-                    "s": s,
-                    "element": list(block.elements[i]),
-                    "theta": list(block.theta),
-                }
+        if s in failures:
+            i = failures[s]
+        else:
+            i = next((i for i in range(n) if quadratic_fails(s, i)), None)
+        if i is not None:
+            return {
+                "relation": "quadratic",
+                "s": s,
+                "element": list(block.elements[i]),
+                "theta": list(block.theta),
+            }
     for s in range(system.rank):
         for t in range(s + 1, system.rank):
             m = system.bond(s, t)
@@ -264,7 +285,9 @@ def precanonical_test(gamma: StructureMatrix, block) -> TwistedModule:
     it row by row along rank ascents.  Raises NotPreCanonical if that
     descent recursion fails, the result is not unitriangular with
     diagonal 1, or the intertwining property fails for some generator
-    (``TwistedModule.check_precanonical``); psi^2 = id then follows.
+    (``TwistedModule.check_precanonical``, which tests it only where the
+    recursion and the quadratic relation do not prove it); psi^2 = id
+    then follows.
     """
     module = TwistedModule(block, "candidate", gamma)
     module.check_precanonical()

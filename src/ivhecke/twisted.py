@@ -30,6 +30,7 @@ presents W itself through the same ``Block`` interface.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .coxeter import CoxeterSystem, InfiniteOrTooLarge, Word, parse_system
@@ -170,6 +171,21 @@ class Block:
 
     def length(self, i: int) -> int:
         return len(self.elements[i])
+
+    @cached_property
+    def pairs(self) -> tuple[bool, ...]:
+        """For each generator s, whether s pairs the block.
+
+        s pairs the block when ``cross[s][k] = (t, commutes, up)`` always has
+        t != k and ``cross[s][t] = (k, commutes, not up)``: s then splits the
+        elements into pairs {i, j} with j = s |*| i above i, and a module's
+        op_s acts on each pair by one 2x2 matrix per commutes case.  Every
+        ``TwistedBlock`` and ``GroupBlock`` pairs for every s.
+        """
+        return tuple(
+            all(t != k and row[t] == (k, commutes, not up) for k, (t, commutes, up) in enumerate(row))
+            for row in self.cross
+        )
 
 
 class TwistedBlock(Block):

@@ -1,0 +1,51 @@
+"""The representation check testing every relation on every basis vector.
+
+``classify.check_representation`` reads the quadratic relation of a
+generator that pairs the block off the structure's 2x2 matrices
+(``ivmodules.quadratic_failures``).  This is the check as it ran before,
+with op_s^2 = u op_s + 1 tested on each basis vector.  Both must return
+the same witness, or None.
+"""
+
+from typing import Optional
+
+from ivhecke.ivmodules import StructureMatrix, act_gen, act_word, vec_axpy
+from ivhecke.laurent import ONE
+
+
+def check_representation_per_element(gamma: StructureMatrix, block) -> Optional[dict]:
+    """First witness of a failed quadratic or braid relation, or None."""
+    system = block.system
+    u = gamma.parameter_diff
+    n = len(block.elements)
+    for s in range(system.rank):
+        for i in range(n):
+            e = {i: ONE}
+            once = act_gen(gamma, block, s, e)
+            twice = act_gen(gamma, block, s, once)
+            vec_axpy(e, u, once)
+            if twice != e:
+                return {
+                    "relation": "quadratic",
+                    "s": s,
+                    "element": list(block.elements[i]),
+                    "theta": list(block.theta),
+                }
+    for s in range(system.rank):
+        for t in range(s + 1, system.rank):
+            m = system.bond(s, t)
+            if m == 0:
+                continue  # no braid relation at an infinite bond
+            st_word = tuple(s if k % 2 == 0 else t for k in range(m))
+            ts_word = tuple(t if k % 2 == 0 else s for k in range(m))
+            for i in range(n):
+                e = {i: ONE}
+                if act_word(gamma, block, st_word, e) != act_word(gamma, block, ts_word, e):
+                    return {
+                        "relation": "braid",
+                        "s": s,
+                        "t": t,
+                        "element": list(block.elements[i]),
+                        "theta": list(block.theta),
+                    }
+    return None

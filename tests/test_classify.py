@@ -7,9 +7,11 @@ the Hecke algebra bar, and exact witnesses of its failures.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
+from ivhecke import classify
 from ivhecke.classify import (
     DEFAULT_SYSTEMS,
     GROUP_FLIP_MATRIX,
@@ -40,6 +42,8 @@ from ivhecke.pkernel import hecke_bar_matrix
 from ivhecke.twisted import GroupBlock, TwistedBlock, involutive_automorphisms
 
 from bar_recipe_oracle import recipe_bar_row
+from precanonical_oracle import check_precanonical_with_psi_squared
+from representation_oracle import check_representation_per_element
 
 
 def block(name, theta=None):
@@ -362,6 +366,39 @@ def test_class_report_json():
     assert [sorted(c) for c in data["classes"]] == [sorted(rep.classes[0])]
     for tr in data["transports"]:
         assert set(tr) == {"from", "to", "sign_l", "sign_rho", "negate_v"}
+
+
+ORACLE_SYSTEMS = ("I2(3)", "I2(4)", "A3")
+
+
+def classification_reports() -> list[str]:
+    runs = [classification_run(mode, ORACLE_SYSTEMS) for mode in ("hw", "hi", "h2i")]
+    scans = [
+        representation_scan(enumerate_candidates(grid), ORACLE_SYSTEMS)
+        for grid in ("both_zero", "left_nonzero")
+    ]
+    return [report.to_json() for report in runs + scans]
+
+
+def test_reports_are_those_of_the_oracle_checks(monkeypatch):
+    fast = classification_reports()
+    calls = Counter()
+
+    def counted(name, check):
+        def run(*args):
+            calls[name] += 1
+            return check(*args)
+
+        return run
+
+    monkeypatch.setattr(
+        classify, "check_representation", counted("representation", check_representation_per_element)
+    )
+    monkeypatch.setattr(
+        TwistedModule, "check_precanonical", counted("precanonical", check_precanonical_with_psi_squared)
+    )
+    assert classification_reports() == fast
+    assert calls["representation"] > 0 and calls["precanonical"] > 0
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 from ivhecke.coxeter import CoxeterSystem, InfiniteOrTooLarge, coxeter_matrix_from_name, parse_system
 from ivhecke.twisted import (
+    GroupBlock,
     NotAnInvolution,
     TwistedBlock,
     check_automorphism,
@@ -193,3 +194,17 @@ def test_involutive_automorphisms_list():
     d4 = involutive_automorphisms(parse_system("D4"))
     assert d4[0] == (0, 1, 2, 3)
     assert len(d4) == 4  # id + three transpositions of the outer nodes
+
+
+PAIRING_SYSTEMS = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "H3", "F4"] + [
+    f"I2({m})" for m in range(2, 9)
+]
+
+
+@pytest.mark.parametrize("name", PAIRING_SYSTEMS)
+def test_every_generator_pairs_every_block(name):
+    # the classification checks take their fast paths only on paired generators
+    system = parse_system(name)
+    blocks = [GroupBlock(system)] + [TwistedBlock(system, t) for t in involutive_automorphisms(system)]
+    for block in blocks:
+        assert block.pairs == (True,) * system.rank, (name, block.theta)
