@@ -65,7 +65,6 @@ from .laurent import (
     VI,
     ZERO,
     LaurentPoly,
-    monomial,
 )
 from .twisted import Block, GroupBlock, TwistedBlock, involutive_automorphisms
 
@@ -481,43 +480,3 @@ def classification_run(
         classes=classes,
         transports=transports,
     )
-
-
-# ----------------------------------------------------------------------
-# structural identities of passing matrices
-
-def quadratic_constraints_hold(gamma: StructureMatrix) -> bool:
-    """The constraint system satisfied by every representation-passing
-    four-row structure: with rows ((A,B),(C,D),(E,F),(G,H)) and parameter
-    v^k,
-
-        (B - v^k)(B + v^-k) = (D - v^k)(D + v^-k) = -AC,
-        (F - v^k)(F + v^-k) = (H - v^k)(H + v^-k) = -EG,
-        A or C nonzero  =>  B + D = v^k - v^-k,
-        E or G nonzero  =>  F + H = v^k - v^-k,
-        both columns active => D - H in {1, -1} and B - F in {1, -1}.
-    """
-    if len(gamma.rows) != 4:
-        raise ValueError("expects a four-row structure")
-    (a, b), (c, d), (e, f), (g, h) = gamma.rows
-    vk = monomial(2 if gamma.squared else 1)
-    vki = monomial(-2 if gamma.squared else -1)
-    u = gamma.parameter_diff
-
-    def quad(t):
-        return (t - vk) * (t + vki)
-
-    if quad(b) != -(a * c) or quad(d) != -(a * c):
-        return False
-    if quad(f) != -(e * g) or quad(h) != -(e * g):
-        return False
-    if (a or c) and b + d != u:
-        return False
-    if (e or g) and f + h != u:
-        return False
-    if (a or c) and (e or g):
-        if d - h not in (ONE, -ONE):
-            return False
-        if b - f not in (ONE, -ONE):
-            return False
-    return True

@@ -25,14 +25,7 @@ from .classify import DEFAULT_SYSTEMS, classification_run
 from .coxeter import CoxeterSystem, InfiniteOrTooLarge, parse_system
 from .hecke import NotPreCanonical
 from .ivmodules import canonical_table, inversion_check, invariant_suite
-from .pkernel import (
-    NotParityCompatible,
-    bar_from_kernel,
-    hecke_bar_matrix,
-    kernel_from_bar,
-    kls_function,
-    module_bar_matrix,
-)
+from .pkernel import BarMatrix, NotParityCompatible, hecke_bar_matrix, kernel_report, module_bar_matrix
 from .twisted import parse_theta
 
 
@@ -170,23 +163,24 @@ def _cmd_invert(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_pkernel(args: argparse.Namespace) -> int:
+def _pkernel_bar(args: argparse.Namespace) -> BarMatrix:
     system = build_system(args)
     theta = parse_theta(system, args.theta)
     if args.basis == "h":
-        bar = hecke_bar_matrix(system)
-    else:
-        bar = module_bar_matrix(system, theta, args.basis, args.grading)
+        return hecke_bar_matrix(system)
+    return module_bar_matrix(system, theta, args.basis, args.grading)
+
+
+def _cmd_pkernel(args: argparse.Namespace) -> int:
+    # the bar matrix, its module and its kernel are released before the report is written
     try:
-        kernel = kernel_from_bar(bar)
+        roundtrip, involution, gamma = kernel_report(_pkernel_bar(args))
     except NotParityCompatible as exc:
         witness = dict(exc.witness)
         witness["check"] = "kernel_from_bar"
         witness["basis"] = args.basis
         witness["grading"] = args.grading
         return _fail(witness, args.fmt, args.out)
-    roundtrip = bar_from_kernel(kernel, bar.grading).entries == bar.entries
-    involution = bar.is_involution()
     report = {
         "system": args.system,
         "basis": args.basis,
@@ -195,14 +189,14 @@ def _cmd_pkernel(args: argparse.Namespace) -> int:
         "roundtrip_identity": roundtrip,
         "is_involution": involution,
     }
-    if roundtrip and involution:
-        gamma = kls_function(kernel, bar.grading)
+    if gamma is not None:
+        elements = gamma.poset.elements
         report["kls"] = {
-            f"{list(bar.poset.elements[i])}<={list(bar.poset.elements[j])}": p.to_text()
+            f"{list(elements[i])}<={list(elements[j])}": p.to_text()
             for (i, j), p in sorted(gamma.values.items())
         }
     _emit_report(report, args.fmt, args.out)
-    return 0 if roundtrip and involution else 1
+    return 0 if gamma is not None else 1
 
 
 # ----------------------------------------------------------------------

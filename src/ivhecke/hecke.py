@@ -32,8 +32,10 @@ two sources.
   and the right-hand side determines pi_{x,w} by the antisymmetric split,
   top-down, at O(|interval|) Laurent operations per entry.  Elements of
   equal rank are independent, which the reverse_ties flag lets callers
-  confirm.  P-kernels (``pkernel.kls_function``) have nothing else to
-  offer, and module tables are cross-checked this way.
+  confirm.  A P-kernel on a poset with no module behind it
+  (``pkernel.kls_function``) has nothing else to offer, and module tables
+  are cross-checked this way; the ``pkernel`` command reads a module's
+  KLS function off its recurrence table instead.
 * A psi-invariant seed: a vector X = a1 b_w + (lower terms), such as
   (H_s + v^-k) b_y at a descent w = s y of a module (du Cloux's approach
   for Kazhdan-Lusztig polynomials, Lusztig-Vogan's for twisted
@@ -304,8 +306,10 @@ def solve_canonical(
 
     * ``bar_row(j)``, the expansion of psi(a_j) as {i: coefficient}: the
       column is solved top-down from the defect equation.  This serves
-      posets with no module structure (``pkernel.kls_function``) and the
-      cross-check ``TwistedModule.canonical_table(reverse_ties=True)``.
+      P-kernels with no module behind them (``pkernel.kls_function``) and
+      the cross-check ``TwistedModule.canonical_table(reverse_ties=True)``;
+      a module's KLS function is read off its seeded table
+      (``pkernel.module_kls_function``).
     * ``seed(j, columns)``, a psi-invariant vector X with top coefficient
       a1 at j, returned as (X, a1); ``columns`` holds every solved column
       b_i = {x: pi_{x,i}} with i < j.  Walking x < j downward, the solver

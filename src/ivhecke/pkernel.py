@@ -23,6 +23,14 @@ classical R-polynomial kernel and its block analogue), while the
 mixed-parameter structure is not, already for I2(4) with either natural
 grading.
 
+A kernel on an abstract poset has only psi_K's rows to offer, so
+``kls_function`` solves gamma from them.  A bar matrix read off a module
+keeps the module (``BarMatrix.module``), and then the module answers
+both questions itself: its ``check_precanonical`` proves psi_K^2 = id
+(``bar_involution``), and as the canonical basis of a unitriangular
+involution is unique, gamma is its descent-recurrence table rescaled
+(``module_kls_function``).
+
 Polynomials in q are represented by LaurentPoly values whose exponent is
 read as the power of q; the bridge to the v-world is exponent doubling
 (q = v^2) and halving.
@@ -36,7 +44,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .coxeter import CoxeterSystem
-from .hecke import column_index, solve_canonical
+from .hecke import NotPreCanonical, column_index, solve_canonical
 from .ivmodules import GROUP_PLAIN_MATRIX, TwistedModule, apply_psi
 from .laurent import ONE, ZERO, LaurentPoly, monomial
 from .twisted import Block, GroupBlock, TwistedBlock
@@ -218,12 +226,14 @@ class BarMatrix:
     ``entries[(i, j)]`` is the coefficient of a_i in psi(a_j), a Laurent
     polynomial in v; support is within the order.  ``grading`` is the r
     used to build it (carried for convenience; the inverse map accepts an
-    override).
+    override).  ``module`` is the module whose bar involution this is, for
+    a matrix read off one (``hecke_bar_matrix``, ``module_bar_matrix``).
     """
 
     poset: Poset
     grading: tuple[int, ...]
     entries: dict[tuple[int, int], LaurentPoly]
+    module: Optional[TwistedModule] = field(default=None, compare=False, repr=False)
 
     def entry(self, i: int, j: int) -> LaurentPoly:
         return self.entries.get((i, j), ZERO)
@@ -302,12 +312,11 @@ def is_p_kernel(K: IncidenceFunction, r: Sequence[int]) -> bool:
 
 
 def kls_function(K: IncidenceFunction, r: Sequence[int]) -> IncidenceFunction:
-    """The KLS function gamma of a P-kernel.
+    """The KLS function gamma of a P-kernel, solved from psi_K's rows.
 
     gamma(x, x) = 1 and deg_q gamma(x, y) < r(x, y)/2; its columns,
     rescaled by v^{-r(x,y)} under q = v^2, are the psi_K-fixed canonical
-    basis.  Violations of the degree bound or of evenness cannot occur
-    for a genuine kernel and raise RuntimeError (a solver bug).
+    basis (``_kls_values``).
     """
     bar = bar_from_kernel(K, r)
     r = bar.grading
@@ -315,6 +324,30 @@ def kls_function(K: IncidenceFunction, r: Sequence[int]) -> IncidenceFunction:
     entries = solve_canonical(
         list(r), poset.lower_indices, bar.column, labels=poset.elements
     )
+    return IncidenceFunction(poset, _kls_values(entries, r, poset.elements))
+
+
+def module_kls_function(module: TwistedModule, poset: Poset, r: Sequence[int]) -> IncidenceFunction:
+    """The KLS function of a module's bar involution graded by r, read off
+    its canonical table (the descent recurrence).
+
+    The module must be pre-canonical with psi in the image of K |-> psi_K
+    for this r; ``poset`` is its block's Bruhat order.  The canonical basis
+    of a unitriangular involution is unique, so this is ``kls_function`` of
+    the kernel, without psi's rows.
+    """
+    return IncidenceFunction(poset, _kls_values(module.canonical_table().entries, r, poset.elements))
+
+
+def _kls_values(
+    entries: dict[tuple[int, int], LaurentPoly], r: Sequence[int], labels: Sequence
+) -> dict[tuple[int, int], LaurentPoly]:
+    """gamma(x, y) = v^{r(x,y)} C(x, y) read in q = v^2, for the canonical entries C.
+
+    Each value must be a polynomial in q, of degree below r(x, y)/2 off the
+    diagonal and 1 on it.  For a genuine kernel none of this can fail, so a
+    violation raises RuntimeError (a solver bug).
+    """
     values = {}
     for (i, j), p in entries.items():
         shift = r[j] - r[i]
@@ -322,18 +355,58 @@ def kls_function(K: IncidenceFunction, r: Sequence[int]) -> IncidenceFunction:
         if g.valuation < 0 or any(e % 2 for e, _c in g.terms()):
             raise RuntimeError(
                 f"internal error: canonical entry {p.to_text()} at "
-                f"({poset.elements[i]}, {poset.elements[j]}) is not a q-polynomial"
+                f"({labels[i]}, {labels[j]}) is not a q-polynomial"
             )
         gamma = _halve_exponents(g)
         if i != j and 2 * gamma.degree >= shift:
             raise RuntimeError(
                 f"internal error: deg_q {gamma.degree} breaks the bound at "
-                f"({poset.elements[i]}, {poset.elements[j]})"
+                f"({labels[i]}, {labels[j]})"
             )
         if i == j and gamma != ONE:
             raise RuntimeError("internal error: KLS diagonal must be 1")
         values[(i, j)] = gamma
-    return IncidenceFunction(poset, values)
+    return values
+
+
+def bar_involution(bar: BarMatrix) -> tuple[bool, Optional[TwistedModule]]:
+    """Whether psi^2 = id, and the module that proves it, if any.
+
+    For a matrix read off a module whose ``check_precanonical`` passes,
+    that check proves psi^2 = id (its docstring), so the answer is True
+    with the module, whose table then gives the KLS function
+    (``module_kls_function``).  Otherwise the answer is the full pass
+    ``BarMatrix.is_involution``, with no module.
+    """
+    module = bar.module
+    if module is not None:
+        try:
+            module.check_precanonical()
+        except NotPreCanonical:
+            pass
+        else:
+            return True, module
+    return bar.is_involution(), None
+
+
+def kernel_report(bar: BarMatrix) -> tuple[bool, bool, Optional[IncidenceFunction]]:
+    """(roundtrip identity, psi^2 = id, KLS function) for a bar matrix.
+
+    The kernel K = ``kernel_from_bar(bar)`` must map back to bar, and psi
+    must be an involution (``bar_involution``); when both hold, the KLS
+    function of K comes from the module that proved psi^2 = id, or else
+    from psi's rows, and otherwise it is None.  Raises
+    NotParityCompatible when bar is outside the image of K |-> psi_K.
+    """
+    kernel = kernel_from_bar(bar)
+    roundtrip = bar_from_kernel(kernel, bar.grading).entries == bar.entries
+    involution, module = bar_involution(bar)
+    if not (roundtrip and involution):
+        return roundtrip, involution, None
+    if module is None:
+        return True, True, kls_function(kernel, bar.grading)
+    del kernel  # the table does not need it: about 1 MB less at the peak on H3
+    return True, True, module_kls_function(module, bar.poset, bar.grading)
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +429,7 @@ def _bar_matrix(module: TwistedModule, r: tuple[int, ...]) -> BarMatrix:
     for j in range(len(block)):
         for i, c in module.bar_row(j).items():
             entries[(i, j)] = c
-    return BarMatrix(poset_of_block(block), r, entries)
+    return BarMatrix(poset_of_block(block), r, entries, module)
 
 
 def hecke_bar_matrix(system: CoxeterSystem) -> BarMatrix:

@@ -1,0 +1,68 @@
+"""The ``pkernel`` command's report computed without the module, kept as its oracle.
+
+Before the command read its answers off the module its bar matrix comes
+from, it confirmed psi^2 = id by the full pass ``BarMatrix.is_involution``
+and solved the KLS function from psi's rows (``kls_function``).
+``pkernel_outcome`` is that computation; ``render`` writes its report as
+the command does.
+"""
+
+from ivhecke import cli
+from ivhecke.coxeter import parse_system
+from ivhecke.pkernel import (
+    NotParityCompatible,
+    bar_from_kernel,
+    hecke_bar_matrix,
+    kernel_from_bar,
+    kls_function,
+    module_bar_matrix,
+)
+from ivhecke.twisted import parse_theta
+
+
+def pkernel_outcome(system_name, basis, theta="id", grading="length"):
+    """(exit code, report, KLS function or None) of ``ivhecke pkernel``.
+
+    On a parity failure the exit code is None and the report is the
+    failure's witness.
+    """
+    system = parse_system(system_name)
+    theta = parse_theta(system, theta)
+    if basis == "h":
+        bar = hecke_bar_matrix(system)
+    else:
+        bar = module_bar_matrix(system, theta, basis, grading)
+    try:
+        kernel = kernel_from_bar(bar)
+    except NotParityCompatible as exc:
+        witness = dict(exc.witness)
+        witness["check"] = "kernel_from_bar"
+        witness["basis"] = basis
+        witness["grading"] = grading
+        return None, witness, None
+    roundtrip = bar_from_kernel(kernel, bar.grading).entries == bar.entries
+    involution = bar.is_involution()
+    report = {
+        "system": system_name,
+        "basis": basis,
+        "grading": grading,
+        "in_image": True,
+        "roundtrip_identity": roundtrip,
+        "is_involution": involution,
+    }
+    gamma = None
+    if roundtrip and involution:
+        gamma = kls_function(kernel, bar.grading)
+        report["kls"] = {
+            f"{list(bar.poset.elements[i])}<={list(bar.poset.elements[j])}": p.to_text()
+            for (i, j), p in sorted(gamma.values.items())
+        }
+    return (0 if roundtrip and involution else 1), report, gamma
+
+
+def render(code, report, fmt, path):
+    """Write a report to path as ``ivhecke pkernel --format fmt`` does; the exit code."""
+    if code is None:
+        return cli._fail(report, fmt, path)
+    cli._emit_report(report, fmt, path)
+    return code

@@ -21,7 +21,6 @@ from ivhecke.classify import (
     classification_run,
     enumerate_candidates,
     precanonical_test,
-    quadratic_constraints_hold,
     representation_scan,
     squared_image,
     transport_basis,
@@ -403,6 +402,43 @@ def test_reports_are_those_of_the_oracle_checks(monkeypatch):
 
 # ----------------------------------------------------------------------
 # structural identities
+
+def quadratic_constraints_hold(gamma: StructureMatrix) -> bool:
+    """The constraint system satisfied by every representation-passing
+    four-row structure: with rows ((A,B),(C,D),(E,F),(G,H)) and parameter
+    v^k,
+
+        (B - v^k)(B + v^-k) = (D - v^k)(D + v^-k) = -AC,
+        (F - v^k)(F + v^-k) = (H - v^k)(H + v^-k) = -EG,
+        A or C nonzero  =>  B + D = v^k - v^-k,
+        E or G nonzero  =>  F + H = v^k - v^-k,
+        both columns active => D - H in {1, -1} and B - F in {1, -1}.
+    """
+    if len(gamma.rows) != 4:
+        raise ValueError("expects a four-row structure")
+    (a, b), (c, d), (e, f), (g, h) = gamma.rows
+    vk = monomial(2 if gamma.squared else 1)
+    vki = monomial(-2 if gamma.squared else -1)
+    u = gamma.parameter_diff
+
+    def quad(t):
+        return (t - vk) * (t + vki)
+
+    if quad(b) != -(a * c) or quad(d) != -(a * c):
+        return False
+    if quad(f) != -(e * g) or quad(h) != -(e * g):
+        return False
+    if (a or c) and b + d != u:
+        return False
+    if (e or g) and f + h != u:
+        return False
+    if (a or c) and (e or g):
+        if d - h not in (ONE, -ONE):
+            return False
+        if b - f not in (ONE, -ONE):
+            return False
+    return True
+
 
 def test_quadratic_constraints_on_named():
     for gamma in NAMED_STRUCTURES.values():

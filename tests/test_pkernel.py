@@ -6,11 +6,15 @@ as the oracle for the KLS computations.
 """
 
 import json
+from functools import lru_cache
 
 import pytest
 
+from ivhecke import cli
+from ivhecke.classify import enumerate_candidates
 from ivhecke.coxeter import parse_system
-from ivhecke.hecke import HeckeAlgebra
+from ivhecke.hecke import HeckeAlgebra, NotPreCanonical
+from ivhecke.ivmodules import GROUP_PLAIN_MATRIX, TwistedModule
 from ivhecke.laurent import ONE, ZERO, LaurentPoly, monomial
 from ivhecke.pkernel import (
     BarMatrix,
@@ -18,19 +22,24 @@ from ivhecke.pkernel import (
     NotParityCompatible,
     Poset,
     bar_from_kernel,
+    bar_involution,
     check_grading,
     delta,
     hecke_bar_matrix,
     is_p_kernel,
     kernel_from_bar,
+    kernel_report,
     kls_function,
     module_bar_matrix,
+    module_kls_function,
     poset_of_block,
 )
-from ivhecke.pkernel import _halve_exponents
-from ivhecke.twisted import TwistedBlock, involutive_automorphisms
+from ivhecke.pkernel import _bar_matrix, _halve_exponents
+from ivhecke.twisted import TwistedBlock, involutive_automorphisms, parse_theta
 
 from bar_matrix_oracle import column_by_scan, is_involution_by_scan
+from pkernel_oracle import pkernel_outcome, render
+from test_precanonical import LastGeneratorBlock
 
 Q = monomial(1)  # the variable q
 
@@ -306,3 +315,100 @@ def test_halve_exponents():
     assert _halve_exponents(monomial(4) + 2 * monomial(2)) == monomial(2) + 2 * Q
     with pytest.raises(ValueError):
         _halve_exponents(monomial(3))
+
+
+# ----------------------------------------------------------------------
+# the module path of the pkernel command against the psi-row oracle
+
+def pkernel_cases():
+    """(system, basis, theta, grading): the regular module of six systems,
+    and every named block structure on four, each involutive theta, both
+    gradings; iota and the rho-graded pi's are parity failures."""
+    cases = [(name, "h", "id", "length") for name in ("A3", "B3", "H3", "D4", "I2(5)", "I2(8)")]
+    for name in ("A3", "B3", "D4", "I2(5)"):
+        for theta in involutive_automorphisms(parse_system(name)):
+            for basis in ("pi", "pi_prime", "iota"):
+                for grading in ("length", "rho"):
+                    cases.append((name, basis, ",".join(map(str, theta)), grading))
+    return cases + [("I2(4)", "iota", "id", grading) for grading in ("length", "rho")]
+
+
+@lru_cache(maxsize=None)
+def oracle(case):
+    return pkernel_outcome(*case)
+
+
+def case_bar(name, basis, theta, grading):
+    system = parse_system(name)
+    if basis == "h":
+        return hecke_bar_matrix(system)
+    return module_bar_matrix(system, parse_theta(system, theta), basis, grading)
+
+
+@pytest.mark.parametrize("case", pkernel_cases(), ids=lambda c: "-".join(c))
+def test_pkernel_cli_bytes_are_the_oracles(case, tmp_path):
+    name, basis, theta, grading = case
+    code, report, _gamma = oracle(case)
+    for fmt in ("json", "text"):
+        ours, theirs = tmp_path / f"cli.{fmt}", tmp_path / f"oracle.{fmt}"
+        argv = ["pkernel", "--system", name, "--basis", basis, "--theta", theta, "--grading", grading]
+        assert cli.main(argv + ["--format", fmt, "--out", str(ours)]) == render(code, report, fmt, str(theirs))
+        assert ours.read_bytes() == theirs.read_bytes()
+
+
+@pytest.mark.parametrize("case", pkernel_cases(), ids=lambda c: "-".join(c))
+def test_module_answers_are_the_full_passes(case):
+    """The check-based psi^2 = id is the scan's; the table's gamma is the row solve's."""
+    bar = case_bar(*case)
+    involution, module = bar_involution(bar)
+    assert (involution, module) == (is_involution_by_scan(bar), bar.module)
+    assert involution is True
+    _code, _report, gamma = oracle(case)
+    if gamma is not None:
+        assert module_kls_function(module, bar.poset, bar.grading).values == gamma.values
+
+
+def spy_on_tables(monkeypatch):
+    """Record every module whose canonical table is built."""
+    built = []
+    original = TwistedModule.canonical_table
+
+    def canonical_table(self, *args, **kwargs):
+        built.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TwistedModule, "canonical_table", canonical_table)
+    return built
+
+
+def test_a_rejected_candidate_falls_back_to_the_full_pass(monkeypatch):
+    # a classification candidate whose psi rows all derive, with psi^2 = id,
+    # but whose diagonal is v^-2 somewhere: check_precanonical rejects it
+    cand = next(c for c in enumerate_candidates("classified_families", "h2i") if c.provenance == "pi[v,1]")
+    block = TwistedBlock(parse_system("A2"), (0, 1))
+    module = TwistedModule(block, "candidate", cand.gamma)
+    with pytest.raises(NotPreCanonical):
+        module.check_precanonical()
+    bar = _bar_matrix(module, tuple(block.rho))
+    built = spy_on_tables(monkeypatch)
+    full_passes = []
+    monkeypatch.setattr(BarMatrix, "is_involution", lambda self: full_passes.append(self) or is_involution_by_scan(self))
+    assert bar_involution(bar) == (True, None)
+    assert full_passes == [bar]
+    # the psi-row solve refuses the diagonal, as it always did
+    with pytest.raises(NotPreCanonical) as exc:
+        kernel_report(bar)
+    assert exc.value.witness == {"element": (0, 1, 0), "diagonal": {"-2": 1}}
+    assert built == []
+
+
+def test_a_failed_check_reports_the_row_solve(monkeypatch):
+    # intertwining fails at the last generator, yet psi is an involution:
+    # the report is that of the full pass and of the psi-row solve
+    block = LastGeneratorBlock()
+    bar = _bar_matrix(TwistedModule(block, "h", GROUP_PLAIN_MATRIX), tuple(block.rho))
+    built = spy_on_tables(monkeypatch)
+    roundtrip, involution, gamma = kernel_report(bar)
+    assert (roundtrip, involution) == (True, is_involution_by_scan(bar)) == (True, True)
+    assert gamma == kls_function(kernel_from_bar(bar), bar.grading)
+    assert built == []
