@@ -15,10 +15,11 @@ theta(x) = x^{-1}.  They carry:
 * Bruhat order inherited from W on the x-component.
 
 A ``TwistedBlock`` enumerates one theta's worth of twisted involutions by
-breadth-first search from the identity and precomputes, for every generator
-s and element index i, the triple (target index, commutes flag, rank-up
-flag) that all module arithmetic downstream consumes.  A ``GroupBlock``
-presents W itself through the same ``Block`` interface.
+breadth-first search from the identity and records, for every generator s
+and element index i, the triple (target index, commutes flag, rank-up
+flag) that all module arithmetic downstream consumes, and from which every
+Bruhat interval of the block is read.  A ``GroupBlock`` presents W itself
+through the same ``Block`` interface.
 
 >>> W = parse_system("A2")
 >>> blk = TwistedBlock(W, (0, 1))
@@ -34,6 +35,9 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .coxeter import CoxeterSystem, InfiniteOrTooLarge, Word, parse_system
+
+#: cap on the pairs x <= w a block's intervals may hold; F4's group block has 396,809
+MAX_INTERVAL_PAIRS = 4_000_000
 
 Perm = tuple[int, ...]
 GroupElt = tuple[Word, Perm]  # element (x, alpha) of the extended group
@@ -116,11 +120,15 @@ def parse_theta(system: CoxeterSystem, text: str) -> Perm:
 
 def kappa(system: CoxeterSystem, theta: Sequence[int], s: int, word: Iterable[int]) -> Word:
     """x-component of s |*| (x, theta)."""
-    x = system.reduce(word)
+    return _star(system, theta, s, system.reduce(word))[0]
+
+
+def _star(system: CoxeterSystem, theta: Sequence[int], s: int, x: Word) -> tuple[Word, bool]:
+    """(x-component of s |*| (x, theta), whether s*x = x*theta(s)), for x in normal form."""
     sx = system.left_mult(s, x)
     if sx == system.right_mult(x, theta[s]):
-        return sx
-    return system.right_mult(sx, theta[s])
+        return sx, True
+    return system.right_mult(sx, theta[s]), False
 
 
 def rho_recursive(system: CoxeterSystem, theta: Sequence[int], word: Iterable[int]) -> int:
@@ -143,31 +151,55 @@ class Block:
 
     Each subclass's ``__init__`` sets ``system``, ``theta``, ``elements``
     (sorted by (length, ShortLex word) -- a linear extension of Bruhat
-    order), ``index``, ``rho``, ``cross`` (``cross[s][i] = (j, commutes,
-    up)``: s acts on elements[i] with target elements[j]) and an empty
-    ``_lower`` cache of Bruhat intervals.
+    order), ``index``, ``rho`` and ``cross`` (``cross[s][i] = (j, commutes,
+    up)``: s acts on elements[i] with target elements[j]).  The Bruhat
+    intervals are read off ``cross`` (``lower_indices``).
     """
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def leq(self, i: int, j: int) -> bool:
-        """Bruhat order on the block (for twisted involutions, on x-components).
-
-        The elements are normal forms already, so they skip the public
-        method's re-validation and re-reduction.
-        """
-        return self.system._bruhat_leq(self.elements[i], self.elements[j])
-
     def lower_indices(self, j: int) -> tuple[int, ...]:
-        """Indices of all elements <= elements[j], ascending (j last)."""
-        cached = self._lower.get(j)
-        if cached is None:
-            cached = tuple(
-                i for i in range(j + 1) if self.leq(i, j)
-            )  # elements are sorted by length, so i > j cannot be <= j
-            self._lower[j] = cached
-        return cached
+        """Indices of all elements <= elements[j], ascending (j last).
+
+        Read off the cross table: at a descent j = s |*| i of j (i below j),
+
+            lower(j) = lower(i) u { s |*| x : x in lower(i) }.
+
+        For W this is Deodhar's property Z (Invent. Math. 1977): if s is a
+        descent of w, then u <= w exactly when u or s*u is <= s*w.  For the
+        twisted involutions of one theta, with Bruhat order on the
+        x-components, it is the lifting property of that order (Hultman,
+        "The combinatorics of twisted involutions in Coxeter groups",
+        Trans. AMS 2007).  All intervals are built at the first call, in
+        index order, each at the first descent of its element; the one
+        element with none is the identity.  More than
+        ``MAX_INTERVAL_PAIRS`` pairs in all raises InfiniteOrTooLarge.
+        """
+        return self._intervals[j]
+
+    @cached_property
+    def _intervals(self) -> list[tuple[int, ...]]:
+        targets = [[t for t, _, _ in row] for row in self.cross]
+        intervals: list[tuple[int, ...]] = []
+        pairs = 0
+        for j in range(len(self.elements)):
+            for s, row in enumerate(self.cross):
+                i, _, up = row[j]
+                if not up:
+                    lower = intervals[i]
+                    interval = tuple(sorted(set(lower).union(map(targets[s].__getitem__, lower))))
+                    break
+            else:
+                interval = (j,)
+            pairs += len(interval)
+            if pairs > MAX_INTERVAL_PAIRS:
+                raise InfiniteOrTooLarge(
+                    f"Bruhat intervals of {self!r}: more than {MAX_INTERVAL_PAIRS} "
+                    f"pairs x <= w (reached {pairs} at element {j + 1} of {len(self)})"
+                )
+            intervals.append(interval)
+        return intervals
 
     def length(self, i: int) -> int:
         return len(self.elements[i])
@@ -206,13 +238,14 @@ class TwistedBlock(Block):
         rank = system.rank
 
         rho_of: dict[Word, int] = {(): 0}
+        moves: dict[Word, list[tuple[Word, bool]]] = {}  # x -> (s |*| x, commutes) for each s
         frontier: list[Word] = [()]
         while frontier:
             nxt: list[Word] = []
             for x in frontier:
                 r = rho_of[x]
-                for s in range(rank):
-                    y = kappa(system, self.theta, s, x)
+                moves[x] = row = [_star(system, self.theta, s, x) for s in range(rank)]
+                for y, _ in row:
                     up = len(y) > len(x)
                     if y in rho_of:
                         expected = r + 1 if up else r - 1
@@ -245,12 +278,9 @@ class TwistedBlock(Block):
         for s in range(rank):
             row = []
             for x in self.elements:
-                sx = system.left_mult(s, x)
-                commutes = sx == system.right_mult(x, self.theta[s])
-                y = sx if commutes else system.right_mult(sx, self.theta[s])
+                y, commutes = moves[x][s]
                 row.append((self.index[y], commutes, len(y) > len(x)))
             self.cross.append(row)
-        self._lower: dict[int, tuple[int, ...]] = {}
 
     def __repr__(self) -> str:
         return f"TwistedBlock({self.system!r}, theta={self.theta}, size={len(self)})"
@@ -276,7 +306,9 @@ class GroupBlock(Block):
                 sw = system.left_mult(s, w)
                 row.append((self.index[sw], False, len(sw) > len(w)))
             self.cross.append(row)
-        self._lower: dict[int, tuple[int, ...]] = {}
+
+    def __repr__(self) -> str:
+        return f"GroupBlock({self.system!r}, size={len(self)})"
 
 
 def twisted_involutions(system: CoxeterSystem, theta: Sequence[int]) -> list[Word]:

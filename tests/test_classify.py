@@ -469,5 +469,5 @@ def test_group_block_interface():
             assert gb.elements[j] == sw
             assert up == (len(sw) > len(w))
             assert commutes is False
-    assert gb.leq(0, len(gb) - 1)
+    assert sysm.bruhat_leq(gb.elements[0], gb.elements[-1])
     assert gb.lower_indices(0) == (0,)

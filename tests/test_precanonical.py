@@ -81,10 +81,9 @@ class LastGeneratorBlock(Block):
             [(1, False, True), (0, False, False)],
             [(0, False, True), (1, False, True)],
         ]
-        self._lower = {}
 
-    def leq(self, i: int, j: int) -> bool:
-        return i <= j
+    def lower_indices(self, j: int) -> tuple[int, ...]:
+        return tuple(range(j + 1))  # a chain: no Coxeter block has this cross table, so no property Z
 
 
 class ZeroAscentBlock(Block):
@@ -107,10 +106,9 @@ class ZeroAscentBlock(Block):
             [(1, False, True), (0, False, False), (3, True, True), (2, True, False)],
             [(2, False, True), (3, False, True), (0, False, False), (1, False, False)],
         ]
-        self._lower = {}
 
-    def leq(self, i: int, j: int) -> bool:
-        return i <= j
+    def lower_indices(self, j: int) -> tuple[int, ...]:
+        return tuple(range(j + 1))  # a chain: no Coxeter block has this cross table, so no property Z
 
 
 ZERO_ASCENT = StructureMatrix(False, ((ONE, ZERO), (ONE, U), (ZERO, V), (ZERO, -VI)))
