@@ -625,9 +625,7 @@ def _nu(s: int, y: int, w: int, block: TwistedBlock, md: MuData) -> int:
     return 0
 
 
-def recurrence_check(
-    which: str, system: CoxeterSystem, theta: Sequence[int], block: Optional[TwistedBlock] = None
-) -> list[dict]:
+def recurrence_check(which: str, system: CoxeterSystem, theta: Sequence[int]) -> list[dict]:
     """Check the canonical-generator recurrences by direct expansion.
 
     which = "pi":        eigenvalue property at rank-down pairs,
@@ -637,11 +635,9 @@ def recurrence_check(
     which = "iota":      the one-line recurrence at rank-up pairs, with
                          nu(s; y, w) corrections.
 
-    ``block``, if given, is the TwistedBlock of (system, theta), reused.
     Returns a list of failure records; empty means everything matched.
     """
-    if block is None:
-        block = TwistedBlock(system, theta)
+    block = TwistedBlock(system, theta)
     mod = TwistedModule(block, which)
     table = mod.canonical_table()
     md = mu_data(table)

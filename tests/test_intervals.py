@@ -23,12 +23,17 @@ from ivhecke.twisted import GroupBlock, TwistedBlock, involutive_automorphisms
 
 BATTERY = ("I2(5)", "I2(8)", "A3", "B3", "H3", "D4", "A4", "B4", "A5", "F4")
 TOP = ("H4", "E6")  # word-level intervals take half a minute per block here
+slow = pytest.mark.slow  # deselected by default; `pytest -m slow` runs them
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def twisted_cases(names):
-    return [(name, theta) for name in names for theta in involutive_automorphisms(parse_system(name))]
+def twisted_cases(names, marks=()):
+    return [
+        pytest.param(name, theta, marks=marks)
+        for name in names
+        for theta in involutive_automorphisms(parse_system(name))
+    ]
 
 
 @cache
@@ -44,14 +49,14 @@ def test_twisted_intervals_are_the_word_level_ones(name, theta):
         assert block.lower_indices(j) == lower_by_words(block, j), (name, theta, block.elements[j])
 
 
-@pytest.mark.parametrize("name", BATTERY)  # F4's W, the largest, has 1,152 elements
+@pytest.mark.parametrize("name", [*BATTERY[:-1], pytest.param("F4", marks=slow)])  # W(F4): 1,152 elements
 def test_group_intervals_are_the_word_level_ones(name):
     block = GroupBlock(parse_system(name))
     for j in range(len(block)):
         assert block.lower_indices(j) == lower_by_words(block, j), (name, block.elements[j])
 
 
-@pytest.mark.parametrize("name,theta", twisted_cases(TOP))
+@pytest.mark.parametrize("name,theta", twisted_cases(TOP, slow))
 def test_top_of_the_ladder_intervals(name, theta):
     block = twisted_block(name, theta)
     n = len(block)
@@ -59,7 +64,7 @@ def test_top_of_the_ladder_intervals(name, theta):
         assert block.lower_indices(j) == lower_by_words(block, j), (name, theta, block.elements[j])
 
 
-@pytest.mark.parametrize("name,theta", twisted_cases(BATTERY + TOP))
+@pytest.mark.parametrize("name,theta", twisted_cases(BATTERY) + twisted_cases(TOP, slow))
 def test_one_pass_cross_is_the_kappa_one(name, theta):
     block = twisted_block(name, theta)
     assert block.cross == cross_by_kappa(block)

@@ -241,13 +241,12 @@ class TestRecurrences:
     @pytest.mark.parametrize("which", ["pi", "pi_prime", "iota"])
     def test_small_systems(self, name, theta, which):
         W = parse_system(name)
-        assert recurrence_check(which, W, theta, block=TwistedBlock(W, theta)) == []
+        assert recurrence_check(which, W, theta) == []
 
     def test_a3_iota(self):
         W = parse_system("A3")
-        for theta in ((0, 1, 2), (2, 1, 0)):
-            assert recurrence_check("iota", W, theta, block=TwistedBlock(W, theta)) == []
-        assert recurrence_check("iota", W, (2, 1, 0)) == []  # builds its own block
+        assert recurrence_check("iota", W, (0, 1, 2)) == []
+        assert recurrence_check("iota", W, (2, 1, 0)) == []
 
 
 class TestInvariantSuite:
