@@ -8,7 +8,13 @@ involutive twists:
    presentation -- the quadratic relation (op - v^k)(op + v^-k) = 0 and
    the braid relations -- on every block basis vector?  Every generator
    pairs a real block, so the quadratic relation is read off the
-   structure's 2x2 matrices (``ivmodules.quadratic_failures``).
+   structure's 2x2 matrices (``ivmodules.quadratic_failures``).  A unit
+   rescaling gamma[alpha, beta] is gamma conjugated by a diagonal change
+   of basis (``StructureMatrix.scaled``), so its relations fail at the
+   same basis vectors, with the same witness.  The pipelines therefore
+   check each battery block once per diagonal class, on the class's
+   ``StructureMatrix.diagonal_normal_form``, and give every candidate of
+   the class that result.
 2. *Pre-canonicity*: does the unique antilinear map psi fixing the lowest
    basis vector and intertwining op_s with op_s + (v^-k - v^k) id exist
    and come out unitriangular with unit diagonal?  Such a psi squares to
@@ -30,8 +36,10 @@ Candidate grids:
   once A = 1 and (E,G) != (0,0); none pass.
 * ``classified_families`` -- the named structures, their twists by the
   algebra involution H_s |-> -H_s + (v^k - v^-k), and unit rescalings.
-  Representation always passes; pre-canonicity survives exactly on the
-  +-1 rescalings.
+  Representation always passes, and is checked once per diagonal class:
+  the 204 candidates of the three modes are 2 (hw), 4 (hi) and 8 (h2i)
+  structures up to rescaling.  Pre-canonicity, which a rescaling by +-v
+  does change, survives exactly on the +-1 rescalings.
 
 The mode names used throughout: "hw" (parameter v, module on the group
 itself), "hi" (parameter v, module on a twisted-involution block), "h2i"
@@ -273,6 +281,20 @@ def check_representation(gamma: StructureMatrix, block) -> Optional[dict]:
     return None
 
 
+def _class_representation(memo: dict, rep: StructureMatrix, k: int, block) -> Optional[dict]:
+    """``check_representation(rep, block)`` for block k of a battery, run
+    once per (rep, k) and kept in memo.
+
+    rep is a ``StructureMatrix.diagonal_normal_form``.  On the
+    ``TwistedBlock``/``GroupBlock`` of ``battery`` its witness is that of
+    every structure in its diagonal class.
+    """
+    key = (rep, k)
+    if key not in memo:
+        memo[key] = check_representation(rep, block)
+    return memo[key]
+
+
 # ----------------------------------------------------------------------
 # stage 2: the pre-canonicity test
 
@@ -369,13 +391,15 @@ def representation_scan(
     """Run only the representation check; candidates fail fast."""
     names = list(systems)
     all_blocks = battery(names, mode)
+    memo: dict = {}
     records = []
     survivors = []
     for cand in candidates:
         witness = None
         where = None
-        for name, blk in all_blocks:
-            witness = check_representation(cand.gamma, blk)
+        rep = cand.gamma.diagonal_normal_form()
+        for k, (name, blk) in enumerate(all_blocks):
+            witness = _class_representation(memo, rep, k, blk)
             if witness is not None:
                 where = name
                 break
@@ -407,6 +431,7 @@ def classification_run(
     names = list(systems)
     all_blocks = battery(names, mode)
     candidates = enumerate_candidates("classified_families", mode)
+    memo: dict = {}
     records = []
     survivors: list[Candidate] = []
     modules: dict[str, list[TwistedModule]] = {}
@@ -414,8 +439,9 @@ def classification_run(
         rec: dict = {"provenance": cand.provenance, "base": cand.base}
         status = "survivor"
         found = []
-        for name, blk in all_blocks:
-            witness = check_representation(cand.gamma, blk)
+        rep = cand.gamma.diagonal_normal_form()
+        for k, (name, blk) in enumerate(all_blocks):
+            witness = _class_representation(memo, rep, k, blk)
             if witness is not None:
                 status = "rejected_representation"
                 rec["failed_on"] = name

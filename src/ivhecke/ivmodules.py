@@ -137,6 +137,18 @@ class StructureMatrix:
         (row 0) and alpha (row 1); of the commuting rows beta^{-1} (row 2)
         and beta (row 3).  Second columns are unchanged.  alpha and beta
         must be units of A (monomials +-v^n).
+
+        On a real block gamma[alpha, beta] is gamma conjugated by the
+        diagonal change of basis D m_x = d_x m_x: its operators are
+        D op_s D^-1, with
+
+            d_x = alpha^{rho(x) - l(x)} beta^{l(x) - 2 rho(x)}   (twisted block)
+            d_x = alpha^{-l(x)}                                  (group block)
+
+        D op_s D^-1 m_x = (d_y / d_x) a m_y + b m_x for y = s |*| x.  An
+        ascent raises rho by 1 and l by 2 (noncommuting) or 1 (commuting),
+        so d_y / d_x is alpha^-1 or beta^-1 there, and the inverse at a
+        descent: the factor each row's first entry picks up.
         """
         ai = alpha.unit_inverse()
         if len(self.rows) == 2:
@@ -148,6 +160,38 @@ class StructureMatrix:
             self.squared,
             ((a0 * ai, b0), (a1 * alpha, b1), (a2 * bi, b2), (a3 * beta, b3)),
         )
+
+    def diagonal_normal_form(self) -> "StructureMatrix":
+        """The representative of gamma's diagonal class {gamma[alpha, beta]}.
+
+        alpha makes the lowest term c v^n of row 0's first entry |c| v^0
+        (+1 on a monomial), or, if that entry is 0, row 1's; with both 0,
+        alpha = 1.  beta does the same from rows 2 and 3.  Every unit
+        rescaling of gamma has the same normal form: scaling by alpha then
+        alpha' is scaling by alpha alpha', and exactly one unit makes the
+        chosen term |c| v^0.
+
+        On a real block the representation check of gamma and of its normal
+        form agree, witness included.  Their operators are op_s and
+        op'_s = D op_s D^-1 (``scaled``), and D e_i is a unit times e_i.
+        So op'^2 - u op' - 1 and the braid difference op'_s op'_t ... -
+        op'_t op'_s ... are D X D^-1 for the X of gamma, and D X D^-1 e_i =
+        d_i^-1 D (X e_i) is zero exactly when X e_i is: each relation fails
+        at the same s, t and basis vector.  A block whose cross table admits
+        no such D (a chain, say) gets no such guarantee.
+        """
+
+        def unit(first: LaurentPoly, second: LaurentPoly) -> LaurentPoly:
+            if first:  # first picks up unit^-1
+                return monomial(first.valuation, 1 if first.coeffs[0] > 0 else -1)
+            if second:  # second picks up unit
+                return monomial(-second.valuation, 1 if second.coeffs[0] > 0 else -1)
+            return ONE
+
+        alpha = unit(self.rows[0][0], self.rows[1][0])
+        if len(self.rows) == 2:
+            return self.scaled(alpha, ONE)
+        return self.scaled(alpha, unit(self.rows[2][0], self.rows[3][0]))
 
     def theta_twisted(self) -> "StructureMatrix":
         """Conjugate by the algebra involution H_s |-> -H_s + (v^k - v^-k).

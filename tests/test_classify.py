@@ -400,6 +400,51 @@ def test_reports_are_those_of_the_oracle_checks(monkeypatch):
     assert calls["representation"] > 0 and calls["precanonical"] > 0
 
 
+#: passes representation and pre-canonicity on both I2(3) blocks for some
+#: rescalings, and fails a braid relation on I2(4): a class that stops at
+#: different blocks for different candidates
+LATE_FAILURE = enumerate_candidates("left_nonzero")[4].gamma
+
+
+def assert_records_are_the_oracles(candidates, report, mode):
+    """Each record's representation outcome is the per-element check's on
+    the candidate's own gamma, block by block in battery order, up to the
+    block where the record stops."""
+    assert [r["provenance"] for r in report.candidates] == [c.provenance for c in candidates]
+    for cand, rec in zip(candidates, report.candidates):
+        stop = (rec.get("failed_on"), rec.get("witness", {}).get("theta"))
+        for name, blk in classify.battery(ORACLE_SYSTEMS, mode):
+            expected = check_representation_per_element(cand.gamma, blk)
+            if expected is not None:
+                assert rec["status"] in ("fail", "rejected_representation"), rec
+                assert (rec["failed_on"], rec["witness"]) == (name, expected)
+                break
+            if stop == (name, list(blk.theta)):
+                assert rec["status"] == "rejected_precanonical", rec
+                break
+        else:
+            assert rec["status"] in ("pass", "survivor"), rec
+
+
+@pytest.mark.parametrize("mode", ["hw", "hi", "h2i"])
+def test_every_classified_candidate_has_its_own_oracle_witness(mode, monkeypatch):
+    # the pipeline checks one representative per diagonal class
+    seeds = dict(base_structures(mode), **({"late": LATE_FAILURE} if mode == "hi" else {}))
+    monkeypatch.setattr(classify, "base_structures", lambda _mode: seeds)
+    candidates = enumerate_candidates("classified_families", mode)
+    report = classification_run(mode, ORACLE_SYSTEMS)
+    assert_records_are_the_oracles(candidates, report, mode)
+    statuses = Counter(r["status"] for r in report.candidates)
+    assert statuses["survivor"] == {"hw": 4, "hi": 16, "h2i": 32}[mode]
+    assert statuses["rejected_representation"] == (4 if mode == "hi" else 0)
+
+
+@pytest.mark.parametrize("grid", ["both_zero", "left_nonzero"])
+def test_every_scanned_candidate_has_its_own_oracle_witness(grid):
+    candidates = enumerate_candidates(grid)
+    assert_records_are_the_oracles(candidates, representation_scan(candidates, ORACLE_SYSTEMS), "hi")
+
+
 # ----------------------------------------------------------------------
 # structural identities
 

@@ -183,11 +183,11 @@ def seed_structures() -> tuple:
 
 
 @st.composite
-def representation_cases(draw):
+def representation_cases(draw, extra_blocks=SYNTHETIC):
     """A structure and a block.  The structure is random, a grid or family
     candidate, or such a candidate with one entry replaced, so that the
     quadratic relation often holds, or fails only in some cases, or only a
-    braid relation fails."""
+    braid relation fails.  The block is a real one or one of ``extra_blocks``."""
     squared = draw(st.booleans())
     mode = draw(st.sampled_from(("hw", "h2i" if squared else "hi")))
     pool = st.sampled_from(POOLS[squared])
@@ -200,7 +200,7 @@ def representation_cases(draw):
         rows = [list(row) for row in draw(st.sampled_from(seeds))]
     if source == "mutant":
         rows[draw(st.integers(0, size - 1))][draw(st.integers(0, 1))] = draw(pool)
-    block = draw(st.sampled_from(blocks(mode) + SYNTHETIC))
+    block = draw(st.sampled_from(blocks(mode) + extra_blocks))
     return StructureMatrix(squared, tuple(map(tuple, rows))), block
 
 
@@ -220,3 +220,27 @@ def test_the_non_pairing_block_fails_at_its_last_generator():
     assert check_representation(GROUP_PLAIN_MATRIX, block) == {
         "relation": "quadratic", "s": 1, "element": [], "theta": [0, 1]
     }
+
+
+UNITS = st.builds(monomial, st.integers(-2, 2), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(representation_cases(extra_blocks=()), UNITS, UNITS)
+# row 2's first entry is 0, so beta comes from row 3
+@example(
+    (
+        StructureMatrix(False, ((ONE, ZERO), (ONE, U), (ZERO, ONE), (U, U - 1))),
+        TwistedBlock(parse_system("A3"), (2, 1, 0)),
+    ),
+    ONE,
+    -V,
+)
+def test_unit_rescalings_keep_the_representation_witness(case, alpha, beta):
+    """On a real block gamma[alpha, beta] is gamma conjugated by a diagonal
+    change of basis, so the check's witness is gamma's, and the class has
+    one normal form: the classification checks it once per class."""
+    gamma, block = case
+    scaled = gamma.scaled(alpha, beta)
+    assert check_representation(scaled, block) == check_representation(gamma, block), (gamma, alpha, beta)
+    assert scaled.diagonal_normal_form() == gamma.diagonal_normal_form(), (gamma, alpha, beta)
