@@ -45,15 +45,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 import re
 from typing import Iterable, Optional, Sequence, Union
 
 Word = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
-DEFAULT_WORD_CAP = int(os.environ.get("IVHECKE_WORD_CAP", "64"))
-DEFAULT_MAX_ELEMENTS = int(os.environ.get("IVHECKE_MAX_ELEMENTS", "200000"))
+DEFAULT_WORD_CAP = 64
+DEFAULT_MAX_ELEMENTS = 200_000
 
 
 class InfiniteOrTooLarge(RuntimeError):

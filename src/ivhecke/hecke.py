@@ -34,8 +34,9 @@ two sources.
   equal rank are independent, which the reverse_ties flag lets callers
   confirm.  A P-kernel on a poset with no module behind it
   (``pkernel.kls_function``) has nothing else to offer, and module tables
-  are cross-checked this way; the ``pkernel`` command reads a module's
-  KLS function off its recurrence table instead.
+  are cross-checked this way, with ties reversed
+  (``ivmodules.invariant_suite``); the ``pkernel`` command reads a
+  module's KLS function off its recurrence table instead.
 * A psi-invariant seed: a vector X = a1 b_w + (lower terms), such as
   (H_s + v^-k) b_y at a descent w = s y of a module (du Cloux's approach
   for Kazhdan-Lusztig polynomials, Lusztig-Vogan's for twisted
@@ -306,8 +307,9 @@ def solve_canonical(
 
     * ``bar_row(j)``, the expansion of psi(a_j) as {i: coefficient}: the
       column is solved top-down from the defect equation.  This serves
-      P-kernels with no module behind them (``pkernel.kls_function``) and
-      the cross-check ``TwistedModule.canonical_table(reverse_ties=True)``;
+      P-kernels with no module behind them (``pkernel.kls_function``) and,
+      with ``reverse_ties``, the cross-check of every module table in
+      ``ivmodules.invariant_suite``;
       a module's KLS function is read off its seeded table
       (``pkernel.module_kls_function``).
     * ``seed(j, columns)``, a psi-invariant vector X with top coefficient

@@ -38,8 +38,9 @@ Canonical tables come from the generic solver in ``hecke``, fed by the
 descent recurrence (``TwistedModule.canonical_table``): at a descent
 j = s |*| i, C_j is reduced from the psi-invariant (H_s + v^-k) C_i.  A
 structure the paper does not prove pre-canonical (``proven_precanonical``)
-is checked before its table is built, and the solve from psi's rows stays
-as the cross-check of ``invariant_suite``.
+is checked before its table is built, and the solve from psi's rows, with
+equal ranks in reverse order, stays as the cross-check of
+``invariant_suite``.
 """
 
 from __future__ import annotations
@@ -204,12 +205,6 @@ class StructureMatrix:
             self.squared,
             tuple((-a, u - b) for a, b in self.rows),
         )
-
-    def to_json(self) -> dict:
-        return {
-            "squared": self.squared,
-            "rows": [[a.to_json(), b.to_json()] for a, b in self.rows],
-        }
 
 
 def _rows(*pairs) -> tuple[tuple[LaurentPoly, LaurentPoly], ...]:
@@ -525,7 +520,7 @@ class TwistedModule:
         s, i, a1 = best
         return self.act_underline_gen(s, columns[i]), a1
 
-    def canonical_table(self, reverse_ties: bool = False) -> CanonicalTable:
+    def canonical_table(self) -> CanonicalTable:
         """The canonical basis {C_j}: psi(C_j) = C_j, C_j in m_j + sum v^-1 Z[v^-1] m_i.
 
         Built column by column by the descent recurrence: H_s + v^-k
@@ -533,33 +528,22 @@ class TwistedModule:
         ``solve_canonical`` reduces that seed (``_seed``) to C_j.  The seed
         is psi-invariant only if psi exists, so a structure the paper does
         not prove pre-canonical (``proven_precanonical``) is checked first,
-        and NotPreCanonical carries that check's witness.  With
-        ``reverse_ties`` the table is solved from psi's rows instead,
-        taking equal ranks in reverse order: the independent cross-check
-        of ``invariant_suite``.
+        and NotPreCanonical carries that check's witness.
         """
-        blk = self.block
-        if reverse_ties:
-            entries = solve_canonical(
-                blk.rho, blk.lower_indices, self.bar_row, reverse_ties=True, labels=blk.elements
-            )
-        elif self._table is not None:
+        if self._table is not None:
             return self._table
-        else:
-            if not proven_precanonical(blk, self.gamma):
-                self.check_precanonical()
-            entries = solve_canonical(blk.rho, blk.lower_indices, seed=self._seed, labels=blk.elements)
-        table = CanonicalTable(
+        blk = self.block
+        if not proven_precanonical(blk, self.gamma):
+            self.check_precanonical()
+        self._table = CanonicalTable(
             label=self.label,
             system=blk.system,
             theta=blk.theta,
             elements=list(blk.elements),
             ranks=list(blk.rho),
-            entries=entries,
+            entries=solve_canonical(blk.rho, blk.lower_indices, seed=self._seed, labels=blk.elements),
         )
-        if not reverse_ties:
-            self._table = table
-        return table
+        return self._table
 
     def underline(self, j: int) -> Vector:
         """The canonical basis vector attached to block element j."""
@@ -800,7 +784,10 @@ def invariant_suite(
     # --- the recurrence's table against the psi-row solve with ties reversed
     fails = []
     for label, mod in mods.items():
-        if mod.canonical_table().entries != mod.canonical_table(reverse_ties=True).entries:
+        rows = solve_canonical(
+            block.rho, block.lower_indices, mod.bar_row, reverse_ties=True, labels=block.elements
+        )
+        if tables[label].entries != rows:
             fails.append({"check": "order_independence", "label": label})
     checks["order_independence"] = fails
 

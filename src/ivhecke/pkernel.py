@@ -31,14 +31,18 @@ both questions itself: its ``check_precanonical`` proves psi_K^2 = id
 involution is unique, gamma is its descent-recurrence table rescaled
 (``module_kls_function``).
 
+A poset is its principal ideals (``Poset.lower``), the form in which
+every block already keeps its Bruhat intervals: ``poset_of_block`` passes
+them on as they are, and the solver reads them as ``lower_indices``.
+
 Polynomials in q are represented by LaurentPoly values whose exponent is
 read as the power of q; the bridge to the v-world is exponent doubling
-(q = v^2) and halving.
+(q = v^2) and halving (``_halve_exponents``).
 """
 
 from __future__ import annotations
 
-import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -66,66 +70,44 @@ class NotParityCompatible(ValueError):
 
 @dataclass(frozen=True)
 class Poset:
-    """A finite poset, materialized as an order matrix.
+    """A finite poset, given by its principal ideals.
 
-    Elements must be listed in a linear extension: leq(i, j) with i != j
-    forces i < j.  This is what the solver downstream assumes, and makes
-    antisymmetry automatic.
+    ``lower[j]`` is the tuple of every index i with elements[i] <=
+    elements[j], ascending and ending in j.  Elements must be listed in a
+    linear extension: leq(i, j) with i != j forces i < j.  This is what
+    the solver downstream assumes, and makes antisymmetry automatic.
     """
 
     elements: tuple
-    leq_matrix: tuple[tuple[bool, ...], ...]
+    lower: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.elements)
-        if len(self.leq_matrix) != n or any(len(row) != n for row in self.leq_matrix):
-            raise ValueError("order matrix shape does not match the element list")
-        for i in range(n):
-            if not self.leq_matrix[i][i]:
+        if len(self.lower) != len(self.elements):
+            raise ValueError("the poset needs one principal ideal per element")
+        ideals = [frozenset(ideal) for ideal in self.lower]
+        for j, ideal in enumerate(self.lower):
+            if any(not 0 <= a < b for a, b in zip(ideal, ideal[1:])) or (ideal and ideal[-1] > j):
+                raise ValueError("elements must be listed in a linear extension of the order")
+            if not ideal or ideal[-1] != j:
                 raise ValueError("order must be reflexive")
-            for j in range(i):
-                if self.leq_matrix[i][j]:
-                    raise ValueError(
-                        "elements must be listed in a linear extension of the order"
-                    )
-        for i in range(n):
-            for j in range(i, n):
-                if not self.leq_matrix[i][j]:
-                    continue
-                for k in range(j, n):
-                    if self.leq_matrix[j][k] and not self.leq_matrix[i][k]:
-                        raise ValueError("order must be transitive")
+            if not all(ideals[i] <= ideals[j] for i in ideal):
+                raise ValueError("order must be transitive")
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def leq(self, i: int, j: int) -> bool:
-        return self.leq_matrix[i][j]
+        ideal = self.lower[j]
+        k = bisect_left(ideal, i)
+        return k < len(ideal) and ideal[k] == i
 
     def lower_indices(self, j: int) -> tuple[int, ...]:
         """Indices of all elements <= elements[j], ascending (j last)."""
-        return tuple(i for i in range(j + 1) if self.leq_matrix[i][j])
+        return self.lower[j]
 
     def pairs(self) -> list[tuple[int, int]]:
-        """All order-related index pairs (i, j), i <= j, sorted."""
-        return [(i, j) for j in range(len(self.elements)) for i in self.lower_indices(j)]
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Poset":
-        elements = tuple(
-            tuple(e) if isinstance(e, list) else e for e in data["elements"]
-        )
-        matrix = tuple(tuple(bool(x) for x in row) for row in data["leq"])
-        return cls(elements, matrix)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "elements": [list(e) if isinstance(e, tuple) else e for e in self.elements],
-            "leq": [[bool(x) for x in row] for row in self.leq_matrix],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        """All order-related index pairs (i, j), i <= j, sorted by j, then i."""
+        return [(i, j) for j, ideal in enumerate(self.lower) for i in ideal]
 
 
 def check_grading(poset: Poset, r: Sequence[int]) -> tuple[int, ...]:
@@ -158,10 +140,13 @@ class IncidenceFunction:
     values: dict[tuple[int, int], LaurentPoly] = field(default_factory=dict)
 
     def __post_init__(self):
+        n = len(self.poset)
         clean = {}
         for (i, j), p in self.values.items():
             if not p:
                 continue
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"pair ({i}, {j}) is outside the poset")
             if not self.poset.leq(i, j):
                 raise ValueError(f"value on a non-comparable pair ({i}, {j})")
             if p.valuation < 0:
@@ -181,8 +166,9 @@ class IncidenceFunction:
         out: dict[tuple[int, int], LaurentPoly] = {}
         for i, j in self.poset.pairs():
             acc = ZERO
-            for t in range(i, j + 1):
-                if self.poset.leq(i, t) and self.poset.leq(t, j):
+            ideal = self.poset.lower_indices(j)
+            for t in ideal[bisect_left(ideal, i):]:
+                if self.poset.leq(i, t):
                     acc = acc.addmul(self.value(i, t), other.value(t, j))
             if acc:
                 out[(i, j)] = acc
@@ -190,25 +176,6 @@ class IncidenceFunction:
 
     def __mul__(self, other: "IncidenceFunction") -> "IncidenceFunction":
         return self.convolve(other)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "poset": self.poset.to_json_dict(),
-            "values": [
-                [i, j, p.to_json()] for (i, j), p in sorted(self.values.items())
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, data: dict) -> "IncidenceFunction":
-        poset = Poset.from_json(data["poset"])
-        values = {
-            (i, j): LaurentPoly.from_json(p) for i, j, p in data["values"]
-        }
-        return cls(poset, values)
 
 
 def delta(poset: Poset) -> IncidenceFunction:
@@ -225,8 +192,8 @@ class BarMatrix:
 
     ``entries[(i, j)]`` is the coefficient of a_i in psi(a_j), a Laurent
     polynomial in v; support is within the order.  ``grading`` is the r
-    used to build it (carried for convenience; the inverse map accepts an
-    override).  ``module`` is the module whose bar involution this is, for
+    used to build it, which the inverse map ``kernel_from_bar`` reads.
+    ``module`` is the module whose bar involution this is, for
     a matrix read off one (``hecke_bar_matrix``, ``module_bar_matrix``).
     """
 
@@ -255,12 +222,10 @@ class BarMatrix:
 
 
 def _halve_exponents(p: LaurentPoly) -> LaurentPoly:
-    terms = {}
-    for e, c in p.terms():
-        if e % 2:
-            raise ValueError(f"odd exponent {e} cannot be halved")
-        terms[e // 2] = c
-    return LaurentPoly.from_terms(terms)
+    """p(v) read in q = v^2; ValueError if p has an odd exponent."""
+    if p.val % 2 or any(p.coeffs[1::2]):
+        raise ValueError(f"{p.to_text()} has an odd exponent and cannot be halved")
+    return LaurentPoly(p.val // 2, p.coeffs[::2])
 
 
 def bar_from_kernel(K: IncidenceFunction, r: Sequence[int]) -> BarMatrix:
@@ -272,7 +237,7 @@ def bar_from_kernel(K: IncidenceFunction, r: Sequence[int]) -> BarMatrix:
     return BarMatrix(K.poset, r, entries)
 
 
-def kernel_from_bar(bar: BarMatrix, r: Optional[Sequence[int]] = None) -> IncidenceFunction:
+def kernel_from_bar(bar: BarMatrix) -> IncidenceFunction:
     """Invert K |-> psi_K, or raise NotParityCompatible.
 
     Requires every matrix entry to lie in Z[v^-2] * v^{r(x,y)}; the
@@ -281,12 +246,16 @@ def kernel_from_bar(bar: BarMatrix, r: Optional[Sequence[int]] = None) -> Incide
     diagonal outwards (then by index), so the witness does not depend on
     the order the entries were built in.
     """
-    r = check_grading(bar.poset, bar.grading if r is None else r)
+    r = check_grading(bar.poset, bar.grading)
     values = {}
     for i, j in sorted(bar.entries, key=lambda ij: (ij[1], r[ij[1]] - r[ij[0]], ij[0])):
         p = bar.entries[(i, j)]
         g = p * monomial(-(r[j] - r[i]))
-        if g.degree > 0 or any(e % 2 for e, _c in g.terms()):
+        try:
+            k = _halve_exponents(g.bar())
+        except ValueError:
+            k = None
+        if k is None or g.degree > 0:
             raise NotParityCompatible(
                 "bar-matrix entry outside Z[v^-2] * v^r",
                 {
@@ -298,7 +267,7 @@ def kernel_from_bar(bar: BarMatrix, r: Optional[Sequence[int]] = None) -> Incide
                     "shift": r[j] - r[i],
                 },
             )
-        values[(i, j)] = _halve_exponents(g.bar())
+        values[(i, j)] = k
     return IncidenceFunction(bar.poset, values)
 
 
@@ -352,12 +321,15 @@ def _kls_values(
     for (i, j), p in entries.items():
         shift = r[j] - r[i]
         g = p * monomial(shift)
-        if g.valuation < 0 or any(e % 2 for e, _c in g.terms()):
+        try:
+            gamma = _halve_exponents(g)
+        except ValueError:
+            gamma = None
+        if gamma is None or g.valuation < 0:
             raise RuntimeError(
                 f"internal error: canonical entry {p.to_text()} at "
                 f"({labels[i]}, {labels[j]}) is not a q-polynomial"
             )
-        gamma = _halve_exponents(g)
         if i != j and 2 * gamma.degree >= shift:
             raise RuntimeError(
                 f"internal error: deg_q {gamma.degree} breaks the bound at "
@@ -413,13 +385,8 @@ def kernel_report(bar: BarMatrix) -> tuple[bool, bool, Optional[IncidenceFunctio
 # bridges from the Hecke world
 
 def poset_of_block(block: Block) -> Poset:
-    """The Bruhat order on a (twisted or group) block as a Poset."""
-    n = len(block)
-    matrix = [[False] * n for _ in range(n)]
-    for j in range(n):
-        for i in block.lower_indices(j):
-            matrix[i][j] = True
-    return Poset(tuple(block.elements), tuple(map(tuple, matrix)))
+    """The Bruhat order on a (twisted or group) block: its intervals, as they are."""
+    return Poset(tuple(block.elements), tuple(map(block.lower_indices, range(len(block)))))
 
 
 def _bar_matrix(module: TwistedModule, r: tuple[int, ...]) -> BarMatrix:
