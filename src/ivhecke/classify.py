@@ -21,7 +21,15 @@ involutive twists:
    the identity, and the descent recursion that builds psi already proves
    intertwining at every pair with a nonzero ascent coefficient once the
    quadratic relation holds, so only the rest is tested (see
-   ``TwistedModule.check_precanonical``).
+   ``TwistedModule.check_precanonical``).  A +-1 rescaling
+   gamma[alpha, beta] is gamma conjugated by a bar-invariant diagonal
+   D = diag(+-1), so its psi is D psi D: it fails at the same element with
+   the same witness, and its canonical table is gamma's with entry (i, j)
+   multiplied by d_i d_j.  The pipeline therefore checks each battery
+   block, and solves its canonical table, once per sign class, on the
+   class's ``StructureMatrix.sign_normal_form``, and gives each candidate
+   of the class that witness or the sign transport of that table.  A +-v
+   rescaling changes pre-canonicity, so it is a class of its own.
 3. *Isomorphism grouping*: which surviving structures produce canonical
    tables related by a legal transport (entrywise sign pattern
    (-1)^{a l + b rho} together with an optional v |-> -v twist)?
@@ -39,7 +47,8 @@ Candidate grids:
   Representation always passes, and is checked once per diagonal class:
   the 204 candidates of the three modes are 2 (hw), 4 (hi) and 8 (h2i)
   structures up to rescaling.  Pre-canonicity, which a rescaling by +-v
-  does change, survives exactly on the +-1 rescalings.
+  does change, survives exactly on the +-1 rescalings: 52 survivors, 14
+  structures up to sign.
 
 The mode names used throughout: "hw" (parameter v, module on the group
 itself), "hi" (parameter v, module on a twisted-involution block), "h2i"
@@ -49,7 +58,7 @@ itself), "hi" (parameter v, module on a twisted-involution block), "h2i"
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .coxeter import CoxeterSystem, parse_system
@@ -308,7 +317,8 @@ def precanonical_test(gamma: StructureMatrix, block) -> TwistedModule:
     diagonal 1, or the intertwining property fails for some generator
     (``TwistedModule.check_precanonical``, which tests it only where the
     recursion and the quadratic relation do not prove it); psi^2 = id
-    then follows.
+    then follows.  ``classification_run`` calls it once per sign class and
+    block (``StructureMatrix.sign_normal_form``).
     """
     module = TwistedModule(block, "candidate", gamma)
     module.check_precanonical()
@@ -424,49 +434,98 @@ def representation_scan(
     )
 
 
-def classification_run(
-    mode: str, systems: Sequence[str] = DEFAULT_SYSTEMS
-) -> ClassReport:
-    """The full classification: representation, pre-canonicity, grouping."""
-    names = list(systems)
-    all_blocks = battery(names, mode)
-    candidates = enumerate_candidates("classified_families", mode)
-    memo: dict = {}
+def _class_precanonical(memo: dict, rep: StructureMatrix, k: int, block):
+    """``precanonical_test(rep, block)`` for block k of a battery, run once
+    per (rep, k) and kept in memo: the checked module or its NotPreCanonical.
+
+    rep is a ``StructureMatrix.sign_normal_form``.  On the
+    ``TwistedBlock``/``GroupBlock`` of ``battery`` its witness is that of
+    every structure in its sign class, and its table gives theirs
+    (``_sign_rescaled_table``).
+    """
+    key = (rep, k)
+    if key not in memo:
+        try:
+            memo[key] = precanonical_test(rep, block)
+        except NotPreCanonical as exc:
+            memo[key] = exc.with_traceback(None)  # the frames would keep rep's module alive
+    return memo[key]
+
+
+def _sign_rescaled_table(table: CanonicalTable, block, alpha: LaurentPoly, beta: LaurentPoly) -> CanonicalTable:
+    """The canonical table of rep[alpha, beta], alpha, beta in {1, -1}, from rep's.
+
+    Its entries are d_i d_j f_ij (``StructureMatrix.sign_normal_form``)
+    with d_x = alpha^{rho(x) - l(x)} beta^{l(x) - 2 rho(x)} on a twisted
+    block and alpha^{-l(x)} on the group block (``StructureMatrix.scaled``).
+    Modulo 2 the exponent of -1 is [alpha = -1] rho + ([alpha = -1] +
+    [beta = -1]) l, or [alpha = -1] l: ``transport_basis`` with that (a, b).
+    """
+    flip_alpha, flip_beta = int(alpha == -ONE), int(beta == -ONE)
+    if isinstance(block, GroupBlock):
+        a, b = flip_alpha, 0
+    else:
+        a, b = flip_alpha ^ flip_beta, flip_alpha
+    return replace(table, entries=transport_basis(table, a, b, False))
+
+
+def screen_candidates(
+    candidates: Sequence[Candidate], all_blocks: Sequence[tuple[str, Block]]
+) -> tuple[list[dict], dict[str, list[CanonicalTable]]]:
+    """The representation and pre-canonicity stages of ``classification_run``.
+
+    Returns each candidate's record, and every survivor's canonical tables
+    on the blocks, in order.  Representation is checked once per diagonal
+    class and block, pre-canonicity and the tables once per sign class and
+    block; each candidate gets its class's witness, and its table is the
+    sign transport of its class's.
+    """
+    representation: dict = {}
+    precanonical: dict = {}
     records = []
-    survivors: list[Candidate] = []
-    modules: dict[str, list[TwistedModule]] = {}
+    tables: dict[str, list[CanonicalTable]] = {}
     for cand in candidates:
         rec: dict = {"provenance": cand.provenance, "base": cand.base}
         status = "survivor"
         found = []
         rep = cand.gamma.diagonal_normal_form()
+        sign_rep, alpha, beta = cand.gamma.sign_normal_form()
         for k, (name, blk) in enumerate(all_blocks):
-            witness = _class_representation(memo, rep, k, blk)
+            witness = _class_representation(representation, rep, k, blk)
             if witness is not None:
                 status = "rejected_representation"
                 rec["failed_on"] = name
                 rec["witness"] = witness
                 break
-            try:
-                found.append(precanonical_test(cand.gamma, blk))
-            except NotPreCanonical as exc:
+            module = _class_precanonical(precanonical, sign_rep, k, blk)
+            if isinstance(module, NotPreCanonical):
                 status = "rejected_precanonical"
                 rec["failed_on"] = name
-                rec["witness"] = exc.witness
+                rec["witness"] = module.witness
                 break
+            found.append(module)
         rec["status"] = status
         records.append(rec)
         if status == "survivor":
-            survivors.append(cand)
-            modules[cand.provenance] = found
+            tables[cand.provenance] = [
+                _sign_rescaled_table(module.canonical_table(), module.block, alpha, beta)
+                for module in found
+            ]
+    return records, tables
 
-    # canonical tables for every survivor over every block, for grouping
-    tables = {
-        prov: [module.canonical_table() for module in found] for prov, found in modules.items()
-    }
+
+def classification_run(
+    mode: str, systems: Sequence[str] = DEFAULT_SYSTEMS
+) -> ClassReport:
+    """The full classification: representation, pre-canonicity, grouping."""
+    names = list(systems)
+    records, tables = screen_candidates(
+        enumerate_candidates("classified_families", mode), battery(names, mode)
+    )
 
     # union-find under transport-relatedness
-    parent = {c.provenance: c.provenance for c in survivors}
+    provs = list(tables)
+    parent = {p: p for p in provs}
 
     def find(x: str) -> str:
         while parent[x] != x:
@@ -475,7 +534,6 @@ def classification_run(
         return x
 
     transports = []
-    provs = [c.provenance for c in survivors]
     for i in range(len(provs)):
         for j in range(i + 1, len(provs)):
             if find(provs[i]) == find(provs[j]):

@@ -181,6 +181,10 @@ class StructureMatrix:
         at the same s, t and basis vector.  A block whose cross table admits
         no such D (a chain, say) gets no such guarantee.
         """
+        return self.scaled(*self._normalizing_units())
+
+    def _normalizing_units(self) -> tuple[LaurentPoly, LaurentPoly]:
+        """(alpha, beta) with ``scaled(alpha, beta)`` the diagonal normal form."""
 
         def unit(first: LaurentPoly, second: LaurentPoly) -> LaurentPoly:
             if first:  # first picks up unit^-1
@@ -191,8 +195,41 @@ class StructureMatrix:
 
         alpha = unit(self.rows[0][0], self.rows[1][0])
         if len(self.rows) == 2:
-            return self.scaled(alpha, ONE)
-        return self.scaled(alpha, unit(self.rows[2][0], self.rows[3][0]))
+            return alpha, ONE
+        return alpha, unit(self.rows[2][0], self.rows[3][0])
+
+    def sign_normal_form(self) -> tuple["StructureMatrix", LaurentPoly, LaurentPoly]:
+        """(rep, alpha, beta) with alpha, beta in {1, -1} and gamma = rep[alpha, beta].
+
+        alpha and beta are the signs of the units ``diagonal_normal_form``
+        picks, so rep's chosen terms get a positive coefficient and keep
+        their exponents, and every +-1 rescaling of gamma has the same rep.
+
+        On a real block the pre-canonicity check of gamma and of rep agree,
+        witness included, and their canonical tables differ by a sign.  gamma's
+        operators are D op_s D^-1 for rep's op_s, with D m_x = d_x m_x
+        (``scaled``), and here d_x = +-1, so D is bar-invariant and D^-1 = D.
+        Then D psi D is antilinear, fixes m_0 and intertwines gamma's op_s
+        with op_s + c, so it is gamma's bar involution psi'.  Every row the
+        descent recursion derives is psi'(m_j) = d_j D psi(m_j): the same
+        support, a descent row and the division by bar(a1) changed only by
+        d_i d_j, so "no usable descent", "inexact division", "descent-dependent
+        bar" and "not unitriangular" arise at the same j and s with the same
+        offender, and the diagonal entry d_j^2 psi_jj = psi_jj is unchanged.
+        The intertwining difference of gamma at (j, s) is d_j D applied to
+        rep's, zero exactly when rep's is.  So the first failure and its
+        witness dict are rep's.  If rep passes, d_j D C_j is psi'-invariant
+        with top coefficient 1 and lower ones in v^-1 Z[v^-1], so gamma's
+        canonical table is g_ij = d_i d_j f_ij for rep's f.  Key order is
+        kept too: every term summed into key i of a row or column j carries
+        the same factor d_i d_j, so keys appear and cancel at the same steps.
+
+        A +-v rescaling has a D with bar(D) != D, which changes pre-canonicity
+        (the diagonal of psi' is d_j bar(d_j)^-1 psi_jj), so it keeps its own
+        rep: this is not the diagonal normal form.
+        """
+        alpha, beta = (monomial(0, unit.coeffs[0]) for unit in self._normalizing_units())
+        return self.scaled(alpha, beta), alpha, beta
 
     def theta_twisted(self) -> "StructureMatrix":
         """Conjugate by the algebra involution H_s |-> -H_s + (v^k - v^-k).

@@ -1,8 +1,10 @@
 """The ``pkernel`` command's report computed without the module, kept as its oracle.
 
 Before the command read its answers off the module its bar matrix comes
-from, it confirmed psi^2 = id by the full pass ``BarMatrix.is_involution``
-and solved the KLS function from psi's rows (``kls_function``).
+from, it rebuilt the bar matrix from the kernel (``bar_from_kernel``) for
+the roundtrip identity, confirmed psi^2 = id by the full pass
+``BarMatrix.is_involution`` and solved the KLS function from psi's rows
+(``kls_function``).
 ``pkernel_outcome`` is that computation; ``render`` writes its report as
 the command does.
 """

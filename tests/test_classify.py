@@ -41,6 +41,7 @@ from ivhecke.pkernel import hecke_bar_matrix
 from ivhecke.twisted import GroupBlock, TwistedBlock, involutive_automorphisms
 
 from bar_recipe_oracle import recipe_bar_row
+from classify_oracle import screen_per_candidate
 from precanonical_oracle import check_precanonical_with_psi_squared
 from representation_oracle import check_representation_per_element
 
@@ -428,7 +429,9 @@ def assert_records_are_the_oracles(candidates, report, mode):
 
 @pytest.mark.parametrize("mode", ["hw", "hi", "h2i"])
 def test_every_classified_candidate_has_its_own_oracle_witness(mode, monkeypatch):
-    # the pipeline checks one representative per diagonal class
+    # the pipeline checks representation once per diagonal class, and
+    # pre-canonicity and tables once per sign class; every record and every
+    # survivor table must be the candidate's own, tables in key order too
     seeds = dict(base_structures(mode), **({"late": LATE_FAILURE} if mode == "hi" else {}))
     monkeypatch.setattr(classify, "base_structures", lambda _mode: seeds)
     candidates = enumerate_candidates("classified_families", mode)
@@ -437,6 +440,18 @@ def test_every_classified_candidate_has_its_own_oracle_witness(mode, monkeypatch
     statuses = Counter(r["status"] for r in report.candidates)
     assert statuses["survivor"] == {"hw": 4, "hi": 16, "h2i": 32}[mode]
     assert statuses["rejected_representation"] == (4 if mode == "hi" else 0)
+    assert statuses["rejected_precanonical"] > 0
+
+    all_blocks = classify.battery(ORACLE_SYSTEMS, mode)
+    records, tables = classify.screen_candidates(candidates, all_blocks)
+    expected_records, expected_tables = screen_per_candidate(candidates, all_blocks)
+    assert report.candidates == records == expected_records
+    assert report.survivors == list(tables) == list(expected_tables)
+    for prov, expected in expected_tables.items():
+        assert len(tables[prov]) == len(expected) == len(all_blocks), prov
+        for got, want in zip(tables[prov], expected):
+            assert (got.label, got.theta, got.elements, got.ranks) == (want.label, want.theta, want.elements, want.ranks)
+            assert list(got.entries.items()) == list(want.entries.items()), (prov, got.theta)
 
 
 @pytest.mark.parametrize("grid", ["both_zero", "left_nonzero"])

@@ -13,10 +13,17 @@ from functools import lru_cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ivhecke.classify import blocks_for_mode, check_representation, enumerate_candidates, squared_image
+from ivhecke.classify import (
+    blocks_for_mode,
+    check_representation,
+    classification_run,
+    enumerate_candidates,
+    squared_image,
+    transport_basis,
+)
 from ivhecke.coxeter import parse_system
 from ivhecke.hecke import NotPreCanonical
-from ivhecke.ivmodules import GROUP_PLAIN_MATRIX, StructureMatrix, TwistedModule, quadratic_failures
+from ivhecke.ivmodules import GROUP_PLAIN_MATRIX, IOTA_MATRIX, StructureMatrix, TwistedModule, quadratic_failures
 from ivhecke.laurent import ONE, U, U2, V, VI, ZERO, monomial
 from ivhecke.twisted import Block, GroupBlock, TwistedBlock
 
@@ -244,3 +251,48 @@ def test_unit_rescalings_keep_the_representation_witness(case, alpha, beta):
     scaled = gamma.scaled(alpha, beta)
     assert check_representation(scaled, block) == check_representation(gamma, block), (gamma, alpha, beta)
     assert scaled.diagonal_normal_form() == gamma.diagonal_normal_form(), (gamma, alpha, beta)
+
+
+# ----------------------------------------------------------------------
+# sign classes
+
+SIGNS = st.sampled_from((ONE, -ONE))
+
+
+@settings(max_examples=300, deadline=None)
+@given(representation_cases(extra_blocks=()), SIGNS, SIGNS)
+# pre-canonical on a twisted block with alpha = -1, and on a group block
+@example((IOTA_MATRIX, TwistedBlock(parse_system("A3"), (2, 1, 0))), -ONE, ONE)
+@example((GROUP_PLAIN_MATRIX, GroupBlock(parse_system("B2"))), -ONE, ONE)
+def test_sign_rescalings_keep_the_witness_and_transport_the_table(case, alpha, beta):
+    """On a real block gamma[alpha, beta], alpha, beta = +-1, is gamma
+    conjugated by D = diag(d_x), d_x = +-1: the same pre-canonicity witness,
+    and the canonical table with entry (i, j) times d_i d_j, in the same key
+    order.  The classification checks and solves once per sign class."""
+    gamma, block = case
+    scaled = gamma.scaled(alpha, beta)
+    module, got = witness(TwistedModule.check_precanonical, scaled, block)
+    base, expected = witness(TwistedModule.check_precanonical, gamma, block)
+    assert got == expected, (gamma, alpha, beta, block.theta)
+    assert scaled.sign_normal_form()[0] == gamma.sign_normal_form()[0], (gamma, alpha, beta)
+    if got is None:
+        # d_x = alpha^{rho - l} beta^{l - 2 rho} on a twisted block, alpha^{-l} on the group
+        flip_alpha, flip_beta = int(alpha == -ONE), int(beta == -ONE)
+        a, b = (flip_alpha, 0) if isinstance(block, GroupBlock) else (flip_alpha ^ flip_beta, flip_alpha)
+        transported = transport_basis(base.canonical_table(), a, b, False)
+        assert list(module.canonical_table().entries.items()) == list(transported.items()), (gamma, alpha, beta)
+
+
+def test_a_v_rescaling_is_its_own_sign_class():
+    # iota[v, 1] is in iota's diagonal class, but its psi has diagonal
+    # v^-2 where iota's has 1: a memo keyed by the diagonal normal form
+    # would give it iota's pass
+    scaled = IOTA_MATRIX.scaled(V, ONE)
+    assert scaled.diagonal_normal_form() == IOTA_MATRIX.diagonal_normal_form()
+    assert scaled.sign_normal_form()[0] != IOTA_MATRIX.sign_normal_form()[0]
+    records = {r["provenance"]: r for r in classification_run("hi", ("A2",)).candidates}
+    assert records["iota[1,1]"]["status"] == "survivor"
+    assert records["iota[v,1]"]["status"] == "rejected_precanonical"
+    assert records["iota[v,1]"]["witness"] == {
+        "reason": "diagonal not 1", "theta": [0, 1], "element": [0, 1, 0], "diagonal": {"-2": 1}
+    }
