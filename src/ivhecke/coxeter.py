@@ -510,23 +510,6 @@ class CoxeterSystem:
             return a[:-1]  # so is a prefix
         return self._shortlex(a[:j] + a[j + 1 :])
 
-    def is_descent(self, s: int, word: Iterable[int], side: str = "left") -> bool:
-        """True iff multiplying by s on the given side shortens the element."""
-        w = self.reduce(word)
-        if side == "left":
-            return len(self.left_mult(s, w)) < len(w)
-        if side == "right":
-            return len(self.right_mult(w, s)) < len(w)
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-    def left_descents(self, word: Iterable[int]) -> list[int]:
-        w = self.reduce(word)
-        return [s for s in range(self.rank) if self.is_descent(s, w, "left")]
-
-    def right_descents(self, word: Iterable[int]) -> list[int]:
-        w = self.reduce(word)
-        return [s for s in range(self.rank) if self.is_descent(s, w, "right")]
-
     # ------------------------------------------------------------------
     # Bruhat order
 
@@ -558,10 +541,9 @@ class CoxeterSystem:
     # ------------------------------------------------------------------
     # enumeration
 
-    def _breadth_first(self, max_length: Optional[int]) -> tuple[list[Word], list[list[int]]]:
-        """Elements of length <= max_length (all if None), sorted by (length,
-        ShortLex word), and right[i][s] = index of elements[i] * s for every
-        element shorter than max_length.
+    def _breadth_first(self) -> tuple[list[Word], list[list[int]]]:
+        """All elements, sorted by (length, ShortLex word), and right[i][s] =
+        index of elements[i] * s.
 
         An element w is keyed by the signed root ids of w^-1(alpha_t) for all
         t (~p stands for minus root p), and w*s maps each to its image under
@@ -576,7 +558,7 @@ class CoxeterSystem:
         element_keys = [key]
         right: list[list[int]] = []
         start = 0
-        while start < len(elements) and (max_length is None or len(elements[start]) < max_length):
+        while start < len(elements):
             stop = len(elements)
             for i in range(start, stop):
                 w, key = elements[i], element_keys[i]
@@ -590,9 +572,8 @@ class CoxeterSystem:
                     if j is None:
                         j = len(elements)
                         if j >= cap:
-                            bound = "" if max_length is None else f" of length <= {max_length}"
                             raise InfiniteOrTooLarge(
-                                f"more than {cap} elements{bound}; raise max_elements if intended"
+                                f"more than {cap} elements; raise max_elements if intended"
                             )
                         keys[image] = j
                         elements.append(w + (s,))
@@ -606,7 +587,7 @@ class CoxeterSystem:
         if self._elements is not None:
             return
         self.positive_root_count()  # refuses infinite systems before enumerating
-        elements, right = self._breadth_first(None)
+        elements, right = self._breadth_first()
         inv = []
         for w in elements:
             i = 0
@@ -631,13 +612,6 @@ class CoxeterSystem:
 
     def order(self) -> int:
         return len(self.elements())
-
-    def enumerate(self, max_length: Optional[int] = None) -> list[Word]:
-        """Elements of length <= max_length (all of them if None)."""
-        if max_length is None:
-            return self.elements()
-        # breadth-first without requiring the group to be finite
-        return self._breadth_first(max_length)[0]
 
     def longest_element(self) -> Word:
         """The longest element w0.  Raises InfiniteOrTooLarge on infinite systems."""

@@ -1,21 +1,20 @@
 """Hecke algebras over A = Z[v, v^-1] and the canonical-basis solver.
 
-Two flavours of the same algebra appear: ``HeckeAlgebra(W)`` has standard
-basis {H_w} and quadratic parameter v, so
+``HeckeAlgebra(W)`` is the Hecke algebra of W with standard basis {H_w}
+and quadratic parameter v, so
 
     H_s H_w = H_{sw}                       if l(sw) > l(w),
     H_s H_w = H_{sw} + (v - v^-1) H_w      if l(sw) < l(w);
 
-``HeckeAlgebra(W, squared=True)`` is the same algebra with parameter v^2
-(basis written K_w in the docs below), i.e. (v^2 - v^-2) in the rule.  The
-ring map phi: v^n H_w |-> v^{2n} K_w intertwines the two.
-
-The bar involution is the antilinear map fixing each H_s^{-1}-story:
-bar(H_w) = (H_{s1} + c) ... (H_{sk} + c) for any reduced word s1...sk of w,
-with c = v^-1 - v.  It is computed incrementally and cached.  This
-word-level algebra (elements, bar, phi, theta) is the independent
-reference for the module code: ``kl_table`` itself is the canonical table
-of the group block with its two-row structure (``ivmodules``).
+``HeckeAlgebra(W, squared=True)`` is the same algebra with parameter v^2,
+i.e. (v^2 - v^-2) in the rule.  Its ``kl_table`` is the canonical table
+of the group block with the matching two-row structure (``ivmodules``):
+the ``h`` table of the commands.  Its word-level arithmetic is two maps on
+{word: coefficient} dicts: ``mult_gen`` (left multiplication by H_s) and
+``bar_basis_terms``, the expansion of bar(H_w) = H_{s1}^-1 ... H_{sk}^-1
+for a reduced word s1...sk of w, computed incrementally and cached.  Tests
+compare the modules' derived bar rows with it; the elements built on these
+two maps (products, bar, phi, Theta) live in ``tests/hecke_oracle.py``.
 
 ``solve_canonical`` is the generic engine used by every basis in the
 package: given a finite poset interval structure and a bar involution that
@@ -52,7 +51,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -66,7 +65,6 @@ from .laurent import (
     NotAntisymmetric,
     NotDivisible,
     accumulate,
-    monomial,
     split_antisymmetric,
     split_bar_invariant,
     vec_axpy,
@@ -88,184 +86,45 @@ class NotPreCanonical(ValueError):
         self.witness = witness or {}
 
 
-# ----------------------------------------------------------------------
-# elements
-
-@dataclass
-class HeckeElt:
-    """A finitely supported A-linear combination of standard basis elements."""
-
-    algebra: "HeckeAlgebra"
-    terms: Terms = field(default_factory=dict)
-
-    def _check_same(self, other: "HeckeElt") -> None:
-        if self.algebra is not other.algebra:
-            raise ValueError("cannot mix elements of different algebras/parameters")
-
-    def coeff(self, w: Iterable[int]) -> LaurentPoly:
-        return self.terms.get(self.algebra.system.reduce(w), ZERO)
-
-    def __add__(self, other: "HeckeElt") -> "HeckeElt":
-        self._check_same(other)
-        out = dict(self.terms)
-        vec_axpy(out, ONE, other.terms)
-        return HeckeElt(self.algebra, out)
-
-    def __sub__(self, other: "HeckeElt") -> "HeckeElt":
-        return self + (-other)
-
-    def __neg__(self) -> "HeckeElt":
-        return HeckeElt(self.algebra, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, c: LaurentPoly | int) -> "HeckeElt":
-        if isinstance(c, int):
-            c = LaurentPoly.from_int(c)
-        if not c:
-            return HeckeElt(self.algebra, {})
-        return HeckeElt(self.algebra, {w: c * p for w, p in self.terms.items()})
-
-    def __mul__(self, other: "HeckeElt") -> "HeckeElt":
-        """Algebra product."""
-        self._check_same(other)
-        alg = self.algebra
-        out = HeckeElt(alg, {})
-        for w, c in self.terms.items():
-            piece = other
-            for s in reversed(w):
-                piece = alg.mult_gen(s, piece)
-            out = out + piece.scale(c)
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HeckeElt):
-            return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "HeckeElt(0)"
-        bits = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            word = "".join(map(str, w)) if w else "e"
-            bits.append(f"({self.terms[w]})*H[{word}]")
-        return "HeckeElt(" + " + ".join(bits) + ")"
-
-
-# ----------------------------------------------------------------------
-
 class HeckeAlgebra:
-    """The Hecke algebra of a Coxeter system, parameter v or v^2."""
+    """The Hecke algebra of a Coxeter system, parameter v or v^2.
+
+    An element is a dict {word in normal form: coefficient}.
+    """
 
     def __init__(self, system: CoxeterSystem, squared: bool = False) -> None:
         self.system = system
         self.squared = squared
-        self.shift = 2 if squared else 1
         self.u = U2 if squared else U            # v^k - v^-k
-        self.c_bar = -self.u                      # bar(H_s) = H_s + c_bar
-        self.vk_inv = monomial(-self.shift)       # v^-k
         self._bar_cache: dict[Word, Terms] = {(): {(): ONE}}
-        self._partner: Optional["HeckeAlgebra"] = None
 
     def __repr__(self) -> str:
         return f"HeckeAlgebra({self.system!r}, squared={self.squared})"
 
-    def squared_partner(self) -> "HeckeAlgebra":
-        """The same system with parameter v^2 (image of phi)."""
-        if self.squared:
-            raise ValueError("already the squared-parameter algebra")
-        if self._partner is None:
-            self._partner = HeckeAlgebra(self.system, squared=True)
-        return self._partner
-
-    # ------------------------------------------------------------------
-
-    def zero(self) -> HeckeElt:
-        return HeckeElt(self, {})
-
-    def unit(self) -> HeckeElt:
-        return HeckeElt(self, {(): ONE})
-
-    def basis(self, w: Iterable[int]) -> HeckeElt:
-        return HeckeElt(self, {self.system.reduce(w): ONE})
-
-    def from_terms(self, terms: dict) -> HeckeElt:
-        out: Terms = {}
-        for w, c in terms.items():
-            if isinstance(c, int):
-                c = LaurentPoly.from_int(c)
-            if c:
-                out[self.system.reduce(w)] = c
-        return HeckeElt(self, out)
-
-    def mult_gen(self, s: int, h: HeckeElt) -> HeckeElt:
-        """Left multiplication H_s * h."""
-        if h.algebra is not self:
-            raise ValueError("element belongs to a different algebra")
+    def mult_gen(self, s: int, terms: Terms) -> Terms:
+        """Left multiplication H_s * h, h given by its terms."""
         W = self.system
         u = self.u
         out: Terms = {}
-        for w, c in h.terms.items():
+        for w, c in terms.items():
             sw = W.left_mult(s, w)
             accumulate(out, sw, ONE, c)
             if len(sw) < len(w):
                 accumulate(out, w, u, c)
-        return HeckeElt(self, out)
-
-    # ------------------------------------------------------------------
-    # bar involution
+        return out
 
     def bar_basis_terms(self, w: Iterable[int]) -> Terms:
-        """Expansion of bar(H_w) in the standard basis (cached)."""
+        """Expansion of bar(H_w) in the standard basis (cached; do not mutate)."""
         w = self.system.reduce(w)
         cached = self._bar_cache.get(w)
         if cached is not None:
             return cached
-        s = w[0]
         rest = self.bar_basis_terms(w[1:])
-        # bar(H_w) = (H_s + c_bar) * bar(H_{w'})
-        out = self.mult_gen(s, HeckeElt(self, dict(rest))).terms
-        vec_axpy(out, self.c_bar, rest)
+        # bar(H_w) = (H_s + v^-k - v^k) * bar(H_{w'}) for w = s w'
+        out = self.mult_gen(w[0], rest)
+        vec_axpy(out, -self.u, rest)
         self._bar_cache[w] = out
         return out
-
-    def bar(self, h: HeckeElt) -> HeckeElt:
-        """The bar involution: antilinear, bar(H_w) = (H_{w^-1})^{-1}."""
-        if h.algebra is not self:
-            raise ValueError("element belongs to a different algebra")
-        out = self.zero()
-        for w, c in h.terms.items():
-            out = out + HeckeElt(self, dict(self.bar_basis_terms(w))).scale(c.bar())
-        return out
-
-    # ------------------------------------------------------------------
-    # the two algebra maps
-
-    def phi(self, h: HeckeElt) -> HeckeElt:
-        """The parameter-doubling map v^n H_w |-> v^{2n} K_w."""
-        if self.squared:
-            raise ValueError("phi goes from the v-algebra to the v^2-algebra")
-        if h.algebra is not self:
-            raise ValueError("element belongs to a different algebra")
-        target = self.squared_partner()
-        return HeckeElt(target, {w: c.square_v() for w, c in h.terms.items()})
-
-    def theta_auto(self, h: HeckeElt) -> HeckeElt:
-        """The A-linear algebra involution with H_s |-> -H_s + (v^k - v^-k)."""
-        if h.algebra is not self:
-            raise ValueError("element belongs to a different algebra")
-        out = self.zero()
-        for w, c in h.terms.items():
-            piece = self.unit()
-            for s in reversed(w):
-                piece = (-self.mult_gen(s, piece)) + piece.scale(self.u)
-            out = out + piece.scale(c)
-        return out
-
-    # ------------------------------------------------------------------
-    # canonical basis of the algebra itself
 
     def kl_table(self) -> "CanonicalTable":
         """The canonical (Kazhdan-Lusztig) basis table of the regular module.
@@ -278,13 +137,6 @@ class HeckeAlgebra:
 
         gamma = REGULAR_STRUCTURES[self.squared]
         return TwistedModule(GroupBlock(self.system), "h", gamma).canonical_table()
-
-    def underline(self, w: Iterable[int], table: Optional["CanonicalTable"] = None) -> HeckeElt:
-        """The canonical basis element attached to w."""
-        if table is None:
-            table = self.kl_table()
-        j = table.elements.index(self.system.reduce(w))
-        return HeckeElt(self, {table.elements[i]: c for i, c in table.column(j).items()})
 
 
 # ----------------------------------------------------------------------
@@ -471,11 +323,6 @@ class CanonicalTable:
 
     def entry(self, i: int, j: int) -> LaurentPoly:
         return self.entries.get((i, j), ZERO)
-
-    def entry_by_words(self, x: Iterable[int], w: Iterable[int]) -> LaurentPoly:
-        ix = self.elements.index(self.system.reduce(x))
-        iw = self.elements.index(self.system.reduce(w))
-        return self.entry(ix, iw)
 
     @cached_property
     def _columns(self) -> dict[int, dict[int, LaurentPoly]]:

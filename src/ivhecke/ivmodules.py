@@ -587,9 +587,7 @@ class TwistedModule:
         return self.canonical_table().column(j)
 
 
-def canonical_table(
-    system: CoxeterSystem, theta: Sequence[int], label: str, block: Optional[TwistedBlock] = None
-) -> CanonicalTable:
+def canonical_table(system: CoxeterSystem, theta: Sequence[int], label: str) -> CanonicalTable:
     """Convenience: the canonical table for one structure on one block.
 
     label "h" gives the regular module's table (theta must be a valid
@@ -597,9 +595,7 @@ def canonical_table(
     """
     if label == "h":
         return HeckeAlgebra(system).kl_table()
-    if block is None:
-        block = TwistedBlock(system, theta)
-    return TwistedModule(block, label).canonical_table()
+    return TwistedModule(TwistedBlock(system, theta), label).canonical_table()
 
 
 # ----------------------------------------------------------------------
@@ -954,9 +950,7 @@ def inversion_check(label: str, system: CoxeterSystem) -> list[dict]:
     w0 = system.longest_element()
     thetas = involutive_automorphisms(system)
     blocks = {theta: TwistedBlock(system, theta) for theta in thetas}
-    tables = {
-        theta: canonical_table(system, theta, label, block=blocks[theta]) for theta in thetas
-    }
+    tables = {theta: TwistedModule(blocks[theta], label).canonical_table() for theta in thetas}
     failures: list[dict] = []
     for theta in thetas:
         blk = blocks[theta]
@@ -992,62 +986,4 @@ def inversion_check(label: str, system: CoxeterSystem) -> list[dict]:
                             "value": total.to_json(),
                         }
                     )
-    return failures
-
-
-# ----------------------------------------------------------------------
-# the product-swap embedding
-
-def product_with_swap(factor: CoxeterSystem) -> tuple[CoxeterSystem, Perm]:
-    """The system W x W with the factor-swapping twist."""
-    n = factor.rank
-    size = 2 * n
-    mat = [[2] * size for _ in range(size)]
-    for i in range(size):
-        mat[i][i] = 1
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                mat[a][b] = factor.matrix[a][b]
-                mat[n + a][n + b] = factor.matrix[a][b]
-    name = f"{factor.name}x{factor.name}" if factor.name else None
-    system = CoxeterSystem(mat, name=name)
-    swap = tuple(list(range(n, size)) + list(range(n)))
-    return system, swap
-
-
-def embedding_check(factor: CoxeterSystem) -> list[dict]:
-    """Check iota on the swap block of W x W against the h-table of W.
-
-    The block is exactly {(y, y^{-1})}; under that identification the
-    iota-coefficients must equal the factor's h-coefficients.
-    """
-    system, swap = product_with_swap(factor)
-    block = TwistedBlock(system, swap)
-    n = factor.rank
-
-    def embed(y: Word) -> Word:
-        return system.reduce(y + tuple(c + n for c in factor.inverse(y)))
-
-    failures: list[dict] = []
-    expected = {embed(y): y for y in factor.elements()}
-    if set(expected) != set(block.elements):
-        return [{"error": "block is not the graph of inversion"}]
-    h = HeckeAlgebra(factor).kl_table()
-    h_index = {w: i for i, w in enumerate(h.elements)}
-    t = TwistedModule(block, "iota").canonical_table()
-    for j, w in enumerate(block.elements):
-        for i in block.lower_indices(j):
-            x = block.elements[i]
-            val = t.entry(i, j)
-            hval = h.entry(h_index[expected[x]], h_index[expected[w]])
-            if val != hval:
-                failures.append(
-                    {
-                        "x": list(expected[x]),
-                        "w": list(expected[w]),
-                        "iota": val.to_json(),
-                        "h": hval.to_json(),
-                    }
-                )
     return failures

@@ -133,9 +133,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no valuation")
         return self.val
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -158,7 +155,11 @@ class LaurentPoly:
         return self.val == other.val and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.val, self.coeffs))
+        # a constant hashes as the int it equals (zero as 0), as == requires
+        cs = self.coeffs
+        if self.val or len(cs) > 1:
+            return hash((self.val, cs))
+        return hash(cs[0]) if cs else 0
 
     def __neg__(self) -> "LaurentPoly":
         return _make(self.val, tuple([-c for c in self.coeffs]))
@@ -358,10 +359,6 @@ class LaurentPoly:
         """JSON object form: exponent (as string) -> coefficient."""
         return {str(e): c for e, c in self.terms()}
 
-    @classmethod
-    def from_json(cls, data: Mapping[str, int]) -> "LaurentPoly":
-        return cls.from_terms({int(e): int(c) for e, c in data.items()})
-
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_text()!r})"
 
@@ -549,11 +546,6 @@ def only_nonpositive_exponents(p: LaurentPoly) -> bool:
     return not p.coeffs or p.degree <= 0
 
 
-def only_negative_exponents(p: LaurentPoly) -> bool:
-    """p in v^-1 Z[v^-1]."""
-    return not p.coeffs or p.degree <= -1
-
-
 def one_plus_even_positive(p: LaurentPoly) -> bool:
     """p in 1 + v^2 Z[v^2]: constant term 1, all other exponents even and >= 2."""
     if p.coeff(0) != 1:
@@ -566,15 +558,6 @@ def one_plus_positive(p: LaurentPoly) -> bool:
     if p.coeff(0) != 1:
         return False
     return all(e >= 0 for e, _ in p.terms())
-
-
-def bar_invariant(p: LaurentPoly) -> bool:
-    """p == bar(p), i.e. p in Z[v + v^-1]."""
-    return p.bar() == p
-
-
-def nonnegative_coeffs(p: LaurentPoly) -> bool:
-    return all(c >= 0 for _, c in p.terms())
 
 
 def mod2_equal(p: LaurentPoly, q: LaurentPoly) -> bool:

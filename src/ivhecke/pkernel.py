@@ -159,29 +159,6 @@ class IncidenceFunction:
     def value(self, i: int, j: int) -> LaurentPoly:
         return self.values.get((i, j), ZERO)
 
-    def convolve(self, other: "IncidenceFunction") -> "IncidenceFunction":
-        """(fg)(x, y) = sum over x <= t <= y of f(x, t) g(t, y)."""
-        if self.poset is not other.poset and self.poset != other.poset:
-            raise ValueError("convolution requires a common poset")
-        out: dict[tuple[int, int], LaurentPoly] = {}
-        for i, j in self.poset.pairs():
-            acc = ZERO
-            ideal = self.poset.lower_indices(j)
-            for t in ideal[bisect_left(ideal, i):]:
-                if self.poset.leq(i, t):
-                    acc = acc.addmul(self.value(i, t), other.value(t, j))
-            if acc:
-                out[(i, j)] = acc
-        return IncidenceFunction(self.poset, out)
-
-    def __mul__(self, other: "IncidenceFunction") -> "IncidenceFunction":
-        return self.convolve(other)
-
-
-def delta(poset: Poset) -> IncidenceFunction:
-    """The convolution unit: 1 on the diagonal."""
-    return IncidenceFunction(poset, {(i, i): ONE for i in range(len(poset))})
-
 
 # ----------------------------------------------------------------------
 # the kernel <-> bar bijection
@@ -273,11 +250,6 @@ def kernel_from_bar(bar: BarMatrix) -> IncidenceFunction:
 
 def _label_json(x):
     return list(x) if isinstance(x, tuple) else x
-
-
-def is_p_kernel(K: IncidenceFunction, r: Sequence[int]) -> bool:
-    """Whether psi_K is an involution."""
-    return bar_from_kernel(K, r).is_involution()
 
 
 def kls_function(K: IncidenceFunction, r: Sequence[int]) -> IncidenceFunction:

@@ -40,7 +40,6 @@ from .coxeter import CoxeterSystem, InfiniteOrTooLarge, Word, parse_system
 MAX_INTERVAL_PAIRS = 4_000_000
 
 Perm = tuple[int, ...]
-GroupElt = tuple[Word, Perm]  # element (x, alpha) of the extended group
 
 
 class NotAnInvolution(ValueError):
@@ -48,7 +47,7 @@ class NotAnInvolution(ValueError):
 
 
 # ----------------------------------------------------------------------
-# the extended group W x| Aut(W, S)
+# diagram automorphisms
 
 def check_automorphism(system: CoxeterSystem, perm: Sequence[int]) -> Perm:
     p = tuple(perm)
@@ -64,35 +63,6 @@ def check_automorphism(system: CoxeterSystem, perm: Sequence[int]) -> Perm:
 def compose_perms(alpha: Perm, beta: Perm) -> Perm:
     """alpha o beta (apply beta first)."""
     return tuple(alpha[b] for b in beta)
-
-
-def invert_perm(alpha: Perm) -> Perm:
-    out = [0] * len(alpha)
-    for i, a in enumerate(alpha):
-        out[a] = i
-    return tuple(out)
-
-
-def mult_plus(system: CoxeterSystem, a: GroupElt, b: GroupElt) -> GroupElt:
-    """(x, alpha)(y, beta) = (x * alpha(y), alpha o beta)."""
-    (x, alpha), (y, beta) = a, b
-    word = system.multiply(x, system.apply_automorphism(alpha, y))
-    return (word, compose_perms(alpha, beta))
-
-
-def inverse_plus(system: CoxeterSystem, a: GroupElt) -> GroupElt:
-    (x, alpha) = a
-    ai = invert_perm(alpha)
-    return (system.apply_automorphism(ai, system.inverse(x)), ai)
-
-
-def is_twisted_involution(system: CoxeterSystem, theta: Sequence[int], word: Iterable[int]) -> bool:
-    """True iff theta^2 = id and theta(x) = x^{-1}."""
-    t = check_automorphism(system, theta)
-    if compose_perms(t, t) != system.identity_perm():
-        return False
-    x = system.reduce(word)
-    return system.apply_automorphism(t, x) == system.inverse(x)
 
 
 def involutive_automorphisms(system: CoxeterSystem) -> list[Perm]:
@@ -116,7 +86,7 @@ def parse_theta(system: CoxeterSystem, text: str) -> Perm:
 
 
 # ----------------------------------------------------------------------
-# the |*| action and the rank function
+# the |*| action
 
 def kappa(system: CoxeterSystem, theta: Sequence[int], s: int, word: Iterable[int]) -> Word:
     """x-component of s |*| (x, theta)."""
@@ -129,19 +99,6 @@ def _star(system: CoxeterSystem, theta: Sequence[int], s: int, x: Word) -> tuple
     if sx == system.right_mult(x, theta[s]):
         return sx, True
     return system.right_mult(sx, theta[s]), False
-
-
-def rho_recursive(system: CoxeterSystem, theta: Sequence[int], word: Iterable[int]) -> int:
-    """Rank of a twisted involution, computed by descending one step at a time.
-
-    Independent of any enumeration: uses only that the first letter of the
-    normal form is a length-lowering generator.
-    """
-    x = system.reduce(word)
-    if not x:
-        return 0
-    s = x[0]
-    return 1 + rho_recursive(system, theta, kappa(system, theta, s, x))
 
 
 # ----------------------------------------------------------------------
@@ -309,11 +266,6 @@ class GroupBlock(Block):
 
     def __repr__(self) -> str:
         return f"GroupBlock({self.system!r}, size={len(self)})"
-
-
-def twisted_involutions(system: CoxeterSystem, theta: Sequence[int]) -> list[Word]:
-    """The twisted involutions for theta, sorted by (length, ShortLex)."""
-    return TwistedBlock(system, theta).elements
 
 
 if __name__ == "__main__":  # pragma: no cover

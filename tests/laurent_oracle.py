@@ -4,6 +4,9 @@ Each function is the body ``LaurentPoly`` used before its trusted
 constructor, monomial fast path and ``addmul`` existed: every result goes
 through the public constructor, which trims it again.  Tests compare the
 kernel with these on random polynomials.
+
+The JSON reader and three membership predicates live here too: no command
+reads a polynomial back or asks these questions, but the tests do.
 """
 
 from ivhecke.laurent import ZERO, LaurentPoly, NotAntisymmetric
@@ -68,3 +71,24 @@ def split_antisymmetric(d):
     if bar(d) != neg(d):
         raise NotAntisymmetric(f"bar(d) != -d for d = {d}")
     return LaurentPoly.from_terms({e: c for e, c in d.terms() if e < 0})
+
+
+def from_json(data):
+    """The inverse of ``LaurentPoly.to_json``."""
+    return LaurentPoly.from_terms({int(e): int(c) for e, c in data.items()})
+
+
+# membership predicates the tests phrase degree bounds and positivity in
+
+def only_negative_exponents(p):
+    """p in v^-1 Z[v^-1]."""
+    return not p.coeffs or p.degree <= -1
+
+
+def bar_invariant(p):
+    """p == bar(p), i.e. p in Z[v + v^-1]."""
+    return p.bar() == p
+
+
+def nonnegative_coeffs(p):
+    return all(c >= 0 for _, c in p.terms())

@@ -7,11 +7,20 @@ the roundtrip identity, confirmed psi^2 = id by the full pass
 (``kls_function``).
 ``pkernel_outcome`` is that computation; ``render`` writes its report as
 the command does.
+
+The incidence algebra's product lives here too: ``convolve`` checks the
+KLS function's defining equation K * gamma = q^r bar(gamma) directly,
+``delta`` is its unit, and ``is_p_kernel`` asks whether psi_K is an
+involution by the full pass.
 """
+
+from bisect import bisect_left
 
 from ivhecke import cli
 from ivhecke.coxeter import parse_system
+from ivhecke.laurent import ONE, ZERO
 from ivhecke.pkernel import (
+    IncidenceFunction,
     NotParityCompatible,
     bar_from_kernel,
     hecke_bar_matrix,
@@ -68,3 +77,30 @@ def render(code, report, fmt, path):
         return cli._fail(report, fmt, path)
     cli._emit_report(report, fmt, path)
     return code
+
+
+def convolve(f, g):
+    """(fg)(x, y) = sum over x <= t <= y of f(x, t) g(t, y)."""
+    if f.poset is not g.poset and f.poset != g.poset:
+        raise ValueError("convolution requires a common poset")
+    poset = f.poset
+    out = {}
+    for i, j in poset.pairs():
+        acc = ZERO
+        ideal = poset.lower_indices(j)
+        for t in ideal[bisect_left(ideal, i):]:
+            if poset.leq(i, t):
+                acc = acc.addmul(f.value(i, t), g.value(t, j))
+        if acc:
+            out[(i, j)] = acc
+    return IncidenceFunction(poset, out)
+
+
+def delta(poset):
+    """The convolution unit: 1 on the diagonal."""
+    return IncidenceFunction(poset, {(i, i): ONE for i in range(len(poset))})
+
+
+def is_p_kernel(K, r):
+    """Whether psi_K is an involution."""
+    return bar_from_kernel(K, r).is_involution()

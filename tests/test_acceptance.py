@@ -32,28 +32,25 @@ from ivhecke.coxeter import CoxeterSystem, parse_system
 from ivhecke.hecke import CanonicalTable, HeckeAlgebra, solve_canonical
 from ivhecke.ivmodules import (
     TwistedModule,
-    embedding_check,
     invariant_suite,
     inversion_check,
     recurrence_check,
 )
-from ivhecke.laurent import (
-    ONE,
-    VI,
-    monomial,
-    one_plus_even_positive,
-    only_negative_exponents,
-)
+from ivhecke.laurent import ONE, VI, monomial, one_plus_even_positive
 from ivhecke.pkernel import (
     NotParityCompatible,
     bar_from_kernel,
     hecke_bar_matrix,
-    is_p_kernel,
     kernel_from_bar,
     kls_function,
     module_bar_matrix,
 )
 from ivhecke.twisted import TwistedBlock, involutive_automorphisms
+
+from embedding_oracle import embedding_check
+from hecke_oracle import ElementAlgebra
+from laurent_oracle import only_negative_exponents
+from pkernel_oracle import is_p_kernel
 
 CLASS_BATTERY = DEFAULT_SYSTEMS
 DEGREE_BATTERY = ("A3", "B3", "H3", "D4") + tuple(f"I2({m})" for m in range(2, 9))
@@ -105,7 +102,7 @@ def test_criterion_01_generator_columns_and_bar_oracle():
     # off-diagonal exponents and unit diagonal, which pins it uniquely.
     for name in CLASS_BATTERY:
         W = system(name)
-        H = HeckeAlgebra(W)
+        H = ElementAlgebra(W)
         for s in range(W.rank):
             cand = H.basis((s,)) + H.unit().scale(VI)
             assert H.bar(cand) == cand, (name, s)
@@ -117,7 +114,7 @@ def test_criterion_01_generator_columns_and_bar_oracle():
     # (b) the full A2 table against the from-first-principles oracle
     t0 = time.perf_counter()
     W = system("A2")
-    H = HeckeAlgebra(W)
+    H = ElementAlgebra(W)
     t = h_table("A2")
     for j, w in enumerate(t.elements):
         col = t.column(j)

@@ -2,7 +2,8 @@
 
 The canonical-table oracle is brute-force bar-invariance: for each computed
 column b_w = sum h_{x,w} H_x we recompute bar(b_w) directly from the
-incremental bar expansion and demand bar(b_w) = b_w, unitriangularity, and
+incremental bar expansion (the word-level algebra of
+``tests/hecke_oracle.py``) and demand bar(b_w) = b_w, unitriangularity, and
 off-diagonal coefficients in v^-1 Z[v^-1].  Those three properties pin the
 table uniquely, so frozen expected values (A1, A2) are genuinely checked
 against an independent computation.
@@ -29,19 +30,20 @@ from ivhecke.laurent import (
     LaurentPoly,
     monomial,
     one_plus_even_positive,
-    only_negative_exponents,
-    nonnegative_coeffs,
 )
+
+from hecke_oracle import ElementAlgebra, entry_by_words
+from laurent_oracle import nonnegative_coeffs, only_negative_exponents
 
 
 @pytest.fixture(scope="module")
 def HA2():
-    return HeckeAlgebra(parse_system("A2"))
+    return ElementAlgebra(parse_system("A2"))
 
 
 @pytest.fixture(scope="module")
 def HA3():
-    return HeckeAlgebra(parse_system("A3"))
+    return ElementAlgebra(parse_system("A3"))
 
 
 def is_bar_invariant_elt(alg, h):
@@ -59,7 +61,7 @@ class TestAlgebraRelations:
         assert (sq + Hs.scale(VI - V) - HA2.unit()).is_zero()
 
     def test_quadratic_squared_parameter(self):
-        K = HeckeAlgebra(parse_system("A2"), squared=True)
+        K = ElementAlgebra(parse_system("A2"), squared=True)
         Ks = K.basis((0,))
         assert Ks * Ks == K.unit() + Ks.scale(U2)
 
@@ -69,7 +71,7 @@ class TestAlgebraRelations:
         assert a == b == HA2.basis((0, 1, 0))
 
     def test_braid_b2(self):
-        H = HeckeAlgebra(parse_system("B2"))
+        H = ElementAlgebra(parse_system("B2"))
         s, t = H.basis((0,)), H.basis((1,))
         assert s * t * s * t == t * s * t * s == H.basis((0, 1, 0, 1))
 
@@ -86,7 +88,7 @@ class TestAlgebraRelations:
         assert h * HA2.unit() == h
 
     def test_mixed_mode_rejected(self, HA2):
-        other = HeckeAlgebra(parse_system("A2"))
+        other = ElementAlgebra(parse_system("A2"))
         with pytest.raises(ValueError):
             HA2.unit() + other.unit()
         k = HA2.squared_partner()
@@ -178,26 +180,26 @@ def bar_invariance_oracle(alg, table):
 
 class TestCanonicalBasis:
     def test_a1_values(self):
-        alg = HeckeAlgebra(parse_system("A1"))
+        alg = ElementAlgebra(parse_system("A1"))
         table = alg.kl_table()
         bar_invariance_oracle(alg, table)
-        assert table.entry_by_words((), (0,)) == VI
-        assert table.entry_by_words((), ()) == ONE
+        assert entry_by_words(table, (), (0,)) == VI
+        assert entry_by_words(table, (), ()) == ONE
         assert len(table.entries) == 3
 
     def test_a2_frozen_values(self, HA2):
         table = HA2.kl_table()
         bar_invariance_oracle(HA2, table)
         sts = (0, 1, 0)
-        assert table.entry_by_words((), sts) == monomial(-3)
-        assert table.entry_by_words((0,), sts) == monomial(-2)
-        assert table.entry_by_words((1,), sts) == monomial(-2)
-        assert table.entry_by_words((0, 1), sts) == VI
-        assert table.entry_by_words((1, 0), sts) == VI
+        assert entry_by_words(table, (), sts) == monomial(-3)
+        assert entry_by_words(table, (0,), sts) == monomial(-2)
+        assert entry_by_words(table, (1,), sts) == monomial(-2)
+        assert entry_by_words(table, (0, 1), sts) == VI
+        assert entry_by_words(table, (1, 0), sts) == VI
 
     def test_underline_generator_everywhere(self):
         for name in ("A2", "B2", "A3", "I2(5)"):
-            alg = HeckeAlgebra(parse_system(name))
+            alg = ElementAlgebra(parse_system(name))
             table = alg.kl_table()
             for s in range(alg.system.rank):
                 b = alg.underline((s,), table)
@@ -315,7 +317,7 @@ coeffs = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.lists(st.integers(0, 1), max_size=5), coeffs), max_size=3))
 def test_bar_involutive_on_random_elements(data):
-    alg = HeckeAlgebra(parse_system("A2"))
+    alg = ElementAlgebra(parse_system("A2"))
     h = alg.zero()
     for word, c in data:
         h = h + alg.basis(word).scale(c)

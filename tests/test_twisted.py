@@ -4,7 +4,7 @@ Oracle: brute force over the enumerated group -- the twisted involutions
 for theta are exactly {x in W : theta(x) = x^{-1}}, found by direct filter.
 The rank function is cross-checked by the independent one-step-descent
 recursion, and against the extended-group multiplication ((x, theta)^2
-must be the identity).
+must be the identity), both kept in tests/twisted_oracle.py.
 """
 
 import pytest
@@ -16,16 +16,12 @@ from ivhecke.twisted import (
     TwistedBlock,
     check_automorphism,
     compose_perms,
-    inverse_plus,
-    invert_perm,
     involutive_automorphisms,
-    is_twisted_involution,
     kappa,
-    mult_plus,
     parse_theta,
-    rho_recursive,
-    twisted_involutions,
 )
+
+from twisted_oracle import inverse_plus, invert_perm, is_twisted_involution, mult_plus, rho_recursive
 
 
 def brute_force_twisted(system, theta):
@@ -79,7 +75,7 @@ def test_squares_to_identity_in_extended_group(name, theta_text):
     W = parse_system(name)
     theta = parse_theta(W, theta_text)
     ident = ((), W.identity_perm())
-    for x in twisted_involutions(W, theta):
+    for x in TwistedBlock(W, theta).elements:
         w = (x, theta)
         assert mult_plus(W, w, w) == ident
         assert inverse_plus(W, w) == w
@@ -88,14 +84,14 @@ def test_squares_to_identity_in_extended_group(name, theta_text):
 def test_counts():
     # ordinary involutions of S4 (theta = id): 1 identity + 6 transpositions
     # + 3 double transpositions
-    assert len(twisted_involutions(parse_system("A3"), (0, 1, 2))) == 10
+    assert len(TwistedBlock(parse_system("A3"), (0, 1, 2))) == 10
     # B2: identity, 4 reflections, the rotation by pi
-    assert len(twisted_involutions(parse_system("B2"), (0, 1))) == 6
-    assert len(twisted_involutions(parse_system("A2"), (0, 1))) == 4
-    assert len(twisted_involutions(parse_system("A2"), (1, 0))) == 4
-    assert len(twisted_involutions(parse_system("H3"), (0, 1, 2))) == 32
-    assert len(twisted_involutions(parse_system("F4"), (0, 1, 2, 3))) == 140
-    assert len(twisted_involutions(parse_system("F4"), (3, 2, 1, 0))) == 72
+    assert len(TwistedBlock(parse_system("B2"), (0, 1))) == 6
+    assert len(TwistedBlock(parse_system("A2"), (0, 1))) == 4
+    assert len(TwistedBlock(parse_system("A2"), (1, 0))) == 4
+    assert len(TwistedBlock(parse_system("H3"), (0, 1, 2))) == 32
+    assert len(TwistedBlock(parse_system("F4"), (0, 1, 2, 3))) == 140
+    assert len(TwistedBlock(parse_system("F4"), (3, 2, 1, 0))) == 72
 
 
 @pytest.mark.parametrize("name,cap", [("B3", 10), ("E6", 500)])

@@ -83,4 +83,3 @@ def test_longest_element_beyond_word_cap():
     W = CoxeterSystem(coxeter_matrix_from_name("F4"), max_word_length=20)
     with pytest.raises(InfiniteOrTooLarge, match="word cap 20"):
         W.elements()
-    assert len(W.enumerate(max_length=2)) == 1 + 4 + 9
