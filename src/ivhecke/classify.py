@@ -32,7 +32,17 @@ involutive twists:
    rescaling changes pre-canonicity, so it is a class of its own.
 3. *Isomorphism grouping*: which surviving structures produce canonical
    tables related by a legal transport (entrywise sign pattern
-   (-1)^{a l + b rho} together with an optional v |-> -v twist)?
+   (-1)^{a l + b rho} together with an optional v |-> -v twist)?  The
+   transports (a, b, negate_v) compose by XOR, so they form (Z/2)^3, and a
+   survivor's tables are its sign class's carried by the transport
+   (a, b, False) of its +-1 rescaling: a diagonal of signs has no v in it,
+   so it never twists v |-> -v.  The transports carrying class P's tables
+   onto class Q's are a coset u xor Stab(P).  The pipeline works out each
+   class's stabilizer and each reached class pair's coset once, comparing
+   tables entry by entry up to the first difference, and reads off each
+   survivor pair the first transport t, in ``TRANSPORTS`` order, with
+   t xor sigma_p xor sigma_q in that coset.  No survivor's own table is
+   built.
 
 Candidate grids:
 
@@ -58,8 +68,8 @@ itself), "hi" (parameter v, module on a twisted-involution block), "h2i"
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Sequence
 
 from .coxeter import CoxeterSystem, parse_system
 from .hecke import CanonicalTable, NotPreCanonical
@@ -328,34 +338,74 @@ def precanonical_test(gamma: StructureMatrix, block) -> TwistedModule:
 # ----------------------------------------------------------------------
 # transports and isomorphism grouping
 
-def transport_basis(
-    table: CanonicalTable, a: int, b: int, negate: bool
-) -> dict[tuple[int, int], LaurentPoly]:
-    """Entries of the transported table g_{x,y} = d_x d_y eps(f_{x,y}).
+#: A transport (a, b, negate_v).  Transports compose by XOR, so they form
+#: the group (Z/2)^3 (``_compose``).
+Transport = tuple[int, int, bool]
+
+TRANSPORTS: list[Transport] = [(a, b, neg) for a in (0, 1) for b in (0, 1) for neg in (False, True)]
+
+
+def _entry_rule(table: CanonicalTable, a: int, b: int, negate: bool):
+    """The map (i, j, f_ij) |-> d_i d_j eps(f_ij) of transport (a, b, negate) on table.
 
     d_w = (-1)^{a l(w) + b rho(w)}; eps is v |-> -v when ``negate``.
     """
-    out = {}
-    for (i, j), p in table.entries.items():
-        li, lj = len(table.elements[i]), len(table.elements[j])
-        ri, rj = table.ranks[i], table.ranks[j]
-        sign = (-1) ** (a * (li + lj) + b * (ri + rj))
-        q = p.negate_v() if negate else p
-        out[(i, j)] = q if sign == 1 else -q
-    return out
+    parity = [(a * len(x) + b * r) & 1 for x, r in zip(table.elements, table.ranks)]
+    eps: dict[LaurentPoly, LaurentPoly] = {}  # each distinct value once: tables repeat few values many times
+
+    def rule(i: int, j: int, p: LaurentPoly) -> LaurentPoly:
+        if negate:
+            q = eps.get(p)
+            if q is None:
+                q = eps[p] = p.negate_v()
+            p = q
+        return -p if parity[i] ^ parity[j] else p
+
+    return rule
 
 
-TRANSPORTS = [(a, b, neg) for a in (0, 1) for b in (0, 1) for neg in (False, True)]
+def transport_basis(
+    table: CanonicalTable, a: int, b: int, negate: bool
+) -> dict[tuple[int, int], LaurentPoly]:
+    """Entries of the transported table g_{x,y} = d_x d_y eps(f_{x,y}), in table's key order.
+
+    d_w = (-1)^{a l(w) + b rho(w)}; eps is v |-> -v when ``negate``.  The
+    signs multiply and eps is an involution that commutes with them, so
+    transporting by t1 and then by t2 is transporting by ``_compose(t1, t2)``.
+    """
+    rule = _entry_rule(table, a, b, negate)
+    return {(i, j): rule(i, j, p) for (i, j), p in table.entries.items()}
 
 
-def _tables_transport_related(
-    fs: list[CanonicalTable], gs: list[CanonicalTable]
-) -> Optional[tuple[int, int, bool]]:
-    """A single transport making every listed f-table equal the g-table."""
-    for a, b, neg in TRANSPORTS:
-        if all(transport_basis(f, a, b, neg) == g.entries for f, g in zip(fs, gs)):
-            return (a, b, neg)
-    return None
+def _compose(s: Transport, t: Transport) -> Transport:
+    return (s[0] ^ t[0], s[1] ^ t[1], s[2] != t[2])
+
+
+def _carries(f: CanonicalTable, g: CanonicalTable, t: Transport) -> bool:
+    """``transport_basis(f, *t) == g.entries``, decided at the first unequal entry."""
+    if t == TRANSPORTS[0]:
+        return f.entries == g.entries
+    if len(f.entries) != len(g.entries):
+        return False
+    rule, target = _entry_rule(f, *t), g.entries
+    return all(rule(i, j, p) == target.get((i, j)) for (i, j), p in f.entries.items())
+
+
+def _stabilizer(tables: Sequence[CanonicalTable]) -> frozenset[Transport]:
+    """The transports that fix every table: a subgroup of (Z/2)^3."""
+    return frozenset(t for t in TRANSPORTS if all(_carries(f, f, t) for f in tables))
+
+
+def _coset(
+    fs: Sequence[CanonicalTable], gs: Sequence[CanonicalTable], stabilizer: frozenset[Transport]
+) -> frozenset[Transport]:
+    """The transports carrying every f-table onto its g-table, given the f-tables' stabilizer.
+
+    If u is one, t is one exactly when t xor u fixes the f-tables, so they
+    are the coset u xor Stab; empty if there is no u.
+    """
+    u = next((t for t in TRANSPORTS if all(_carries(f, g, t) for f, g in zip(fs, gs))), None)
+    return frozenset() if u is None else frozenset(_compose(u, s) for s in stabilizer)
 
 
 # ----------------------------------------------------------------------
@@ -441,7 +491,7 @@ def _class_precanonical(memo: dict, rep: StructureMatrix, k: int, block):
     rep is a ``StructureMatrix.sign_normal_form``.  On the
     ``TwistedBlock``/``GroupBlock`` of ``battery`` its witness is that of
     every structure in its sign class, and its table gives theirs
-    (``_sign_rescaled_table``).
+    (``_sign_transport``).
     """
     key = (rep, k)
     if key not in memo:
@@ -452,38 +502,56 @@ def _class_precanonical(memo: dict, rep: StructureMatrix, k: int, block):
     return memo[key]
 
 
-def _sign_rescaled_table(table: CanonicalTable, block, alpha: LaurentPoly, beta: LaurentPoly) -> CanonicalTable:
-    """The canonical table of rep[alpha, beta], alpha, beta in {1, -1}, from rep's.
+def _sign_transport(group: bool, alpha: LaurentPoly, beta: LaurentPoly) -> Transport:
+    """The transport carrying rep's canonical table to rep[alpha, beta]'s, alpha, beta in {1, -1}.
 
     Its entries are d_i d_j f_ij (``StructureMatrix.sign_normal_form``)
     with d_x = alpha^{rho(x) - l(x)} beta^{l(x) - 2 rho(x)} on a twisted
     block and alpha^{-l(x)} on the group block (``StructureMatrix.scaled``).
     Modulo 2 the exponent of -1 is [alpha = -1] rho + ([alpha = -1] +
     [beta = -1]) l, or [alpha = -1] l: ``transport_basis`` with that (a, b).
+    D = diag(d_x) has no v in it, so it commutes with bar and never twists
+    v |-> -v: negate_v is False.
     """
     flip_alpha, flip_beta = int(alpha == -ONE), int(beta == -ONE)
-    if isinstance(block, GroupBlock):
-        a, b = flip_alpha, 0
-    else:
-        a, b = flip_alpha ^ flip_beta, flip_alpha
-    return replace(table, entries=transport_basis(table, a, b, False))
+    if group:
+        return (flip_alpha, 0, False)
+    return (flip_alpha ^ flip_beta, flip_alpha, False)
+
+
+class Survivor(NamedTuple):
+    """A surviving candidate's canonical tables on a battery, by its sign class.
+
+    ``tables`` are the tables of ``sign_class``, the candidate's
+    ``StructureMatrix.sign_normal_form``, block by block; the candidate's
+    own are ``transport_basis`` of them by ``transport``.
+    """
+
+    sign_class: StructureMatrix
+    tables: list[CanonicalTable]
+    transport: Transport
 
 
 def screen_candidates(
     candidates: Sequence[Candidate], all_blocks: Sequence[tuple[str, Block]]
-) -> tuple[list[dict], dict[str, list[CanonicalTable]]]:
+) -> tuple[list[dict], dict[str, Survivor]]:
     """The representation and pre-canonicity stages of ``classification_run``.
 
-    Returns each candidate's record, and every survivor's canonical tables
-    on the blocks, in order.  Representation is checked once per diagonal
+    Returns each candidate's record, and every survivor's sign class and
+    sign transport, in order.  Representation is checked once per diagonal
     class and block, pre-canonicity and the tables once per sign class and
-    block; each candidate gets its class's witness, and its table is the
-    sign transport of its class's.
+    block; each candidate gets its class's witness, and no survivor's own
+    table is built.  The blocks must be all group blocks or all twisted
+    blocks (``battery`` makes either), so that one transport serves each.
     """
+    kinds = {isinstance(blk, GroupBlock) for _, blk in all_blocks}
+    if len(kinds) > 1:
+        raise ValueError("a battery mixes group and twisted blocks")
+    group = kinds == {True}
     representation: dict = {}
     precanonical: dict = {}
     records = []
-    tables: dict[str, list[CanonicalTable]] = {}
+    survivors: dict[str, Survivor] = {}
     for cand in candidates:
         rec: dict = {"provenance": cand.provenance, "base": cand.base}
         status = "survivor"
@@ -507,11 +575,33 @@ def screen_candidates(
         rec["status"] = status
         records.append(rec)
         if status == "survivor":
-            tables[cand.provenance] = [
-                _sign_rescaled_table(module.canonical_table(), module.block, alpha, beta)
-                for module in found
-            ]
-    return records, tables
+            survivors[cand.provenance] = Survivor(
+                sign_rep,
+                [module.canonical_table() for module in found],
+                _sign_transport(group, alpha, beta),
+            )
+    return records, survivors
+
+
+def _first_transport(p: Survivor, q: Survivor, stabilizers: dict, cosets: dict) -> Optional[Transport]:
+    """The first transport in ``TRANSPORTS`` order carrying p's tables onto q's.
+
+    p's tables are those of its sign class P transported by sigma_p, q's
+    those of Q by sigma_q, and transports compose by XOR
+    (``transport_basis``), each its own inverse.  So t carries p's tables
+    onto q's exactly when t xor sigma_p xor sigma_q carries P's onto Q's,
+    that is, lies in ``_coset`` of P's and Q's tables.  Stabilizers and
+    cosets are worked out once per class and class pair, kept in the memos.
+    The first such t need not be u xor sigma_p xor sigma_q for the coset's
+    u: on the group block l = rho, so (1, 1, False) fixes every table.
+    """
+    P, Q = p.sign_class, q.sign_class
+    if (P, Q) not in cosets:
+        if P not in stabilizers:
+            stabilizers[P] = _stabilizer(p.tables)
+        cosets[(P, Q)] = _coset(p.tables, q.tables, stabilizers[P])
+    shift = _compose(p.transport, q.transport)
+    return next((t for t in TRANSPORTS if _compose(t, shift) in cosets[(P, Q)]), None)
 
 
 def classification_run(
@@ -519,12 +609,12 @@ def classification_run(
 ) -> ClassReport:
     """The full classification: representation, pre-canonicity, grouping."""
     names = list(systems)
-    records, tables = screen_candidates(
+    records, survivors = screen_candidates(
         enumerate_candidates("classified_families", mode), battery(names, mode)
     )
 
     # union-find under transport-relatedness
-    provs = list(tables)
+    provs = list(survivors)
     parent = {p: p for p in provs}
 
     def find(x: str) -> str:
@@ -533,12 +623,14 @@ def classification_run(
             x = parent[x]
         return x
 
+    stabilizers: dict = {}
+    cosets: dict = {}
     transports = []
     for i in range(len(provs)):
         for j in range(i + 1, len(provs)):
             if find(provs[i]) == find(provs[j]):
                 continue
-            combo = _tables_transport_related(tables[provs[i]], tables[provs[j]])
+            combo = _first_transport(survivors[provs[i]], survivors[provs[j]], stabilizers, cosets)
             if combo is not None:
                 parent[find(provs[j])] = find(provs[i])
                 transports.append(

@@ -190,10 +190,9 @@ def _cmd_pkernel(args: argparse.Namespace) -> int:
         "is_involution": involution,
     }
     if gamma is not None:
-        elements = gamma.poset.elements
+        labels = [str(list(x)) for x in gamma.poset.elements]
         report["kls"] = {
-            f"{list(elements[i])}<={list(elements[j])}": p.to_text()
-            for (i, j), p in sorted(gamma.values.items())
+            f"{labels[i]}<={labels[j]}": p.to_text() for (i, j), p in sorted(gamma.values.items())
         }
     _emit_report(report, args.fmt, args.out)
     return 0 if gamma is not None else 1

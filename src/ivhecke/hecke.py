@@ -53,7 +53,7 @@ import io
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .coxeter import CoxeterSystem, Word
 from .laurent import (
@@ -335,18 +335,34 @@ class CanonicalTable:
     def sorted_keys(self) -> list[tuple[int, int]]:
         return sorted(self.entries, key=lambda ij: (ij[1], ij[0]))
 
+    def _labels(self) -> list[str]:
+        """Each element's word as the CSV and text forms print it ("e" for the identity)."""
+        return [" ".join(map(str, x)) or "e" for x in self.elements]
+
+    def _rows(self, labels: Sequence, poly_form: Callable[[LaurentPoly], Any]) -> Iterator[tuple]:
+        """(labels[i], labels[j], poly_form(entry)) in ``sorted_keys`` order, one at a time.
+
+        poly_form runs once per distinct polynomial: tables repeat a few
+        values many times.
+        """
+        forms: dict[LaurentPoly, Any] = {}
+        for i, j in self.sorted_keys():
+            p = self.entries[(i, j)]
+            form = forms.get(p)
+            if form is None:
+                form = forms[p] = poly_form(p)
+            yield labels[i], labels[j], form
+
     def to_json_dict(self) -> dict:
+        """The JSON form; entries share their "x", "w" and equal "poly" objects."""
+        words = [list(x) for x in self.elements]
         return {
             "label": self.label,
             "system": self.system.system_json(),
             "theta": list(self.theta),
             "entries": [
-                {
-                    "x": list(self.elements[i]),
-                    "w": list(self.elements[j]),
-                    "poly": self.entries[(i, j)].to_json(),
-                }
-                for (i, j) in self.sorted_keys()
+                {"x": x, "w": w, "poly": poly}
+                for x, w, poly in self._rows(words, LaurentPoly.to_json)
             ],
         }
 
@@ -357,20 +373,12 @@ class CanonicalTable:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["x", "w", "poly"])
-        for i, j in self.sorted_keys():
-            writer.writerow(
-                [
-                    " ".join(map(str, self.elements[i])) or "e",
-                    " ".join(map(str, self.elements[j])) or "e",
-                    self.entries[(i, j)].to_text(),
-                ]
-            )
+        writer.writerows(self._rows(self._labels(), LaurentPoly.to_text))
         return buf.getvalue()
 
     def to_text(self) -> str:
-        lines = [f"# canonical table: label={self.label} theta={','.join(map(str, self.theta))}"]
-        for i, j in self.sorted_keys():
-            x = " ".join(map(str, self.elements[i])) or "e"
-            w = " ".join(map(str, self.elements[j])) or "e"
-            lines.append(f"{x} | {w} | {self.entries[(i, j)].to_text()}")
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        buf.write(f"# canonical table: label={self.label} theta={','.join(map(str, self.theta))}\n")
+        for x, w, poly in self._rows(self._labels(), LaurentPoly.to_text):
+            buf.write(f"{x} | {w} | {poly}\n")
+        return buf.getvalue()

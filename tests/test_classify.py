@@ -6,16 +6,22 @@ involution against the letterwise recipes (tests/bar_recipe_oracle.py) and
 the Hecke algebra bar, and exact witnesses of its failures.
 """
 
+import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ivhecke import classify
 from ivhecke.classify import (
     DEFAULT_SYSTEMS,
     GROUP_FLIP_MATRIX,
     IOTA_ALT_MATRIX,
+    TRANSPORTS,
     base_structures,
     check_representation,
     classification_run,
@@ -41,7 +47,7 @@ from ivhecke.pkernel import hecke_bar_matrix
 from ivhecke.twisted import GroupBlock, TwistedBlock, involutive_automorphisms
 
 from bar_recipe_oracle import recipe_bar_row
-from classify_oracle import screen_per_candidate
+from classify_oracle import classification_per_pair, screen_per_candidate
 from precanonical_oracle import check_precanonical_with_psi_squared
 from representation_oracle import check_representation_per_element
 
@@ -299,11 +305,43 @@ def test_transport_identity_and_involution():
     table = HeckeAlgebra(sysm).kl_table()
     assert transport_basis(table, 0, 0, False) == table.entries
     # transporting twice with the same pattern returns the original
-    from dataclasses import replace
-
     once = transport_basis(table, 1, 1, True)
     table2 = replace(table, entries=once)
     assert transport_basis(table2, 1, 1, True) == table.entries
+
+
+@lru_cache(maxsize=None)
+def real_tables():
+    """Tables on both kinds of block, in v and in v^2."""
+    return (
+        HeckeAlgebra(parse_system("H3")).kl_table(),
+        TwistedModule(block("A3", (2, 1, 0)), "iota").canonical_table(),
+        TwistedModule(block("B3"), "pi_prime").canonical_table(),
+    )
+
+
+def test_transport_basis_is_the_entrywise_sign_and_twist():
+    for table in real_tables():
+        lengths = [len(x) for x in table.elements]
+        for a, b, negate in TRANSPORTS:
+            expected = {}
+            for (i, j), p in table.entries.items():
+                sign = (-1) ** (a * (lengths[i] + lengths[j]) + b * (table.ranks[i] + table.ranks[j]))
+                q = p.negate_v() if negate else p
+                expected[(i, j)] = q if sign == 1 else -q
+            got = transport_basis(table, a, b, negate)
+            assert list(got.items()) == list(expected.items()), (table.label, a, b, negate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, 2), t1=st.sampled_from(TRANSPORTS), t2=st.sampled_from(TRANSPORTS))
+def test_transports_compose_by_xor(k, t1, t2):
+    # grouping by cosets rests on this: the transports are the group (Z/2)^3
+    table = real_tables()[k]
+    once = replace(table, entries=transport_basis(table, *t1))
+    twice = transport_basis(once, *t2)
+    composed = transport_basis(table, t1[0] ^ t2[0], t1[1] ^ t2[1], t1[2] != t2[2])
+    assert list(twice.items()) == list(composed.items())
 
 
 # ----------------------------------------------------------------------
@@ -369,6 +407,62 @@ def test_class_report_json():
 
 
 ORACLE_SYSTEMS = ("I2(3)", "I2(4)", "A3")
+
+
+@pytest.mark.parametrize("systems", [ORACLE_SYSTEMS, DEFAULT_SYSTEMS], ids=["oracle", "default"])
+@pytest.mark.parametrize("mode", ["hw", "hi", "h2i"])
+def test_grouping_by_cosets_is_the_pairwise_grouping(mode, systems):
+    assert classification_run(mode, systems).to_json() == classification_per_pair(mode, systems).to_json()
+
+
+def hw_survivors():
+    all_blocks = classify.battery(ORACLE_SYSTEMS, "hw")
+    return classify.screen_candidates(enumerate_candidates("classified_families", "hw"), all_blocks)[1]
+
+
+def test_a_group_block_class_has_a_nontrivial_stabilizer():
+    # l = rho on the group block, so (1, 1, False) fixes every table
+    for survivor in hw_survivors().values():
+        assert (1, 1, False) in classify._stabilizer(survivor.tables)
+
+
+def test_the_report_takes_the_first_transport_of_the_coset():
+    # grp_plain[1] and grp_plain[-1] share a sign class (u is the identity),
+    # and sigma_p xor sigma_q = (1, 0, False) carries the one's tables onto
+    # the other's; so does (0, 0, True), which comes first in TRANSPORTS
+    survivors = hw_survivors()
+    p, q = survivors["grp_plain[1]"], survivors["grp_plain[-1]"]
+    assert p.sign_class == q.sign_class
+    assert (p.transport, q.transport) == ((0, 0, False), (1, 0, False))
+
+    def own(survivor):
+        return [replace(table, entries=transport_basis(table, *survivor.transport)) for table in survivor.tables]
+
+    for t in ((1, 0, False), (0, 0, True)):
+        assert all(transport_basis(f, *t) == g.entries for f, g in zip(own(p), own(q)))
+    report = classification_run("hw", ORACLE_SYSTEMS)
+    assert report.transports[0] == {
+        "from": "grp_plain[1]", "to": "grp_plain[-1]", "sign_l": 0, "sign_rho": 0, "negate_v": True
+    }
+
+
+def test_one_transport_per_survivor_needs_one_kind_of_block():
+    mixed = classify.battery(["A2"], "hw") + classify.battery(["A2"], "hi")
+    with pytest.raises(ValueError):
+        classify.screen_candidates(enumerate_candidates("classified_families", "hw"), mixed)
+
+
+#: SHA-256 of ``classification_run("hi", ["H4"]).to_json()``, recorded from
+#: the pairwise grouping that ``classify_oracle.classification_per_pair`` keeps
+H4_HI_REPORT_SHA256 = "237a4b60b865e21ee356a5b6ca54eba92de02fae3d004a2f3a60a847cfdbb4a3"
+
+
+@pytest.mark.slow
+def test_h4_hi_classification_is_pinned():
+    report = classification_run("hi", ["H4"])
+    assert report.survivor_count == 16
+    assert len(report.classes) == 1
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == H4_HI_REPORT_SHA256
 
 
 def classification_reports() -> list[str]:
@@ -443,13 +537,16 @@ def test_every_classified_candidate_has_its_own_oracle_witness(mode, monkeypatch
     assert statuses["rejected_precanonical"] > 0
 
     all_blocks = classify.battery(ORACLE_SYSTEMS, mode)
-    records, tables = classify.screen_candidates(candidates, all_blocks)
+    records, survivors = classify.screen_candidates(candidates, all_blocks)
     expected_records, expected_tables = screen_per_candidate(candidates, all_blocks)
     assert report.candidates == records == expected_records
-    assert report.survivors == list(tables) == list(expected_tables)
+    assert report.survivors == list(survivors) == list(expected_tables)
     for prov, expected in expected_tables.items():
-        assert len(tables[prov]) == len(expected) == len(all_blocks), prov
-        for got, want in zip(tables[prov], expected):
+        # the survivor's own tables, rebuilt from its sign class's and its transport
+        class_tables, sigma = survivors[prov].tables, survivors[prov].transport
+        tables = [replace(table, entries=transport_basis(table, *sigma)) for table in class_tables]
+        assert len(tables) == len(expected) == len(all_blocks), prov
+        for got, want in zip(tables, expected):
             assert (got.label, got.theta, got.elements, got.ranks) == (want.label, want.theta, want.elements, want.ranks)
             assert list(got.entries.items()) == list(want.entries.items()), (prov, got.theta)
 
