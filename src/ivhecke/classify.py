@@ -7,11 +7,12 @@ involutive twists:
 1. *Representation*: do the generator operators satisfy the Hecke
    presentation -- the quadratic relation (op - v^k)(op + v^-k) = 0 and
    the braid relations -- on every block basis vector?  Every generator
-   pairs a real block, so the quadratic relation is read off the
-   structure's 2x2 matrices (``ivmodules.quadratic_failures``).  A unit
-   rescaling gamma[alpha, beta] is gamma conjugated by a diagonal change
-   of basis (``StructureMatrix.scaled``), so its relations fail at the
-   same basis vectors, with the same witness.  The pipelines therefore
+   pairs every block (``twisted.Block``), so the quadratic relation is
+   read off the structure's 2x2 matrices
+   (``ivmodules.quadratic_failures``).  A unit rescaling gamma[alpha,
+   beta] is gamma conjugated by a diagonal change of basis
+   (``StructureMatrix.scaled``), so its relations fail at the same basis
+   vectors, with the same witness.  The pipelines therefore
    check each battery block once per diagonal class, on the class's
    ``StructureMatrix.diagonal_normal_form``, and give every candidate of
    the class that result.
@@ -80,10 +81,8 @@ from .ivmodules import (
     PI_PRIME_MATRIX,
     StructureMatrix,
     TwistedModule,
-    act_gen,
     act_word,
     quadratic_failures,
-    vec_axpy,
 )
 from .laurent import (
     ONE,
@@ -251,28 +250,13 @@ def check_representation(gamma: StructureMatrix, block) -> Optional[dict]:
     """First witness of a failed quadratic or braid relation, or None.
 
     Quadratic relations come first, generator by generator, then braid
-    relations, each at the first failing basis vector in index order.  For
-    a generator that pairs the block the quadratic relation is read off
-    gamma's 2x2 matrices by ``quadratic_failures``; any other generator,
-    and every braid relation, is tested on each basis vector.
+    relations, each at the first failing basis vector in index order.
+    Every generator pairs the block (``Block``), so the quadratic relation
+    is read off gamma's 2x2 matrices by ``quadratic_failures``; every braid
+    relation is tested on each basis vector.
     """
     system = block.system
-    u = gamma.parameter_diff
-    n = len(block.elements)
-    failures = quadratic_failures(gamma, block)
-
-    def quadratic_fails(s: int, i: int) -> bool:
-        e = {i: ONE}
-        once = act_gen(gamma, block, s, e)
-        twice = act_gen(gamma, block, s, once)
-        vec_axpy(e, u, once)
-        return twice != e
-
-    for s in range(system.rank):
-        if s in failures:
-            i = failures[s]
-        else:
-            i = next((i for i in range(n) if quadratic_fails(s, i)), None)
+    for s, i in enumerate(quadratic_failures(gamma, block)):
         if i is not None:
             return {
                 "relation": "quadratic",
@@ -283,11 +267,9 @@ def check_representation(gamma: StructureMatrix, block) -> Optional[dict]:
     for s in range(system.rank):
         for t in range(s + 1, system.rank):
             m = system.bond(s, t)
-            if m == 0:
-                continue  # no braid relation at an infinite bond
             st_word = tuple(s if k % 2 == 0 else t for k in range(m))
             ts_word = tuple(t if k % 2 == 0 else s for k in range(m))
-            for i in range(n):
+            for i in range(len(block)):
                 e = {i: ONE}
                 if act_word(gamma, block, st_word, e) != act_word(gamma, block, ts_word, e):
                     return {

@@ -312,16 +312,16 @@ def act_word(gamma: StructureMatrix, block: Block, word: Word, vec: Vector) -> V
     return vec
 
 
-def quadratic_failures(gamma: StructureMatrix, block: Block) -> dict[int, Optional[int]]:
-    """For each generator s that pairs the block (``Block.pairs``): the
-    first index k with op_s^2 m_k != u op_s m_k + m_k, or None.
+def quadratic_failures(gamma: StructureMatrix, block: Block) -> list[Optional[int]]:
+    """For each generator s: the first index k with
+    op_s^2 m_k != u op_s m_k + m_k, or None.
 
-    On a pair {m_i, m_j} of commutes case c, j = s |*| i above i, op_s acts
-    by M_c = [[a2, b1], [a1, b2]]: the ascent row (a1, a2) and the descent
-    row (b1, b2) of gamma.  The relation fails at m_i (m_j) exactly when
-    the first (second) column of M_c^2 - u M_c - I is nonzero, so the
-    Laurent work is two 2x2 matrices per structure and the rest is an
-    index scan.  A generator that does not pair the block is left out.
+    s pairs the block (``Block``), and on a pair {m_i, m_j} of commutes
+    case c, j = s |*| i above i, op_s acts by M_c = [[a2, b1], [a1, b2]]:
+    the ascent row (a1, a2) and the descent row (b1, b2) of gamma.  The
+    relation fails at m_i (m_j) exactly when the first (second) column of
+    M_c^2 - u M_c - I is nonzero, so the Laurent work is two 2x2 matrices
+    per structure and the rest is an index scan.
     """
     u = gamma.parameter_diff
     bad = set()
@@ -332,11 +332,10 @@ def quadratic_failures(gamma: StructureMatrix, block: Block) -> dict[int, Option
             bad.add((commutes, True))
         if b1 * t or b2 * (b2 - u) + d:
             bad.add((commutes, False))
-    return {
-        s: next((k for k, (_, commutes, up) in enumerate(block.cross[s]) if (commutes, up) in bad), None)
-        for s, pairs in enumerate(block.pairs)
-        if pairs
-    }
+    return [
+        next((k for k, (_, commutes, up) in enumerate(row) if (commutes, up) in bad), None)
+        for row in block.cross
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -476,21 +475,20 @@ class TwistedModule:
         already proved it.
 
         That is the case at both ends of a pair {m_i, m_j}, j = s |*| i
-        above i, with ascent op_s m_i = a1 m_j + a2 m_i, a1 != 0, when s
-        pairs the block and op_s^2 = u op_s + 1 holds on the whole module
-        (``quadratic_failures``).  Write T = op_s + c.  ``bar_row_vector``
-        checks every usable descent, so bar(a1) psi(m_j) = (T - bar(a2))
-        psi(m_i), which is intertwining at (i, s).  Apply op_s to
-        a1 m_j = op_s m_i - a2 m_i, then psi: with intertwining at (i, s)
-        and the quadratic relation, which gives T^2 = bar(u) T + 1 as
-        c = -u, both bar(a1) psi(op_s m_j) and bar(a1) T psi(m_j) equal
+        above i (every generator pairs the block, ``Block``), with ascent
+        op_s m_i = a1 m_j + a2 m_i, a1 != 0, when op_s^2 = u op_s + 1 holds
+        on the whole module (``quadratic_failures``).  Write T = op_s + c.
+        ``bar_row_vector`` checks every usable descent, so bar(a1) psi(m_j)
+        = (T - bar(a2)) psi(m_i), which is intertwining at (i, s).  Apply
+        op_s to a1 m_j = op_s m_i - a2 m_i, then psi: with intertwining at
+        (i, s) and the quadratic relation, which gives T^2 = bar(u) T + 1
+        as c = -u, both bar(a1) psi(op_s m_j) and bar(a1) T psi(m_j) equal
         (bar(u) - bar(a2)) T psi(m_i) + psi(m_i); cancel bar(a1), as the
         module is free over a domain.  T^2 acts on psi(m_i), whose support
         meets other pairs, so the relation must hold on the whole module.
         A skipped test cannot fail, so the first failure and its witness
-        are those of the full check.  Pairs with a1 = 0, generators whose
-        quadratic relation fails somewhere, and generators that do not pair
-        the block are tested explicitly.
+        are those of the full check.  Pairs with a1 = 0 and generators
+        whose quadratic relation fails somewhere are tested explicitly.
 
         psi^2 = id then follows and is not checked.  psi^2 is A-linear, as
         a composite of two antilinear maps, and fixes m_0.  If intertwining
@@ -519,8 +517,7 @@ class TwistedModule:
                     block, j, "diagonal not 1", diagonal=(row.get(j) or ZERO).to_json()
                 )
         c = self.gamma.bar_shift
-        failures = quadratic_failures(self.gamma, block)
-        proved = [s in failures and failures[s] is None for s in range(block.system.rank)]
+        proved = [k is None for k in quadratic_failures(self.gamma, block)]
         ascends = {commutes: bool(self.gamma.row_for(commutes, True)[0]) for commutes in (False, True)}
         for j in range(len(block)):
             row = self.bar_row(j)
@@ -945,6 +942,10 @@ def inversion_check(label: str, system: CoxeterSystem) -> list[dict]:
 
     with x, w, y ranging over one theta's block (the translation lands in
     the theta * theta0 block).  Returns failure records; empty = pass.
+
+    theta * theta0 is again an involutive twist: every diagram automorphism
+    fixes w0, the unique longest element, so theta commutes with theta0 =
+    conjugation by w0, and the product of two commuting involutions is one.
     """
     theta0 = longest_twist(system)
     w0 = system.longest_element()
@@ -956,9 +957,6 @@ def inversion_check(label: str, system: CoxeterSystem) -> list[dict]:
         blk = blocks[theta]
         t = tables[theta]
         target_theta = compose_perms(theta, theta0)
-        if target_theta not in blocks:
-            failures.append({"theta": list(theta), "error": "translated twist not involutive"})
-            continue
         blk2 = blocks[target_theta]
         t2 = tables[target_theta]
         # translation w = (x, theta) |-> (x * w0, theta * theta0)

@@ -15,10 +15,11 @@ constructor trims to establish it.  Results that keep it by construction
 skip the trim and go through the private ``_make``: a product of two
 normalized polynomials (Z has no zero divisors, so the end coefficients
 multiply to nonzero ends), ``bar`` and negation (which reverse or negate
-the tuple), and the strictly negative part of an antisymmetric element
-(trimmed at its one open end).  Sums are trimmed once, in the buffer they
-were accumulated in; ``p.addmul(a, b)`` computes p + a*b that way without
-the temporary product:
+the tuple), ``negate_v`` (which negates some coefficients), and the
+strictly negative part of an antisymmetric element (trimmed at its one
+open end).  Sums are trimmed once, in the buffer they were accumulated in;
+``p.addmul(a, b)`` computes p + a*b that way without the temporary
+product:
 
 >>> V.addmul(U, 2)   # v + 2*(v - v^-1)
 LaurentPoly('-2*v^-1 + 3*v')
@@ -279,10 +280,8 @@ class LaurentPoly:
         """The involution v |-> -v (negates odd-exponent coefficients)."""
         if not self.coeffs:
             return self
-        return LaurentPoly(
-            self.val,
-            tuple(c if (self.val + i) % 2 == 0 else -c for i, c in enumerate(self.coeffs)),
-        )
+        val = self.val
+        return _make(val, tuple([c if (val + i) % 2 == 0 else -c for i, c in enumerate(self.coeffs)]))
 
     def square_v(self) -> "LaurentPoly":
         """The injective endomorphism v |-> v^2 (doubles every exponent)."""

@@ -111,6 +111,17 @@ class Block:
     order), ``index``, ``rho`` and ``cross`` (``cross[s][i] = (j, commutes,
     up)``: s acts on elements[i] with target elements[j]).  The Bruhat
     intervals are read off ``cross`` (``lower_indices``).
+
+    Every generator s pairs every block: ``cross[s][k] = (t, commutes, up)``
+    has t != k and ``cross[s][t] = (k, commutes, not up)``, so s splits the
+    elements into pairs {i, j}, j = s |*| i above i, and a module's op_s
+    acts on each pair by one 2x2 matrix per commutes case.  On W, s * w
+    is an involution with l(s * w) = l(w) +- 1.  On the twisted involutions
+    of one theta, s |*| is an involution (Hultman, "The combinatorics of
+    twisted involutions in Coxeter groups", Trans. AMS 2007) that keeps
+    the commutes case, since s * x = x * theta(s) gives s * (s * x) =
+    (s * x) * theta(s); and it never fixes an element, because it moves
+    rho by +-1 and ``TwistedBlock``'s search refuses an inconsistent rank.
     """
 
     def __len__(self) -> int:
@@ -160,21 +171,6 @@ class Block:
 
     def length(self, i: int) -> int:
         return len(self.elements[i])
-
-    @cached_property
-    def pairs(self) -> tuple[bool, ...]:
-        """For each generator s, whether s pairs the block.
-
-        s pairs the block when ``cross[s][k] = (t, commutes, up)`` always has
-        t != k and ``cross[s][t] = (k, commutes, not up)``: s then splits the
-        elements into pairs {i, j} with j = s |*| i above i, and a module's
-        op_s acts on each pair by one 2x2 matrix per commutes case.  Every
-        ``TwistedBlock`` and ``GroupBlock`` pairs for every s.
-        """
-        return tuple(
-            all(t != k and row[t] == (k, commutes, not up) for k, (t, commutes, up) in enumerate(row))
-            for row in self.cross
-        )
 
 
 class TwistedBlock(Block):

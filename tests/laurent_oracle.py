@@ -67,6 +67,15 @@ def bar(p):
     return LaurentPoly(-(p.val + len(p.coeffs) - 1), tuple(reversed(p.coeffs)))
 
 
+def negate_v(p):
+    if not p.coeffs:
+        return p
+    return LaurentPoly(
+        p.val,
+        tuple(c if (p.val + i) % 2 == 0 else -c for i, c in enumerate(p.coeffs)),
+    )
+
+
 def split_antisymmetric(d):
     if bar(d) != neg(d):
         raise NotAntisymmetric(f"bar(d) != -d for d = {d}")

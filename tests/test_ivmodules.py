@@ -41,7 +41,7 @@ from ivhecke.laurent import (
     LaurentPoly,
     monomial,
 )
-from ivhecke.twisted import TwistedBlock, involutive_automorphisms
+from ivhecke.twisted import TwistedBlock, compose_perms, involutive_automorphisms
 
 from bar_recipe_oracle import recipe_bar_row
 from embedding_oracle import embedding_check
@@ -273,6 +273,19 @@ class TestInversion:
         assert longest_twist(parse_system("A2")) == (1, 0)
         assert longest_twist(parse_system("B2")) == (0, 1)
         assert longest_twist(parse_system("A3")) == (2, 1, 0)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["A1", "A3", "A5", "B3", "D4", "D5", "H3", "F4", "I2(5)", "I2(6)"]
+        + [pytest.param("E6", marks=pytest.mark.slow)],  # longest_twist enumerates W(E6): about 1 s
+    )
+    def test_translated_twist_is_involutive(self, name):
+        # inversion_check reads the theta * theta0 block without looking for it
+        system = parse_system(name)
+        theta0 = longest_twist(system)
+        thetas = involutive_automorphisms(system)
+        for theta in thetas:
+            assert compose_perms(theta, theta0) in thetas, (name, theta)
 
     @pytest.mark.parametrize("name", ["A1", "A2", "B2", "I2(5)"])
     @pytest.mark.parametrize("label", ["pi", "pi_prime", "iota"])

@@ -251,6 +251,7 @@ def test_kernel_matches_oracle(p, a, b):
         (p.addmul(a, b), oracle.addmul(p, a, b)),
         (p.bar(), oracle.bar(p)),
         (-p, oracle.neg(p)),
+        (p.negate_v(), oracle.negate_v(p)),
     ]
     for got, want in results:
         assert got == want

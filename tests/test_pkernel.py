@@ -13,8 +13,8 @@ from ivhecke import cli
 from ivhecke.classify import enumerate_candidates
 from ivhecke.coxeter import parse_system
 from ivhecke.hecke import HeckeAlgebra, NotPreCanonical
-from ivhecke.ivmodules import GROUP_PLAIN_MATRIX, TwistedModule
-from ivhecke.laurent import ONE, ZERO, LaurentPoly, monomial
+from ivhecke.ivmodules import StructureMatrix, TwistedModule
+from ivhecke.laurent import ONE, V, VI, ZERO, LaurentPoly, monomial
 from ivhecke.pkernel import (
     BarMatrix,
     IncidenceFunction,
@@ -36,7 +36,6 @@ from ivhecke.twisted import GroupBlock, TwistedBlock, involutive_automorphisms, 
 
 from bar_matrix_oracle import column_by_scan, is_involution_by_scan
 from pkernel_oracle import convolve, delta, is_p_kernel, pkernel_outcome, render
-from test_precanonical import LastGeneratorBlock
 
 Q = monomial(1)  # the variable q
 
@@ -402,10 +401,14 @@ def test_a_rejected_candidate_falls_back_to_the_full_pass(monkeypatch):
 
 
 def test_a_failed_check_reports_the_row_solve(monkeypatch):
-    # intertwining fails at the last generator, yet psi is an involution:
-    # the report is that of the full pass and of the psi-row solve
-    block = LastGeneratorBlock()
-    bar = _bar_matrix(TwistedModule(block, "h", GROUP_PLAIN_MATRIX), tuple(block.rho))
+    # on the A2 group block this structure fails intertwining, yet psi is an
+    # involution: the report is that of the full pass and of the psi-row solve
+    block = GroupBlock(parse_system("A2"))
+    structure = StructureMatrix(False, ((ONE, -VI), (-V, V - VI)))
+    module = TwistedModule(block, "candidate", structure)
+    with pytest.raises(NotPreCanonical, match="intertwining"):
+        module.check_precanonical()
+    bar = _bar_matrix(module, tuple(block.rho))
     built = spy_on_tables(monkeypatch)
     roundtrip, involution, gamma = kernel_report(bar)
     assert (roundtrip, involution) == (True, is_involution_by_scan(bar)) == (True, True)
