@@ -158,7 +158,6 @@ class Candidate:
     base: str = ""
 
 
-_SIGNS = (ONE, -ONE)
 _UNITS = (ONE, -ONE, V, -V)
 _BDFH = (-VI, V)  # the two roots of (T - v)(T + v^-1)
 
@@ -305,8 +304,9 @@ def precanonical_test(gamma: StructureMatrix, block) -> TwistedModule:
     psi fixes the lowest basis vector and must satisfy
     psi(op_s m) = (op_s + c) psi(m) with c = v^-k - v^k, which determines
     it row by row along rank ascents.  Raises NotPreCanonical if that
-    descent recursion fails, the result is not unitriangular with
-    diagonal 1, or the intertwining property fails for some generator
+    descent recursion fails, a row's diagonal is not 1 (rows are
+    unitriangular by property Z, ``Block``), or the intertwining property
+    fails for some generator
     (``TwistedModule.check_precanonical``, which tests it only where the
     recursion and the quadratic relation do not prove it); psi^2 = id
     then follows.  ``classification_run`` calls it once per sign class and
@@ -595,46 +595,35 @@ def classification_run(
         enumerate_candidates("classified_families", mode), battery(names, mode)
     )
 
-    # union-find under transport-relatedness
-    provs = list(survivors)
-    parent = {p: p for p in provs}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    # transports form a group acting on the tables, so relatedness is an
+    # equivalence: each survivor joins the first class whose first member
+    # carries onto it, or starts a class of its own
     stabilizers: dict = {}
     cosets: dict = {}
-    transports = []
-    for i in range(len(provs)):
-        for j in range(i + 1, len(provs)):
-            if find(provs[i]) == find(provs[j]):
-                continue
-            combo = _first_transport(survivors[provs[i]], survivors[provs[j]], stabilizers, cosets)
+    classes_by_first: dict[str, list[tuple[str, Transport]]] = {}
+    for q in survivors:
+        for first, joined in classes_by_first.items():
+            combo = _first_transport(survivors[first], survivors[q], stabilizers, cosets)
             if combo is not None:
-                parent[find(provs[j])] = find(provs[i])
-                transports.append(
-                    {
-                        "from": provs[i],
-                        "to": provs[j],
-                        "sign_l": combo[0],
-                        "sign_rho": combo[1],
-                        "negate_v": combo[2],
-                    }
-                )
-    groups: dict[str, list[str]] = {}
-    for p in provs:
-        groups.setdefault(find(p), []).append(p)
-    classes = sorted(sorted(g) for g in groups.values())
+                joined.append((q, combo))
+                break
+        else:
+            classes_by_first[q] = []
+    transports = [
+        {"from": first, "to": q, "sign_l": a, "sign_rho": b, "negate_v": negate_v}
+        for first, joined in classes_by_first.items()
+        for q, (a, b, negate_v) in joined
+    ]
+    classes = sorted(
+        sorted([first] + [q for q, _ in joined]) for first, joined in classes_by_first.items()
+    )
 
     return ClassReport(
         mode=mode,
         case="classified_families",
         systems=names,
         candidates=records,
-        survivors=provs,
+        survivors=list(survivors),
         classes=classes,
         transports=transports,
     )

@@ -65,7 +65,7 @@ def _report_text(data: dict, indent: int = 0) -> str:
 
 
 def _emit_report(report: dict, fmt: str, out: Optional[str]) -> None:
-    """``report`` as sorted JSON for --format json, as text otherwise (csv too)."""
+    """``report`` as sorted JSON for --format json, as text otherwise."""
     if fmt == "json":
         _emit(json.dumps(report, indent=2, sort_keys=True), out)
     else:
@@ -73,11 +73,11 @@ def _emit_report(report: dict, fmt: str, out: Optional[str]) -> None:
 
 
 def _fail(witness: dict, fmt: str, out: Optional[str]) -> int:
-    payload = {"ok": False, "witness": witness}
-    if fmt == "text":
-        _emit("FAIL\n" + _report_text(witness), out)
+    """A failure's witness by the rule of ``_emit_report``; returns exit code 1."""
+    if fmt == "json":
+        _emit(json.dumps({"ok": False, "witness": witness}, indent=2, sort_keys=True), out)
     else:
-        _emit(json.dumps(payload, indent=2, sort_keys=True), out)
+        _emit("FAIL\n" + _report_text(witness), out)
     return 1
 
 
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, theta=True, basis=None):
+    def add_common(p, theta=True, basis=None, formats=("json", "text")):
         p.add_argument("--system", required=True, help="system name like A3, B2, I2(7)")
         if theta:
             p.add_argument(
@@ -228,14 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if basis:
             p.add_argument("--basis", default=basis[0], choices=basis)
-        p.add_argument("--format", dest="fmt", default="text",
-                       choices=("json", "csv", "text"))
+        p.add_argument("--format", dest="fmt", default="text", choices=formats)
         p.add_argument("--out", default=None, help="write output to this path")
         p.add_argument("--max-elements", type=_positive_int, default=None,
                        help="refuse systems larger than this")
 
     p = sub.add_parser("table", help="emit one canonical table")
-    add_common(p, basis=("h", "pi", "pi_prime", "iota"))
+    add_common(p, basis=("h", "pi", "pi_prime", "iota"), formats=("json", "csv", "text"))
 
     p = sub.add_parser("verify", help="run the invariant suite")
     add_common(p)

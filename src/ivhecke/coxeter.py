@@ -467,9 +467,6 @@ class CoxeterSystem:
             del u[j]
         return tuple(out)
 
-    def length(self, word: Iterable[int]) -> int:
-        return len(self.reduce(word))
-
     def multiply(self, a: Iterable[int], b: Iterable[int]) -> Word:
         """Normal form of the product a * b."""
         a = self.reduce(a)

@@ -147,15 +147,16 @@ def solve_canonical(
     lower: Callable[[int], Sequence[int]],
     bar_row: Optional[Callable[[int], Column]] = None,
     reverse_ties: bool = False,
-    labels: Optional[Sequence] = None,
+    *,
+    labels: Sequence,
     seed: Optional[Callable[[int, dict[int, Column]], tuple[Column, LaurentPoly]]] = None,
 ) -> dict[tuple[int, int], LaurentPoly]:
     """Solve for the canonical basis of a pre-canonical involution.
 
     ``ranks`` lists a grading, indexed in a linear extension of the order
     (strictly comparable elements have distinct ranks); ``lower(j)`` lists
-    the indices i <= j, j included.  Each column comes from exactly one of
-    two sources:
+    the indices i <= j, j included; ``labels[i]`` names element i in the
+    errors.  Each column comes from exactly one of two sources:
 
     * ``bar_row(j)``, the expansion of psi(a_j) as {i: coefficient}: the
       column is solved top-down from the defect equation.  This serves
@@ -170,16 +171,19 @@ def solve_canonical(
       subtracts p_x b_x, p_x the bar-invariant part of X_x
       (``split_bar_invariant``), and divides by a1.  This serves every
       module table (``TwistedModule.canonical_table``), whose seed is
-      (H_s + v^-k) b_i at a descent j = s |*| i.
+      (H_s + v^-k) b_i at a descent j = s |*| i.  That seed lies in
+      lower(j) = lower(i) u s |*| lower(i) (property Z, ``Block``) and
+      its coefficient at j is a1 (s |*| x = j only for x = i), so neither
+      is checked.
 
     Returns all nonzero entries pi_{x,w} keyed by (x_index, w_index),
     including the unit diagonal, each column in the walk order.
 
-    Raises NotPreCanonical if psi is not unitriangular with diagonal 1, or
-    if a column's defect fails the antisymmetric split (which is exactly
-    the failure mode of psi^2 != 1 or a non-bar-involutive setup); with a
-    seed, if its top coefficient is not a1, it reaches outside lower(j),
-    or a coefficient has no bar-invariant split.
+    Raises NotPreCanonical if a row of psi, which the caller supplies, is
+    not unitriangular with diagonal 1, or if a column's defect fails the
+    antisymmetric split (which is exactly the failure mode of psi^2 != 1 or
+    a non-bar-involutive setup); with a seed, if a coefficient has no
+    bar-invariant split.
     """
     if (bar_row is None) == (seed is None):
         raise TypeError("solve_canonical takes exactly one of bar_row and seed")
@@ -187,31 +191,28 @@ def solve_canonical(
     entries: dict[tuple[int, int], LaurentPoly] = {}
     solved: dict[int, Column] = {}  # psi rows, or the solved columns
 
-    def name(i: int):
-        return labels[i] if labels is not None else i
-
     key = (lambda i: (-ranks[i], -i)) if reverse_ties else (lambda i: (-ranks[i], i))
     for j in range(n):
         interval = lower(j)
-        members = set(interval)
         order = sorted((i for i in interval if i != j), key=key)
         entries[(j, j)] = ONE
         if seed is not None:
-            solved[j] = _column_from_seed(j, members, order, seed, solved, entries, name)
+            solved[j] = _column_from_seed(j, order, seed, solved, entries, labels)
             continue
         row = bar_row(j)
         solved[j] = row
         diag = row.get(j, ZERO)
         if diag != ONE:
             raise NotPreCanonical(
-                f"bar matrix diagonal at {name(j)} is {diag}, expected 1",
-                {"element": name(j), "diagonal": diag.to_json()},
+                f"bar matrix diagonal at {labels[j]} is {diag}, expected 1",
+                {"element": labels[j], "diagonal": diag.to_json()},
             )
+        members = set(interval)
         for i in row:
             if row[i] and i not in members:
                 raise NotPreCanonical(
-                    f"bar matrix not unitriangular: psi(a_{name(j)}) hits {name(i)}",
-                    {"element": name(j), "offender": name(i)},
+                    f"bar matrix not unitriangular: psi(a_{labels[j]}) hits {labels[i]}",
+                    {"element": labels[j], "offender": labels[i]},
                 )
 
         # bar(pi_{y,w}) for each y solved so far in this column
@@ -228,10 +229,10 @@ def solve_canonical(
                 mu = split_antisymmetric(d)
             except NotAntisymmetric:
                 raise NotPreCanonical(
-                    f"column {name(j)}: defect at {name(x)} is not antisymmetric: {d}",
+                    f"column {labels[j]}: defect at {labels[x]} is not antisymmetric: {d}",
                     {
-                        "column": name(j),
-                        "element": name(x),
+                        "column": labels[j],
+                        "element": labels[x],
                         "defect": d.to_json(),
                     },
                 ) from None
@@ -243,33 +244,21 @@ def solve_canonical(
 
 def _column_from_seed(
     j: int,
-    members: set[int],
     order: list[int],
     seed: Callable[[int, dict[int, Column]], tuple[Column, LaurentPoly]],
     columns: dict[int, Column],
     entries: dict[tuple[int, int], LaurentPoly],
-    name: Callable[[int], object],
+    labels: Sequence,
 ) -> Column:
     """Column j of ``solve_canonical``, reduced from its psi-invariant seed.
 
     X = a1 b_j + sum_{x < j} p_x b_x with every p_x bar-invariant, as X and
     the b_x are psi-invariant.  At x, every b_y holding a_x with y above x
     is already peeled off, so X_x = a1 pi_{x,j} + p_x, which
-    ``split_bar_invariant`` separates.
+    ``split_bar_invariant`` separates.  X lies in lower(j) with X_j = a1
+    (``solve_canonical``), so ``order`` covers it.
     """
     vec, a1 = seed(j, columns)
-    if vec.get(j) != a1:
-        top = vec.get(j, ZERO)
-        raise NotPreCanonical(
-            f"column {name(j)}: seed has top coefficient {top}, expected {a1}",
-            {"column": name(j), "top": top.to_json(), "expected": a1.to_json()},
-        )
-    for i in vec:
-        if i not in members:
-            raise NotPreCanonical(
-                f"column {name(j)}: seed hits {name(i)}, which is not below it",
-                {"column": name(j), "offender": name(i)},
-            )
     column = {j: ONE}
     for x in order:
         f = vec.get(x)
@@ -279,8 +268,8 @@ def _column_from_seed(
             p = split_bar_invariant(f, a1)
         except NotDivisible:
             raise NotPreCanonical(
-                f"column {name(j)}: seed coefficient at {name(x)} has no bar-invariant split: {f}",
-                {"column": name(j), "element": name(x), "coefficient": f.to_json()},
+                f"column {labels[j]}: seed coefficient at {labels[x]} has no bar-invariant split: {f}",
+                {"column": labels[j], "element": labels[x], "coefficient": f.to_json()},
             ) from None
         if p:
             vec_axpy(vec, -p, columns[x])

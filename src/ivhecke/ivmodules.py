@@ -213,9 +213,9 @@ class StructureMatrix:
         with op_s + c, so it is gamma's bar involution psi'.  Every row the
         descent recursion derives is psi'(m_j) = d_j D psi(m_j): the same
         support, a descent row and the division by bar(a1) changed only by
-        d_i d_j, so "no usable descent", "inexact division", "descent-dependent
-        bar" and "not unitriangular" arise at the same j and s with the same
-        offender, and the diagonal entry d_j^2 psi_jj = psi_jj is unchanged.
+        d_i d_j, so "no usable descent", "inexact division" and
+        "descent-dependent bar" arise at the same j and s, and the diagonal
+        entry d_j^2 psi_jj = psi_jj is unchanged.
         The intertwining difference of gamma at (j, s) is d_j D applied to
         rep's, zero exactly when rep's is.  So the first failure and its
         witness dict are rep's.  If rep passes, d_j D C_j is psi'-invariant
@@ -359,9 +359,10 @@ def bar_row_vector(
         psi(m_j) = [ (op_s + c) psi(m_i) - bar(a2) psi(m_i) ] / bar(a1),
 
     an exact division in A.  Every descent with a1 != 0 is used, and all
-    must give the same row.  Raises NotPreCanonical if there is no such
-    descent, a descent's row is missing from psi, a division is inexact,
-    or two descents disagree.
+    must give the same row.  psi holds the row of every index below j, as
+    ``TwistedModule.bar_row`` derives them in index order.  Raises
+    NotPreCanonical if there is no such descent, a division is inexact, or
+    two descents disagree.
     """
     c = gamma.bar_shift
     result: Optional[Vector] = None
@@ -372,9 +373,7 @@ def bar_row_vector(
         a1, a2 = gamma.row_for(commutes, True)  # the ascent row at i
         if not a1:
             continue  # this descent cannot reach j
-        base = psi.get(i)
-        if base is None:
-            raise precanonical_failure(block, j, "descent target missing")
+        base = psi[i]
         row = act_gen(gamma, block, s, base)
         vec_axpy(row, c - a2.bar(), base)
         divisor = a1.bar()
@@ -468,11 +467,10 @@ class TwistedModule:
     def check_precanonical(self) -> None:
         """Raise NotPreCanonical unless psi is a pre-canonical involution.
 
-        Every row must come out of the descent recursion unitriangular
-        with diagonal 1 (checked row by row, in index order); then
-        psi(op_s m_j) = (op_s + c) psi(m_j) must hold for every j, in
-        index order, and every generator, except where the recursion has
-        already proved it.
+        Every row must come out of the descent recursion with diagonal 1
+        (checked row by row, in index order); then psi(op_s m_j) = (op_s +
+        c) psi(m_j) must hold for every j, in index order, and every
+        generator, except where the recursion has already proved it.
 
         That is the case at both ends of a pair {m_i, m_j}, j = s |*| i
         above i (every generator pairs the block, ``Block``), with ascent
@@ -490,6 +488,10 @@ class TwistedModule:
         are those of the full check.  Pairs with a1 = 0 and generators
         whose quadratic relation fails somewhere are tested explicitly.
 
+        Unitriangularity is not checked: row j is op_s and scalars applied
+        to row i at a descent j = s |*| i, so by induction it lies in
+        lower(i) u s |*| lower(i) = lower(j) (property Z, ``Block``).
+
         psi^2 = id then follows and is not checked.  psi^2 is A-linear, as
         a composite of two antilinear maps, and fixes m_0.  If intertwining
         holds at every index up to i, then psi^2(op_s m_i) = op_s psi^2(m_i),
@@ -506,12 +508,6 @@ class TwistedModule:
         block = self.block
         for j in range(1, len(block)):
             row = self.bar_row(j)
-            lower = set(block.lower_indices(j))
-            for k in row:
-                if k not in lower:
-                    raise precanonical_failure(
-                        block, j, "not unitriangular", offender=list(block.elements[k])
-                    )
             if row.get(j) != ONE:
                 raise precanonical_failure(
                     block, j, "diagonal not 1", diagonal=(row.get(j) or ZERO).to_json()
@@ -607,7 +603,6 @@ class MuData:
     [v^-2-coefficient] + (v + v^-1) * mu(i, j), a Laurent polynomial.
     """
 
-    label: str
     mu: dict[tuple[int, int], int]
     mu2: Optional[dict[tuple[int, int], LaurentPoly]] = None
 
@@ -638,7 +633,7 @@ def mu_data(table: CanonicalTable) -> MuData:
             val = LaurentPoly.from_int(poly.coeff(-2)) + vvi * poly.coeff(-1)
             if val:
                 mu2[key] = val
-    return MuData(table.label, mu, mu2)
+    return MuData(mu, mu2)
 
 
 # ----------------------------------------------------------------------
@@ -780,22 +775,15 @@ def _halves_report(a: LaurentPoly, b: LaurentPoly) -> tuple[bool, bool, Optional
     return ok, nonneg, min(coeffs, default=0)
 
 
-def invariant_suite(
-    system: CoxeterSystem,
-    theta: Sequence[int],
-    h_table: Optional[CanonicalTable] = None,
-    block: Optional[TwistedBlock] = None,
-) -> dict:
+def invariant_suite(system: CoxeterSystem, theta: Sequence[int]) -> dict:
     """Run every per-block structural invariant; return a report dict.
 
     The report has "checks": {name: list of failure records} (empty list =
     pass) and "observations" for the report-only positivity statements and
     rank-2 value sets.
     """
-    if block is None:
-        block = TwistedBlock(system, theta)
-    if h_table is None:
-        h_table = HeckeAlgebra(system).kl_table()
+    block = TwistedBlock(system, theta)
+    h_table = HeckeAlgebra(system).kl_table()
     mods = {label: TwistedModule(block, label) for label in ("pi", "pi_prime", "iota")}
     tables = {label: mod.canonical_table() for label, mod in mods.items()}
     h_index = {w: i for i, w in enumerate(h_table.elements)}

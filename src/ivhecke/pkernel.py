@@ -50,7 +50,7 @@ from typing import Optional, Sequence
 from .coxeter import CoxeterSystem
 from .hecke import NotPreCanonical, column_index, solve_canonical
 from .ivmodules import GROUP_PLAIN_MATRIX, TwistedModule, apply_psi
-from .laurent import ONE, ZERO, LaurentPoly, monomial
+from .laurent import ONE, LaurentPoly, monomial
 from .twisted import Block, GroupBlock, TwistedBlock
 
 
@@ -156,9 +156,6 @@ class IncidenceFunction:
             clean[(i, j)] = p
         self.values = clean
 
-    def value(self, i: int, j: int) -> LaurentPoly:
-        return self.values.get((i, j), ZERO)
-
 
 # ----------------------------------------------------------------------
 # the kernel <-> bar bijection
@@ -178,9 +175,6 @@ class BarMatrix:
     grading: tuple[int, ...]
     entries: dict[tuple[int, int], LaurentPoly]
     module: Optional[TwistedModule] = field(default=None, compare=False, repr=False)
-
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.entries.get((i, j), ZERO)
 
     @cached_property
     def _columns(self) -> dict[int, dict[int, LaurentPoly]]:

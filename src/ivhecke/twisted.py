@@ -112,6 +112,12 @@ class Block:
     up)``: s acts on elements[i] with target elements[j]).  The Bruhat
     intervals are read off ``cross`` (``lower_indices``).
 
+    Every block, a test block included, must satisfy property Z: at every
+    descent j = s |*| i, lower(j) = lower(i) u { s |*| x : x in lower(i) }.
+    The modules rely on it and do not check it: a row of psi, or a seed of
+    the canonical solve, built by op_s from one in lower(i) lies in
+    lower(j).
+
     Every generator s pairs every block: ``cross[s][k] = (t, commutes, up)``
     has t != k and ``cross[s][t] = (k, commutes, not up)``, so s splits the
     elements into pairs {i, j}, j = s |*| i above i, and a module's op_s

@@ -90,7 +90,7 @@ def convolve(f, g):
         ideal = poset.lower_indices(j)
         for t in ideal[bisect_left(ideal, i):]:
             if poset.leq(i, t):
-                acc = acc.addmul(f.value(i, t), g.value(t, j))
+                acc = acc.addmul(f.values.get((i, t), ZERO), g.values.get((t, j), ZERO))
         if acc:
             out[(i, j)] = acc
     return IncidenceFunction(poset, out)

@@ -3,7 +3,9 @@
 ``TwistedModule.check_precanonical`` does not test psi^2 = id: its
 docstring shows that intertwining below j already forces psi^2(m_j) = m_j.
 This is the check as it ran before, with the psi^2 test at each j ahead of
-the intertwining test at j.  Both must raise the same witness, or neither.
+the intertwining test at j, and with the unitriangularity test of every
+row, which ``check_precanonical`` leaves to property Z (``Block``).  Both
+must raise the same witness, or neither.
 """
 
 from ivhecke.ivmodules import TwistedModule, precanonical_failure, vec_axpy

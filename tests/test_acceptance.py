@@ -82,10 +82,7 @@ def suite_reports(name: str) -> list[tuple[tuple[int, ...], dict]]:
         sys_ = system(name)
         out = []
         for theta in involutive_automorphisms(sys_):
-            block = TwistedBlock(sys_, theta)
-            out.append(
-                (theta, invariant_suite(sys_, theta, h_table=h_table(name), block=block))
-            )
+            out.append((theta, invariant_suite(sys_, theta)))
         _SUITES[name] = out
     return _SUITES[name]
 
@@ -362,7 +359,7 @@ def test_criterion_11_pkernel_roundtrip():
         assert set(gam.values) == set(t.entries)
         for (i, j), p in t.entries.items():
             gap = t.ranks[j] - t.ranks[i]
-            assert gam.value(i, j).square_v() == p * monomial(gap), (
+            assert gam.values[(i, j)].square_v() == p * monomial(gap), (
                 name,
                 t.elements[i],
                 t.elements[j],
@@ -423,7 +420,7 @@ def test_criterion_12_structural_suite():
             return tuple(i for i in range(j + 1) if _W.bruhat_leq(_t.elements[i], _t.elements[j]))
 
         for reverse in (False, True):
-            entries = solve_canonical(t.ranks, lower, bar_row, reverse_ties=reverse)
+            entries = solve_canonical(t.ranks, lower, bar_row, reverse_ties=reverse, labels=t.elements)
             assert entries == t.entries, (name, reverse)
     print(
         f"\n[criterion 12] bar structure checks, psi^2 = id + solver order-independence on"

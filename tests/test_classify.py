@@ -204,7 +204,7 @@ def test_precanonical_group_mode_matches_hecke_bar():
             for j in range(len(gb)):
                 assert module.bar_row(j) == rows[j], (name, squared, j)
             if name != "B4":
-                expected = solve_canonical(gb.rho, gb.lower_indices, rows.__getitem__)
+                expected = solve_canonical(gb.rho, gb.lower_indices, rows.__getitem__, labels=gb.elements)
                 assert H.kl_table().entries == expected, (name, squared)
             if not squared:
                 bars = {(i, j): c for j, row in enumerate(rows) for i, c in row.items()}

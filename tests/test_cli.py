@@ -173,6 +173,14 @@ def test_unknown_choice_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [["verify"], ["invert"], ["pkernel", "--basis", "iota"]])
+def test_csv_is_a_table_format_only(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--system", "A2", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
 def test_max_elements_refusal(capsys):
     assert main(["table", "--system", "B3", "--basis", "h",
                  "--max-elements", "10"]) == 2

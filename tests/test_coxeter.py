@@ -122,7 +122,7 @@ class TestReduce:
             small.reduce((0, 1) * 3)
 
     def test_length(self, a3):
-        assert a3.length((0, 1, 0, 1)) == 2
+        assert len(a3.reduce((0, 1, 0, 1))) == 2
 
 
 class TestAgainstS4:

@@ -235,8 +235,8 @@ class TestCanonicalBasis:
         def lower(j):
             return tuple(i for i in range(j + 1) if W.bruhat_leq(elements[i], elements[j]))
 
-        a = solve_canonical(ranks, lower, bar_row)
-        b = solve_canonical(ranks, lower, bar_row, reverse_ties=True)
+        a = solve_canonical(ranks, lower, bar_row, labels=elements)
+        b = solve_canonical(ranks, lower, bar_row, reverse_ties=True, labels=elements)
         assert a == b
 
 
@@ -255,7 +255,7 @@ class TestCanonicalBasis:
 class TestSolverFailures:
     def test_bad_diagonal(self):
         with pytest.raises(NotPreCanonical) as exc:
-            solve_canonical([0], lambda j: tuple(range(j + 1)), lambda j: {0: V})
+            solve_canonical([0], lambda j: tuple(range(j + 1)), lambda j: {0: V}, labels=[0])
         assert exc.value.witness["element"] == 0
 
     def test_not_unitriangular(self):
@@ -264,7 +264,7 @@ class TestSolverFailures:
             return {0: ONE, 1: U} if j == 0 else {1: ONE}
 
         with pytest.raises(NotPreCanonical):
-            solve_canonical([0, 1], lambda j: (j,), bar_row)
+            solve_canonical([0, 1], lambda j: (j,), bar_row, labels=[0, 1])
 
     def test_non_involutive_defect(self):
         # psi(a_1) = a_1 + v a_0 has psi^2 != 1; the defect v is not antisymmetric
@@ -272,7 +272,7 @@ class TestSolverFailures:
             return {1: ONE, 0: V} if j == 1 else {0: ONE}
 
         with pytest.raises(NotPreCanonical) as exc:
-            solve_canonical([0, 1], lambda j: tuple(range(j + 1)), bar_row)
+            solve_canonical([0, 1], lambda j: tuple(range(j + 1)), bar_row, labels=[0, 1])
         assert "defect" in exc.value.witness
 
 

@@ -36,6 +36,7 @@ from ivhecke.laurent import ONE, U, U2, V, VI, ZERO, monomial
 from ivhecke.twisted import Block, GroupBlock, TwistedBlock
 
 from precanonical_oracle import check_precanonical_with_psi_squared
+from test_interval_support import assert_property_z
 from representation_oracle import check_representation_per_element
 
 SYSTEMS = ("A2", "B2", "I2(5)", "A3")
@@ -83,7 +84,8 @@ class ZeroAscentBlock(Block):
     (0, 2) and (1, 3) without commuting.  Under ``ZERO_ASCENT`` the
     commuting pair has ascent coefficient a1 = 0 and satisfies the
     quadratic relation, and intertwining first fails at its lower end: a
-    pair the descent recursion proves nothing about.
+    pair the descent recursion proves nothing about.  Its intervals are
+    ``Block``'s, read off the cross table by property Z.
     """
 
     def __init__(self) -> None:
@@ -96,9 +98,6 @@ class ZeroAscentBlock(Block):
             [(1, False, True), (0, False, False), (3, True, True), (2, True, False)],
             [(2, False, True), (3, False, True), (0, False, False), (1, False, False)],
         ]
-
-    def lower_indices(self, j: int) -> tuple[int, ...]:
-        return tuple(range(j + 1))  # a chain: no Coxeter block has this cross table, so no property Z
 
 
 class SwappedZeroAscentBlock(ZeroAscentBlock):
@@ -158,6 +157,12 @@ def test_a_zero_ascent_pair_keeps_its_intertwining_test():
     assert quadratic_failures(ZERO_ASCENT, block) == [None, None]
     _, got = witness(TwistedModule.check_precanonical, ZERO_ASCENT, block)
     assert got == {"reason": "intertwining failure", "theta": [0, 1], "element": [1], "s": 0}
+
+
+@pytest.mark.parametrize("block", [ZeroAscentBlock(), SwappedZeroAscentBlock()], ids=["zero", "swapped"])
+def test_synthetic_blocks_satisfy_property_z(block):
+    assert [block.lower_indices(j) for j in range(4)] == [(0,), (0, 1), (0, 2), (0, 1, 2, 3)]
+    assert_property_z(block)
 
 
 @pytest.mark.parametrize("mode", ["hw", "hi", "h2i"])

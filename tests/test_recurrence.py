@@ -25,7 +25,9 @@ def assert_matches_psi_rows(module: TwistedModule) -> None:
     blk = module.block
     where = (blk.system.name, blk.theta, module.label)
     for reverse in (False, True):
-        expected = solve_canonical(blk.rho, blk.lower_indices, module.bar_row, reverse_ties=reverse)
+        expected = solve_canonical(
+            blk.rho, blk.lower_indices, module.bar_row, reverse_ties=reverse, labels=blk.elements
+        )
         assert table.entries == expected, where + (reverse,)
         if not reverse:
             assert list(table.entries) == list(expected), where
