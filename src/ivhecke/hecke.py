@@ -43,7 +43,9 @@ two sources.
   bar-invariant multiple of b_x that ``split_bar_invariant`` reads off
   X's coefficient at x, and divides by a1.  Every module table
   (``ivmodules.TwistedModule.canonical_table``), ``kl_table`` included,
-  is built this way.
+  is built this way.  For ``h`` and ``pi`` the seed comes with links that
+  fill half of each column from the eigenvalue relation, and only the
+  other half is peeled.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .laurent import (
     NotAntisymmetric,
     NotDivisible,
     accumulate,
+    monomial_times,
     split_antisymmetric,
     split_bar_invariant,
     vec_axpy,
@@ -73,6 +76,9 @@ from .twisted import GroupBlock
 
 Terms = dict[Word, LaurentPoly]
 Column = dict[int, LaurentPoly]  # {index: coefficient}: a psi row, or a canonical column
+#: per element, None or (t, c, e): the entry at it is c v^e times the entry at t
+Links = Sequence[Optional[tuple[int, int, int]]]
+Seed = tuple[Column, LaurentPoly, Optional[Links]]  # (X, a1, links), see solve_canonical
 
 
 class NotPreCanonical(ValueError):
@@ -149,7 +155,7 @@ def solve_canonical(
     reverse_ties: bool = False,
     *,
     labels: Sequence,
-    seed: Optional[Callable[[int, dict[int, Column]], tuple[Column, LaurentPoly]]] = None,
+    seed: Optional[Callable[[int, dict[int, Column]], Seed]] = None,
 ) -> dict[tuple[int, int], LaurentPoly]:
     """Solve for the canonical basis of a pre-canonical involution.
 
@@ -166,15 +172,16 @@ def solve_canonical(
       a module's KLS function is read off its seeded table
       (``pkernel.module_kls_function``).
     * ``seed(j, columns)``, a psi-invariant vector X with top coefficient
-      a1 at j, returned as (X, a1); ``columns`` holds every solved column
-      b_i = {x: pi_{x,i}} with i < j.  Walking x < j downward, the solver
-      subtracts p_x b_x, p_x the bar-invariant part of X_x
+      a1 at j, returned as (X, a1, links); ``columns`` holds every solved
+      column b_i = {x: pi_{x,i}} with i < j.  Walking x < j downward, the
+      solver subtracts p_x b_x, p_x the bar-invariant part of X_x
       (``split_bar_invariant``), and divides by a1.  This serves every
       module table (``TwistedModule.canonical_table``), whose seed is
       (H_s + v^-k) b_i at a descent j = s |*| i.  That seed lies in
       lower(j) = lower(i) u s |*| lower(i) (property Z, ``Block``) and
       its coefficient at j is a1 (s |*| x = j only for x = i), so neither
-      is checked.
+      is checked.  ``links`` is None, or fills half the column from the
+      other half (``_column_from_seed``).
 
     Returns all nonzero entries pi_{x,w} keyed by (x_index, w_index),
     including the unit diagonal, each column in the walk order.
@@ -191,7 +198,8 @@ def solve_canonical(
     entries: dict[tuple[int, int], LaurentPoly] = {}
     solved: dict[int, Column] = {}  # psi rows, or the solved columns
 
-    key = (lambda i: (-ranks[i], -i)) if reverse_ties else (lambda i: (-ranks[i], i))
+    # walk order: rank descending, then index ascending (descending with reverse_ties)
+    key = [(n - 1 - i if reverse_ties else i) - n * r for i, r in enumerate(ranks)].__getitem__
     for j in range(n):
         interval = lower(j)
         order = sorted((i for i in interval if i != j), key=key)
@@ -245,7 +253,7 @@ def solve_canonical(
 def _column_from_seed(
     j: int,
     order: list[int],
-    seed: Callable[[int, dict[int, Column]], tuple[Column, LaurentPoly]],
+    seed: Callable[[int, dict[int, Column]], Seed],
     columns: dict[int, Column],
     entries: dict[tuple[int, int], LaurentPoly],
     labels: Sequence,
@@ -257,10 +265,25 @@ def _column_from_seed(
     is already peeled off, so X_x = a1 pi_{x,j} + p_x, which
     ``split_bar_invariant`` separates.  X lies in lower(j) with X_j = a1
     (``solve_canonical``), so ``order`` covers it.
+
+    With ``links`` (``TwistedModule._seed``), p_x = 0 wherever links[x] =
+    (t, c, e), and pi_{x,j} = c v^e pi_{t,j} for a t that is j or comes
+    before x in ``order``: such x are filled, not peeled, and X is read
+    only at the others, and peeled only there.  The entries and their order
+    are those of the full peel, as the column is unique.
     """
-    vec, a1 = seed(j, columns)
+    vec, a1, links = seed(j, columns)
+    sign = 1 if a1 == ONE else -1 if a1 == -ONE else 0
     column = {j: ONE}
     for x in order:
+        if links is not None:
+            link = links[x]
+            if link is not None:
+                t, c, e = link
+                above = column.get(t)
+                if above:
+                    column[x] = entries[(x, j)] = monomial_times(c, e, above)
+                continue
         f = vec.get(x)
         if not f:
             continue
@@ -272,13 +295,17 @@ def _column_from_seed(
                 {"column": labels[j], "element": labels[x], "coefficient": f.to_json()},
             ) from None
         if p:
-            vec_axpy(vec, -p, columns[x])
+            if links is None:
+                vec_axpy(vec, -p, columns[x])
+            else:
+                p = -p
+                for y, b in columns[x].items():
+                    if links[y] is None:
+                        accumulate(vec, y, p, b)
             f = vec.get(x)
             if not f:
                 continue
-        pi = f if a1 == ONE else -f if a1 == -ONE else f.exact_div(a1)
-        column[x] = pi
-        entries[(x, j)] = pi
+        column[x] = entries[(x, j)] = f if sign == 1 else -f if sign else f.exact_div(a1)
     return column
 
 

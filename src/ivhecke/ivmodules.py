@@ -36,11 +36,13 @@ result is pre-canonical is checked in one place
 
 Canonical tables come from the generic solver in ``hecke``, fed by the
 descent recurrence (``TwistedModule.canonical_table``): at a descent
-j = s |*| i, C_j is reduced from the psi-invariant (H_s + v^-k) C_i.  A
-structure the paper does not prove pre-canonical (``proven_precanonical``)
-is checked before its table is built, and the solve from psi's rows, with
-equal ranks in reverse order, stays as the cross-check of
-``invariant_suite``.
+j = s |*| i, C_j is reduced from the psi-invariant (H_s + v^-k) C_i.  Where
+the eigenvalue theorem holds (``h`` and ``pi``), only the half of C_j at
+the descents of s is reduced, and the other half is filled from it
+(``TwistedModule._seed``).  A structure the paper does not prove
+pre-canonical (``proven_precanonical``) is checked before its table is
+built, and the solve from psi's rows, with equal ranks in reverse order,
+stays as the cross-check of ``invariant_suite``.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .coxeter import CoxeterSystem, Word
-from .hecke import CanonicalTable, HeckeAlgebra, NotPreCanonical, column_index, solve_canonical
+from .hecke import CanonicalTable, HeckeAlgebra, NotPreCanonical, Seed, column_index, solve_canonical
 from .laurent import (
     ONE,
     U,
@@ -130,6 +132,11 @@ class StructureMatrix:
         if len(self.rows) == 2:
             return self.rows[0 if up else 1]
         return self.rows[(0 if up else 1) + (2 if commutes else 0)]
+
+    @cached_property
+    def action_rows(self) -> list[list[tuple[LaurentPoly, LaurentPoly]]]:
+        """rows[commutes][up] = ``row_for(commutes, up)``, as a table."""
+        return [[self.row_for(commutes, up) for up in (False, True)] for commutes in (False, True)]
 
     def scaled(self, alpha: LaurentPoly, beta: LaurentPoly) -> "StructureMatrix":
         """The diagonally equivalent structure gamma[alpha, beta].
@@ -291,13 +298,23 @@ GROUP_PLAIN_MATRIX = StructureMatrix(False, _rows((1, 0), (1, U)))
 # ----------------------------------------------------------------------
 # the generator action
 
-def act_gen(gamma: StructureMatrix, block: Block, s: int, vec: Vector) -> Vector:
-    """Apply the generator's action in the structure gamma to a vector."""
+def _shifted_rows(gamma: StructureMatrix, shift: LaurentPoly) -> list[list[tuple[LaurentPoly, LaurentPoly]]]:
+    """rows[commutes][up] = (a, b + shift): gamma's rows for op_s + shift."""
+    rows = gamma.action_rows
+    return [[(a, b + shift) for a, b in row] for row in rows] if shift else rows
+
+
+def act_gen(gamma: StructureMatrix, block: Block, s: int, vec: Vector, shift: LaurentPoly = ZERO) -> Vector:
+    """Apply op_s + shift, op_s the generator's action in the structure gamma, to a vector.
+
+    One pass: the rows (a, b + shift) are formed once per call.
+    """
     cross = block.cross[s]
+    rows = _shifted_rows(gamma, shift)
     out: Vector = {}
     for i, c in vec.items():
         j, commutes, up = cross[i]
-        a, b = gamma.row_for(commutes, up)
+        a, b = rows[commutes][up]
         if a:
             accumulate(out, j, a, c)
         if b:
@@ -373,9 +390,7 @@ def bar_row_vector(
         a1, a2 = gamma.row_for(commutes, True)  # the ascent row at i
         if not a1:
             continue  # this descent cannot reach j
-        base = psi[i]
-        row = act_gen(gamma, block, s, base)
-        vec_axpy(row, c - a2.bar(), base)
+        row = act_gen(gamma, block, s, psi[i], c - a2.bar())
         divisor = a1.bar()
         if divisor != ONE:
             try:
@@ -413,6 +428,19 @@ def proven_precanonical(block: Block, gamma: StructureMatrix) -> bool:
     return isinstance(block, GroupBlock) and gamma == REGULAR_STRUCTURES[gamma.squared]
 
 
+def has_eigenvalue_property(block: Block, gamma: StructureMatrix) -> bool:
+    """Whether (H_s + v^-k) C_w = (v^k + v^-k) C_w is proven at every descent s of w.
+
+    True for the regular module, in v or v^2, on the group block
+    (Kazhdan-Lusztig 1979) and for ``pi`` on a twisted-involution block
+    (Lusztig-Vogan 2012).  It fails for ``pi_prime`` and, at commuting
+    descents, for ``iota``.
+    """
+    if isinstance(block, TwistedBlock):
+        return gamma == PI_MATRIX
+    return isinstance(block, GroupBlock) and gamma == REGULAR_STRUCTURES[gamma.squared]
+
+
 def apply_psi(rows: dict[int, Vector], vec: Vector) -> Vector:
     """psi(vec) for the antilinear map with psi(m_i) = rows[i]; a missing row is zero."""
     out: Vector = {}
@@ -447,9 +475,7 @@ class TwistedModule:
 
     def act_underline_gen(self, s: int, vec: Vector) -> Vector:
         """Action of the canonical generator H_s + v^-k."""
-        out = self.act(s, vec)
-        vec_axpy(out, monomial(-2 if self.gamma.squared else -1), vec)
-        return out
+        return act_gen(self.gamma, self.block, s, vec, monomial(-2 if self.gamma.squared else -1))
 
     def bar_row(self, i: int) -> Vector:
         """psi(m_i); rows are derived once each, in index order."""
@@ -521,17 +547,66 @@ class TwistedModule:
                 if proved[s] and ascends[block.cross[s][j][1]]:
                     continue
                 lhs = self.bar(self.act(s, {j: ONE}))
-                rhs = self.act(s, row)
-                vec_axpy(rhs, c, row)
-                if lhs != rhs:
+                if lhs != act_gen(self.gamma, block, s, row, c):
                     raise precanonical_failure(block, j, "intertwining failure", s=s)
         self._checked = True
 
-    def _seed(self, j: int, columns: dict[int, Vector]) -> tuple[Vector, LaurentPoly]:
-        """(H_s + v^-k) C_i and its top coefficient a1, at a descent j = s |*| i.
+    @cached_property
+    def _fill_units(self) -> Optional[dict[bool, tuple[int, int]]]:
+        """{commutes: (c, e)}, or None where the eigenvalue theorem is not proven.
+
+        Let T = op_s + v^-k and lambda = v^k + v^-k.  The quadratic
+        relation (op_s - v^k)(op_s + v^-k) = 0 reads T^2 = lambda T.  The
+        eigenvalue theorem says T C_z = lambda C_z at every descent s |*| z
+        < z; ``has_eigenvalue_property`` names where it is proven.  On a pair
+        {x, y}, y = s |*| x above x, with ascent row (a1, a2) and descent row
+        (b1, b2), the coefficient of m_x in (T - lambda) V is (a2 - v^k) V_x
+        + b1 V_y, so every V with T V = lambda V has V_y = q V_x for q =
+        (v^k - a2) / b1, and V_x = c v^e V_y for the unit c v^e = 1 / q:
+
+        * ``h`` with parameter v^k, rows (1, 0), (1, v^k - v^-k): q = v^k;
+        * ``pi``, noncommuting rows (1, 0), (1, v^2 - v^-2): q = v^2;
+        * ``pi``, commuting rows (v + v^-1, 1), (v - v^-1, v^2 - 1 - v^-2):
+          q = (v^2 - 1) / (v - v^-1) = v.
+        """
+        gamma = self.gamma
+        if not has_eigenvalue_property(self.block, gamma):
+            return None
+        vk = monomial(2 if gamma.squared else 1)
+        units = {}
+        for commutes in (False, True):
+            a2 = gamma.row_for(commutes, True)[1]
+            b1 = gamma.row_for(commutes, False)[0]
+            unit = (vk - a2).exact_div(b1).unit_inverse()
+            units[commutes] = (unit.coeffs[0], unit.val)
+        return units
+
+    @cached_property
+    def _links(self) -> list[list[Optional[tuple[int, int, int]]]]:
+        """links[s][x]: None at a descent x of s, else (s |*| x, c, e) from ``_fill_units``."""
+        units = self._fill_units
+        return [[(t,) + units[commutes] if up else None for t, commutes, up in row] for row in self.block.cross]
+
+    def _seed(self, j: int, columns: dict[int, Vector]) -> Seed:
+        """(X, a1, links): X = (H_s + v^-k) C_i at a descent j = s |*| i, a1 its coefficient at j.
 
         The descent's ascent coefficient a1 must be nonzero; +-1 is preferred
         over any other.  The lowest element, with no descent, seeds m_j.
+
+        Without the eigenvalue theorem (``_fill_units``), links is None and
+        X is whole.  With it, X is computed only on the descent half {x :
+        s |*| x < x} of lower(j), and links = ``_links[s]`` fills the rest:
+
+        * T X = T^2 C_i = lambda X, so X is a lambda-eigenvector of T.
+        * X = a1 C_j + sum_{x < j} p_x C_x (``hecke._column_from_seed``), and
+          every C_x at a descent x of s is an eigenvector, as is C_j.  So
+          Y = sum p_x C_x over the ascent half is one too.  Were some p_x
+          nonzero there, take such an x of greatest rank: Y_x = p_x, but
+          Y_{s |*| x} = 0, as no C_z in Y reaches rank rho(x) + 1.  That
+          breaks Y_{s |*| x} = q Y_x, so the peel subtracts only on the
+          descent half and reads X only there.
+        * C_j is an eigenvector, so C_j[x] = c v^e C_j[s |*| x] on the ascent
+          half, where s |*| x is j or of higher rank than x.
         """
         block = self.block
         best = None
@@ -546,9 +621,20 @@ class TwistedModule:
             if a1 and best is None:
                 best = (s, i, a1)
         if best is None:
-            return {j: ONE}, ONE
+            return {j: ONE}, ONE, None
         s, i, a1 = best
-        return self.act_underline_gen(s, columns[i]), a1
+        if self._fill_units is None:
+            return self.act_underline_gen(s, columns[i]), a1, None
+        cross = block.cross[s]
+        rows = _shifted_rows(self.gamma, monomial(-2 if self.gamma.squared else -1))
+        half: Vector = {}
+        for x, c in columns[i].items():
+            t, commutes, up = cross[x]
+            if up:  # of m_x's image a m_t + (b + v^-k) m_x, only t is on the descent half
+                accumulate(half, t, rows[commutes][True][0], c)
+            else:  # only x is
+                accumulate(half, x, rows[commutes][False][1], c)
+        return half, a1, self._links[s]
 
     def canonical_table(self) -> CanonicalTable:
         """The canonical basis {C_j}: psi(C_j) = C_j, C_j in m_j + sum v^-1 Z[v^-1] m_i.
@@ -682,7 +768,9 @@ def recurrence_check(which: str, system: CoxeterSystem, theta: Sequence[int]) ->
     """Check the canonical-generator recurrences by direct expansion.
 
     which = "pi":        eigenvalue property at rank-down pairs,
-                         (H_s + v^-2) b_w = (v^2 + v^-2) b_w;
+                         (H_s + v^-2) b_w = (v^2 + v^-2) b_w; the table's
+                         fill makes it hold at the descent that seeds each
+                         column, so only the other descents test it;
     which = "pi_prime":  the two-case multiplication recurrence at rank-up
                          pairs, with mu'(s; y, w) corrections;
     which = "iota":      the one-line recurrence at rank-up pairs, with

@@ -49,6 +49,7 @@ LaurentPoly('3*v^-2')
 
 from __future__ import annotations
 
+from operator import add as _add, sub as _sub
 from typing import Iterable, Iterator, Mapping, Union
 
 IntLike = Union[int, "LaurentPoly"]
@@ -419,19 +420,74 @@ def _mac(out: list[int], base: int, a: tuple[int, ...], b: tuple[int, ...]) -> N
 # ----------------------------------------------------------------------
 # sparse vectors: dicts from any key to a nonzero LaurentPoly
 
+def monomial_times(c: int, e: int, p: LaurentPoly) -> LaurentPoly:
+    """c * v^e * p for a nonzero int c: p's tuple, shifted and scaled unless c = 1."""
+    cs = p.coeffs
+    if not cs:
+        return p
+    if c == 1:
+        return p if not e else _make(p.val + e, cs)
+    return _make(p.val + e, tuple([-x for x in cs]) if c == -1 else tuple([c * x for x in cs]))
+
+
 def accumulate(out: dict, key, a: LaurentPoly, b: LaurentPoly) -> None:
-    """out[key] += a * b in place; a new key goes last, a sum of zero is deleted."""
+    """out[key] += a * b in place; a new key goes last, a sum of zero is deleted.
+
+    A factor with one term c * v^e, on either side, shifts the other
+    factor's tuple and scales it unless c = +-1: no product is formed, and
+    a product equal to b (c = 1, e = 0) is b itself.
+    """
+    ac = a.coeffs
+    if len(ac) != 1:
+        if len(b.coeffs) != 1:
+            acc = out.get(key)
+            val = a * b if acc is None else acc.addmul(a, b)
+            if val:
+                out[key] = val
+            elif acc is not None:
+                del out[key]
+            return
+        a, b, ac = b, a, b.coeffs
+    bc = b.coeffs
+    if not bc:
+        return
+    c = ac[0]
     acc = out.get(key)
-    val = a * b if acc is None else acc.addmul(a, b)
+    if acc is None:
+        out[key] = monomial_times(c, a.val, b)
+        return
+    # acc + c * v^bv * bc, summed in one buffer
+    bv = a.val + b.val
+    n = len(bc)
+    lo = acc.val
+    buf = list(acc.coeffs)
+    if bv < lo:
+        buf[:0] = [0] * (lo - bv)
+        lo = bv
+    o = bv - lo
+    if o + n > len(buf):
+        buf += [0] * (o + n - len(buf))
+    seg = buf[o:o + n]
+    if c == 1:
+        buf[o:o + n] = map(_add, seg, bc)
+    elif c == -1:
+        buf[o:o + n] = map(_sub, seg, bc)
+    else:
+        buf[o:o + n] = [x + c * y for x, y in zip(seg, bc)]
+    val = _trimmed(lo, buf)
     if val:
         out[key] = val
-    elif acc is not None:
+    else:
         del out[key]
 
 
 def vec_axpy(out: dict, coeff: IntLike, b: dict) -> None:
     """out += coeff * b in place, one ``accumulate`` per key of b, in b's order."""
-    if not coeff:
+    if coeff.__class__ is not LaurentPoly:
+        coeff = LaurentPoly._coerce(coeff)
+        if coeff is NotImplemented:
+            raise TypeError("vec_axpy takes an int or LaurentPoly coefficient")
+    if not coeff.coeffs:
         return
     for i, p in b.items():
         accumulate(out, i, coeff, p)
@@ -482,9 +538,6 @@ def split_antisymmetric(d: LaurentPoly) -> LaurentPoly:
     return _make(d.val, cs[:hi])
 
 
-_V_PLUS_VI = LaurentPoly(-1, (1, 0, 1))
-
-
 def split_bar_invariant(f: LaurentPoly, a1: LaurentPoly) -> LaurentPoly:
     """Return the unique bar-invariant p with f - p in a1 * v^-1 Z[v^-1].
 
@@ -507,9 +560,10 @@ def split_bar_invariant(f: LaurentPoly, a1: LaurentPoly) -> LaurentPoly:
     ...
     ivhecke.laurent.NotDivisible: v^-1 - p is outside (v^-1 + v) * v^-1 Z[v^-1] for every bar-invariant p
     """
-    if a1 == ONE or a1 == -ONE:
+    cs = a1.coeffs
+    if not a1.val and (cs == (1,) or cs == (-1,)):
         lowest = 0
-    elif a1 == _V_PLUS_VI or a1 == -_V_PLUS_VI:
+    elif a1.val == -1 and (cs == (1, 0, 1) or cs == (-1, 0, -1)):
         lowest = 1
     else:
         raise ValueError(f"no bar-invariant split for the ascent coefficient {a1}")

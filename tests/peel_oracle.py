@@ -1,0 +1,60 @@
+"""The full seed-and-peel solve that the eigenvalue fill replaced for ``h`` and ``pi``.
+
+Every column j > 0 is reduced from the whole seed X = (H_s + v^-k) C_i at
+the descent j = s |*| i that ``TwistedModule._seed`` picks: op_s applied by
+``act_gen``, then v^-k C_i added by ``vec_axpy``.  The peel reads X at
+every x < j, rank descending, subtracts p_x C_x over all of C_x and
+divides by a1.  No entry is filled from another.  Tests compare the
+module tables, values and key order, with this.
+"""
+
+from ivhecke.ivmodules import act_gen
+from ivhecke.laurent import ONE, monomial, split_bar_invariant, vec_axpy
+
+
+def full_seed(module, j, columns):
+    """(X, a1) with X whole, at the descent ``TwistedModule._seed`` picks."""
+    block, gamma = module.block, module.gamma
+    best = None
+    for s in range(block.system.rank):
+        i, commutes, up = block.cross[s][j]
+        if up:
+            continue
+        a1 = gamma.row_for(commutes, True)[0]
+        if a1 == ONE or a1 == -ONE:
+            best = (s, i, a1)
+            break
+        if a1 and best is None:
+            best = (s, i, a1)
+    if best is None:
+        return {j: ONE}, ONE
+    s, i, a1 = best
+    vec = act_gen(gamma, block, s, columns[i])
+    vec_axpy(vec, monomial(-2 if gamma.squared else -1), columns[i])
+    return vec, a1
+
+
+def full_peel_entries(module):
+    """{(x, j): pi_{x,j}} of the module's canonical table, in ``solve_canonical``'s key order."""
+    block = module.block
+    entries = {}
+    columns = {}
+    for j in range(len(block)):
+        order = sorted(block.lower_indices(j)[:-1], key=lambda x: (-block.rho[x], x))
+        vec, a1 = full_seed(module, j, columns)
+        entries[(j, j)] = ONE
+        column = {j: ONE}
+        for x in order:
+            f = vec.get(x)
+            if not f:
+                continue
+            p = split_bar_invariant(f, a1)
+            if p:
+                vec_axpy(vec, -p, columns[x])
+                f = vec.get(x)
+                if not f:
+                    continue
+            pi = f if a1 == ONE else -f if a1 == -ONE else f.exact_div(a1)
+            column[x] = entries[(x, j)] = pi
+        columns[j] = column
+    return entries

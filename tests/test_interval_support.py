@@ -7,7 +7,9 @@ are built by op_s from a vector in lower(i), so they lie in
 lower(i) u s |*| lower(i), which is lower(j) by property Z (``Block``).
 These tests pin that guarantee on real blocks: property Z at every descent,
 every row psi(m_j) and every seed inside lower(j), and each seed's
-coefficient at j equal to the a1 it is returned with.
+coefficient at j equal to the a1 it is returned with.  A seed returned with
+links (``h`` and ``pi``) must lie in the descent half {x : s |*| x < x} of
+lower(j), for the descent s of j whose ascent half the links describe.
 """
 
 import pytest
@@ -38,11 +40,21 @@ def assert_rows_and_seeds_in_intervals(module: TwistedModule) -> None:
     seeds = []
 
     def recording_seed(j, columns):
-        vec, a1 = TwistedModule._seed(module, j, columns)
+        vec, a1, links = TwistedModule._seed(module, j, columns)
         seeds.append(j)
-        assert set(vec) <= set(block.lower_indices(j)), where + (j, "seed")
+        support = set(block.lower_indices(j))
+        if links is not None:
+            # a half seed: links is a descent s of j's ascent half, and vec lies on the other half
+            targets = [link and link[0] for link in links]
+            descents = [
+                s for s, row in enumerate(block.cross)
+                if not row[j][2] and [t if up else None for t, _, up in row] == targets
+            ]
+            assert descents, where + (j, "links")
+            support = {x for x in support if not block.cross[descents[0]][x][2]}
+        assert set(vec) <= support, where + (j, "seed")
         assert vec[j] == a1, where + (j, "seed top")
-        return vec, a1
+        return vec, a1, links
 
     module._seed = recording_seed
     module.canonical_table()

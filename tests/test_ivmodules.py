@@ -10,13 +10,16 @@ the table uniquely, so they are a complete correctness oracle.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ivhecke.classify import enumerate_candidates
 from ivhecke.coxeter import parse_system
 from ivhecke.hecke import HeckeAlgebra
 from ivhecke.ivmodules import (
     IOTA_MATRIX,
     PI_MATRIX,
     PI_PRIME_MATRIX,
+    REGULAR_STRUCTURES,
     MuData,
     StructureMatrix,
     TwistedModule,
@@ -29,6 +32,7 @@ from ivhecke.ivmodules import (
     mu_data,
     recurrence_check,
     vec_add,
+    vec_axpy,
     vec_scale,
 )
 from ivhecke.laurent import (
@@ -41,7 +45,7 @@ from ivhecke.laurent import (
     LaurentPoly,
     monomial,
 )
-from ivhecke.twisted import TwistedBlock, compose_perms, involutive_automorphisms
+from ivhecke.twisted import GroupBlock, TwistedBlock, compose_perms, involutive_automorphisms
 
 from bar_recipe_oracle import recipe_bar_row
 from embedding_oracle import embedding_check
@@ -98,6 +102,42 @@ class TestActGen:
             act_gen(PI_MATRIX, a2_block, s, v1), act_gen(PI_MATRIX, a2_block, s, v2)
         )
         assert lhs == rhs
+
+
+# act_gen(..., shift) in one pass against act_gen then vec_axpy, for every named
+# structure and every sign class the classification checks, each on real blocks
+SIGN_CLASSES = list(dict.fromkeys(
+    candidate.gamma.sign_normal_form()[0]
+    for mode in ("hw", "hi", "h2i")
+    for candidate in enumerate_candidates("classified_families", mode)
+))
+SHIFT_STRUCTURES = [PI_MATRIX, PI_PRIME_MATRIX, IOTA_MATRIX, *REGULAR_STRUCTURES.values(), *SIGN_CLASSES]
+SHIFT_BLOCKS = {
+    2: [GroupBlock(parse_system(name)) for name in ("A3", "I2(5)")],
+    4: [TwistedBlock(parse_system(name), theta) for name, theta in (("B3", (0, 1, 2)), ("A3", (2, 1, 0)))],
+}
+small_polys = st.builds(
+    LaurentPoly, st.integers(-4, 4), st.lists(st.integers(-3, 3), max_size=4)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(SHIFT_STRUCTURES),
+    st.integers(0, 1),
+    st.integers(0, 2),
+    st.dictionaries(st.integers(0, 5), small_polys.filter(bool), max_size=6),
+    st.one_of(st.sampled_from([ZERO, VI, monomial(-2), -(V - VI)]), small_polys),
+)
+def test_act_gen_shift_is_act_then_axpy(gamma, which, s, vec, shift):
+    block = SHIFT_BLOCKS[len(gamma.rows)][which]
+    s %= block.system.rank
+    vec = {i * len(block) // 6: p for i, p in vec.items()}
+    want = act_gen(gamma, block, s, vec)
+    vec_axpy(want, shift, vec)
+    got = act_gen(gamma, block, s, vec, shift)
+    assert got == want
+    assert all(got.values())
 
 
 class TestMatrixAlgebra:

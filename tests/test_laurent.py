@@ -13,6 +13,7 @@ from ivhecke.laurent import (
     LaurentPoly,
     NotAntisymmetric,
     NotDivisible,
+    accumulate,
     mod2_equal,
     monomial,
     one_plus_even_positive,
@@ -20,6 +21,7 @@ from ivhecke.laurent import (
     only_nonpositive_exponents,
     split_antisymmetric,
     split_bar_invariant,
+    vec_axpy,
 )
 
 
@@ -313,3 +315,73 @@ def test_int_operands_and_immutability():
             p.val = 3
         with pytest.raises(AttributeError):
             p.coeffs = ()
+
+
+# ----------------------------------------------------------------------
+# the sparse-vector kernel against the oracle's addmul
+
+# every kind of factor the kernel has a path for: zero, +-1, +-v^e, c v^e, general
+factors = st.one_of(
+    st.just(ZERO),
+    st.builds(monomial, st.integers(-4, 4), st.sampled_from([1, -1])),
+    st.builds(monomial, st.integers(-4, 4), st.integers(-9, 9).filter(bool)),
+    polys,
+)
+keys = st.integers(0, 3)
+vectors = st.dictionaries(keys, nonzero_polys, max_size=4)
+
+
+def oracle_accumulate(want, key, a, b):
+    """want[key] += a * b by the oracle: a new key goes last, a zero sum is deleted."""
+    total = oracle.addmul(want.get(key, ZERO), a, b)
+    if total:
+        want[key] = total
+    else:
+        want.pop(key, None)
+
+
+def assert_same_vector(got, want):
+    assert list(got.items()) == list(want.items())
+    for p in got.values():
+        assert p
+        assert_normalized(p)
+
+
+@settings(max_examples=500)
+@given(vectors, st.lists(st.tuples(keys, factors, factors), max_size=6))
+def test_accumulate_matches_oracle(start, steps):
+    got, want = dict(start), dict(start)
+    for key, a, b in steps:
+        accumulate(got, key, a, b)
+        oracle_accumulate(want, key, a, b)
+        assert_same_vector(got, want)
+
+
+@given(vectors, factors, st.integers(-4, 4), st.integers(-9, 9).filter(bool), nonzero_polys)
+def test_accumulate_cancels_and_appends(start, a, e, c, b):
+    got = dict(start)
+    m = monomial(e, c)
+    for key, x, y in ((9, a, b), (8, m, b)):
+        accumulate(got, key, x, y)
+        if x:  # a new key goes last
+            assert list(got)[-1] == key
+        accumulate(got, key, -x, y)  # and its sum of zero is deleted
+        assert key not in got
+    assert_same_vector(got, start)
+    accumulate(got, 7, ONE, b)  # a product equal to b is b itself
+    assert got[7] is b
+
+
+@settings(max_examples=300)
+@given(vectors, st.one_of(factors, st.integers(-5, 5)), vectors)
+def test_vec_axpy_matches_oracle(start, coeff, b):
+    got, want = dict(start), dict(start)
+    vec_axpy(got, coeff, b)
+    for key, p in b.items():
+        oracle_accumulate(want, key, coeff, p)
+    assert_same_vector(got, want)
+    cancelled = dict(got)
+    vec_axpy(cancelled, coeff, {key: -p for key, p in b.items()})
+    assert cancelled == {key: p for key, p in start.items()}
+    with pytest.raises(TypeError):
+        vec_axpy(got, 1.5, b)
