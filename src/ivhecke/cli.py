@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 from .classify import DEFAULT_SYSTEMS, classification_run
 from .coxeter import CoxeterSystem, InfiniteOrTooLarge, parse_system
 from .ivmodules import canonical_table, inversion_check, invariant_suite
+from .laurent import LaurentPoly
 from .pkernel import BarMatrix, NotParityCompatible, hecke_bar_matrix, kernel_report, module_bar_matrix
 from .twisted import parse_theta
 
@@ -187,10 +188,15 @@ def _cmd_pkernel(args: argparse.Namespace) -> int:
         "is_involution": involution,
     }
     if gamma is not None:
+        # one label per element and one text per distinct value, as CanonicalTable._rows
         labels = [str(list(x)) for x in gamma.poset.elements]
-        report["kls"] = {
-            f"{labels[i]}<={labels[j]}": p.to_text() for (i, j), p in sorted(gamma.values.items())
-        }
+        texts: dict[LaurentPoly, str] = {}
+        kls = report["kls"] = {}
+        for (i, j), p in sorted(gamma.values.items()):
+            text = texts.get(p)
+            if text is None:
+                text = texts[p] = p.to_text()
+            kls[f"{labels[i]}<={labels[j]}"] = text
     _emit_report(report, args.fmt, args.out)
     return 0 if gamma is not None else 1
 

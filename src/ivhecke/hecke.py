@@ -21,7 +21,7 @@ package: given a finite poset interval structure and a bar involution that
 is antilinear, involutive and unitriangular with diagonal 1, it produces
 the unique basis {b_w} with bar(b_w) = b_w and
 b_w in a_w + sum_{x < w} v^-1 Z[v^-1] a_x.  Each column comes from one of
-two sources.
+three sources.
 
 * psi's rows.  Writing psi(a_y) = sum_x r_{x,y} a_x, the coefficients of
   b_w satisfy
@@ -46,6 +46,19 @@ two sources.
   is built this way.  For ``h`` and ``pi`` the seed comes with links that
   fill half of each column from the eigenvalue relation, and only the
   other half is peeled.
+* A mirror: a permutation with pi_{x,w} = pi_{mirror[x],mirror[w]}, so a
+  column w with mirror[w] < w is copied, not solved.  The regular module
+  has one, w |-> w^-1 (Kazhdan-Lusztig 1979): iota(H_w) = H_{w^-1} is an
+  A-linear anti-automorphism of the Hecke algebra, since the relations
+  of H_s are symmetric, and it commutes with bar, as iota o bar and
+  bar o iota are antilinear anti-automorphisms that agree on v and on
+  every H_s.  So iota(C_w) is bar-invariant and lies in H_{w^-1} +
+  sum_{x < w} v^-1 Z[v^-1] H_{x^-1}; x < w exactly when x^-1 < w^-1, so
+  iota(C_w) = C_{w^-1} by uniqueness.  The same holds with parameter
+  v^2, and for the rows of psi = bar (R_{x,w} = R_{x^-1,w^-1}).  Only the
+  regular module's structure on the group block, in v or v^2, is a Hecke
+  algebra acting on itself, so ``TwistedModule`` mirrors only there
+  (``ivmodules.is_regular``).
 """
 
 from __future__ import annotations
@@ -156,13 +169,14 @@ def solve_canonical(
     *,
     labels: Sequence,
     seed: Optional[Callable[[int, dict[int, Column]], Seed]] = None,
+    mirror: Optional[Sequence[int]] = None,
 ) -> dict[tuple[int, int], LaurentPoly]:
     """Solve for the canonical basis of a pre-canonical involution.
 
     ``ranks`` lists a grading, indexed in a linear extension of the order
     (strictly comparable elements have distinct ranks); ``lower(j)`` lists
     the indices i <= j, j included; ``labels[i]`` names element i in the
-    errors.  Each column comes from exactly one of two sources:
+    errors.  Each column comes from exactly one of three sources:
 
     * ``bar_row(j)``, the expansion of psi(a_j) as {i: coefficient}: the
       column is solved top-down from the defect equation.  This serves
@@ -182,6 +196,11 @@ def solve_canonical(
       its coefficient at j is a1 (s |*| x = j only for x = i), so neither
       is checked.  ``links`` is None, or fills half the column from the
       other half (``_column_from_seed``).
+    * with a seed, ``mirror``: an order- and rank-preserving permutation
+      of the elements, with pi_{x,j} = pi_{mirror[x],mirror[j]} proven by
+      the caller.  A column j with mirror[j] < j is copied from column
+      mirror[j], with no seed and no peel (``_mirrored_column``).  The
+      regular module's w |-> w^-1 is one (module docstring).
 
     Returns all nonzero entries pi_{x,w} keyed by (x_index, w_index),
     including the unit diagonal, each column in the walk order.
@@ -194,6 +213,8 @@ def solve_canonical(
     """
     if (bar_row is None) == (seed is None):
         raise TypeError("solve_canonical takes exactly one of bar_row and seed")
+    if mirror is not None and seed is None:
+        raise TypeError("solve_canonical takes a mirror only with a seed")
     n = len(ranks)
     entries: dict[tuple[int, int], LaurentPoly] = {}
     solved: dict[int, Column] = {}  # psi rows, or the solved columns
@@ -205,7 +226,10 @@ def solve_canonical(
         order = sorted((i for i in interval if i != j), key=key)
         entries[(j, j)] = ONE
         if seed is not None:
-            solved[j] = _column_from_seed(j, order, seed, solved, entries, labels)
+            if mirror is not None and mirror[j] < j:
+                solved[j] = _mirrored_column(j, order, mirror, solved[mirror[j]], entries)
+            else:
+                solved[j] = _column_from_seed(j, order, seed, solved, entries, labels)
             continue
         row = bar_row(j)
         solved[j] = row
@@ -248,6 +272,26 @@ def solve_canonical(
                 column_bar[x] = mu.bar()
                 entries[(x, j)] = mu
     return entries
+
+
+def _mirrored_column(
+    j: int,
+    order: list[int],
+    mirror: Sequence[int],
+    source: Column,
+    entries: dict[tuple[int, int], LaurentPoly],
+) -> Column:
+    """Column j of ``solve_canonical`` copied from column mirror[j]: pi_{x,j} = pi_{mirror[x],mirror[j]}.
+
+    The column is walked in j's own ``order``, so its keys come in the
+    order the seeded solve would give them.
+    """
+    column = {j: ONE}
+    for x in order:
+        p = source.get(mirror[x])
+        if p is not None:
+            column[x] = entries[(x, j)] = p
+    return column
 
 
 def _column_from_seed(

@@ -39,10 +39,12 @@ descent recurrence (``TwistedModule.canonical_table``): at a descent
 j = s |*| i, C_j is reduced from the psi-invariant (H_s + v^-k) C_i.  Where
 the eigenvalue theorem holds (``h`` and ``pi``), only the half of C_j at
 the descents of s is reduced, and the other half is filled from it
-(``TwistedModule._seed``).  A structure the paper does not prove
-pre-canonical (``proven_precanonical``) is checked before its table is
-built, and the solve from psi's rows, with equal ranks in reverse order,
-stays as the cross-check of ``invariant_suite``.
+(``TwistedModule._seed``).  On the regular module, the column and the row
+of psi at w with w^-1 < w are copied from w^-1 (``TwistedModule._mirror``).
+A structure the paper does not prove pre-canonical
+(``proven_precanonical``) is checked before its table is built, and the
+solve from psi's rows, with equal ranks in reverse order, stays as the
+cross-check of ``invariant_suite``.
 """
 
 from __future__ import annotations
@@ -417,15 +419,21 @@ NAMED_STRUCTURES: dict[str, StructureMatrix] = {
 REGULAR_STRUCTURES = {False: GROUP_PLAIN_MATRIX, True: StructureMatrix(True, _rows((1, 0), (1, U2)))}
 
 
+def is_regular(block: Block, gamma: StructureMatrix) -> bool:
+    """Whether (block, gamma) is the regular module, in v or v^2: the group
+    block with the Hecke algebra's own two-row structure."""
+    return isinstance(block, GroupBlock) and gamma == REGULAR_STRUCTURES[gamma.squared]
+
+
 def proven_precanonical(block: Block, gamma: StructureMatrix) -> bool:
     """Whether the paper proves gamma pre-canonical on block.
 
     True for the named structures on a twisted-involution block and for
-    the regular module's structure, in v or v^2, on the group block.
+    the regular module (``is_regular``).
     """
     if isinstance(block, TwistedBlock):
         return gamma in NAMED_STRUCTURES.values()
-    return isinstance(block, GroupBlock) and gamma == REGULAR_STRUCTURES[gamma.squared]
+    return is_regular(block, gamma)
 
 
 def has_eigenvalue_property(block: Block, gamma: StructureMatrix) -> bool:
@@ -438,7 +446,7 @@ def has_eigenvalue_property(block: Block, gamma: StructureMatrix) -> bool:
     """
     if isinstance(block, TwistedBlock):
         return gamma == PI_MATRIX
-    return isinstance(block, GroupBlock) and gamma == REGULAR_STRUCTURES[gamma.squared]
+    return is_regular(block, gamma)
 
 
 def apply_psi(rows: dict[int, Vector], vec: Vector) -> Vector:
@@ -477,11 +485,31 @@ class TwistedModule:
         """Action of the canonical generator H_s + v^-k."""
         return act_gen(self.gamma, self.block, s, vec, monomial(-2 if self.gamma.squared else -1))
 
+    @cached_property
+    def _mirror(self) -> Optional[tuple[int, ...]]:
+        """w |-> w^-1 on the regular module (``is_regular``), else None.
+
+        There psi(m_{w^-1}) = iota(psi(m_w)) and C_{w^-1} = iota(C_w) for
+        the anti-automorphism iota(H_w) = H_{w^-1} (``hecke``'s docstring),
+        so a row or column at w with w^-1 < w is copied from w^-1.  No other
+        structure is an algebra acting on itself, and none is mirrored.
+        """
+        return self.block.inverse if is_regular(self.block, self.gamma) else None
+
     def bar_row(self, i: int) -> Vector:
-        """psi(m_i); rows are derived once each, in index order."""
+        """psi(m_i); rows are derived once each, in index order.
+
+        On the regular module, row j with mirror[j] < j is row mirror[j]
+        relabelled (``_mirror``): the row ``bar_row_vector`` would derive.
+        """
         rows = self._bar_rows
+        mirror = self._mirror
         for j in range(len(rows), i + 1):
-            rows[j] = bar_row_vector(self.gamma, self.block, j, rows)
+            m = j if mirror is None else mirror[j]
+            if m < j:
+                rows[j] = {mirror[x]: p for x, p in rows[m].items()}
+            else:
+                rows[j] = bar_row_vector(self.gamma, self.block, j, rows)
         return rows[i]
 
     def bar(self, vec: Vector) -> Vector:
@@ -516,7 +544,9 @@ class TwistedModule:
 
         Unitriangularity is not checked: row j is op_s and scalars applied
         to row i at a descent j = s |*| i, so by induction it lies in
-        lower(i) u s |*| lower(i) = lower(j) (property Z, ``Block``).
+        lower(i) u s |*| lower(i) = lower(j) (property Z, ``Block``).  A
+        mirrored row of the regular module (``bar_row``) is the row the
+        recursion would derive, so all of this applies to it.
 
         psi^2 = id then follows and is not checked.  psi^2 is A-linear, as
         a composite of two antilinear maps, and fixes m_0.  If intertwining
@@ -657,7 +687,9 @@ class TwistedModule:
             theta=blk.theta,
             elements=list(blk.elements),
             ranks=list(blk.rho),
-            entries=solve_canonical(blk.rho, blk.lower_indices, seed=self._seed, labels=blk.elements),
+            entries=solve_canonical(
+                blk.rho, blk.lower_indices, seed=self._seed, mirror=self._mirror, labels=blk.elements
+            ),
         )
         return self._table
 

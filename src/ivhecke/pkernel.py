@@ -37,20 +37,24 @@ them on as they are, and the solver reads them as ``lower_indices``.
 
 Polynomials in q are represented by LaurentPoly values whose exponent is
 read as the power of q; the bridge to the v-world is exponent doubling
-(q = v^2) and halving (``_halve_exponents``).
+(q = v^2, ``LaurentPoly.square_v``) and halving.  Halving is read off the
+coefficient tuple together with the shift by v^{+-r(x,y)}: the parity of
+the end exponent and of every second coefficient is checked, and the
+q-polynomial is every second coefficient (``kernel_from_bar``,
+``_kls_values``).  No Laurent product is formed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .coxeter import CoxeterSystem
 from .hecke import NotPreCanonical, column_index, solve_canonical
 from .ivmodules import GROUP_PLAIN_MATRIX, TwistedModule, apply_psi
-from .laurent import ONE, LaurentPoly, monomial
+from .laurent import ONE, LaurentPoly, _make, monomial_times
 from .twisted import Block, GroupBlock, TwistedBlock
 
 
@@ -76,12 +80,17 @@ class Poset:
     elements[j], ascending and ending in j.  Elements must be listed in a
     linear extension: leq(i, j) with i != j forces i < j.  This is what
     the solver downstream assumes, and makes antisymmetry automatic.
+    Construction checks all of this unless ``proven``: a block's order is
+    (``poset_of_block``).
     """
 
     elements: tuple
     lower: tuple[tuple[int, ...], ...]
+    proven: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, proven):
+        if proven:
+            return
         if len(self.lower) != len(self.elements):
             raise ValueError("the poset needs one principal ideal per element")
         ideals = [frozenset(ideal) for ideal in self.lower]
@@ -133,13 +142,18 @@ class IncidenceFunction:
 
     ``values[(i, j)]`` is the q-polynomial at the order-related pair
     (elements[i], elements[j]); missing keys mean zero, and off-order
-    values are zero by convention.
+    values are zero by convention.  Construction drops zero values and
+    checks the rest unless ``proven``: values read off a module are
+    (``kernel_from_bar``, ``module_kls_function``).
     """
 
     poset: Poset
     values: dict[tuple[int, int], LaurentPoly] = field(default_factory=dict)
+    proven: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, proven):
+        if proven:
+            return
         n = len(self.poset)
         clean = {}
         for (i, j), p in self.values.items():
@@ -192,19 +206,12 @@ class BarMatrix:
         )
 
 
-def _halve_exponents(p: LaurentPoly) -> LaurentPoly:
-    """p(v) read in q = v^2; ValueError if p has an odd exponent."""
-    if p.val % 2 or any(p.coeffs[1::2]):
-        raise ValueError(f"{p.to_text()} has an odd exponent and cannot be halved")
-    return LaurentPoly(p.val // 2, p.coeffs[::2])
-
-
 def bar_from_kernel(K: IncidenceFunction, r: Sequence[int]) -> BarMatrix:
     """psi_K(a_y) = sum_x v^{r(x,y)} bar(K(x,y)) a_x, with q = v^2."""
     r = check_grading(K.poset, r)
     entries = {}
     for (i, j), p in K.values.items():
-        entries[(i, j)] = monomial(r[j] - r[i]) * p.square_v().bar()
+        entries[(i, j)] = monomial_times(1, r[j] - r[i], p.square_v().bar())
     return BarMatrix(K.poset, r, entries)
 
 
@@ -216,17 +223,25 @@ def kernel_from_bar(bar: BarMatrix) -> IncidenceFunction:
     in q = v^2.  Entries are checked column by column, each from the
     diagonal outwards (then by index), so the witness does not depend on
     the order the entries were built in.
+
+    The values are read off the entry's coefficient tuple cs: g =
+    v^{-r(x,y)} * entry has degree top = deg(entry) - r(x,y), which must be
+    even and at most 0, and bar(g) = v^-top * reversed(cs) must have even
+    exponents, so cs[1::2] must be 0 (both ends of cs are nonzero, so
+    this reads the same from either end).  Then K(x, y) = q^{-top/2} *
+    cs[::-2].  A zero entry raises ValueError (it has no degree).
+
+    A matrix read off a module (``BarMatrix.module``) has its support in
+    the order (property Z, ``Block``), so K is not validated again
+    (``IncidenceFunction``); any other matrix's is.
     """
     r = check_grading(bar.poset, bar.grading)
     values = {}
     for i, j in sorted(bar.entries, key=lambda ij: (ij[1], r[ij[1]] - r[ij[0]], ij[0])):
         p = bar.entries[(i, j)]
-        g = p * monomial(-(r[j] - r[i]))
-        try:
-            k = _halve_exponents(g.bar())
-        except ValueError:
-            k = None
-        if k is None or g.degree > 0:
+        top = p.degree - (r[j] - r[i])
+        cs = p.coeffs
+        if top > 0 or top % 2 or any(cs[1::2]):
             raise NotParityCompatible(
                 "bar-matrix entry outside Z[v^-2] * v^r",
                 {
@@ -238,8 +253,8 @@ def kernel_from_bar(bar: BarMatrix) -> IncidenceFunction:
                     "shift": r[j] - r[i],
                 },
             )
-        values[(i, j)] = k
-    return IncidenceFunction(bar.poset, values)
+        values[(i, j)] = _make(-top // 2, cs[::-2])
+    return IncidenceFunction(bar.poset, values, proven=bar.module is not None)
 
 
 def _label_json(x):
@@ -271,7 +286,8 @@ def module_kls_function(module: TwistedModule, poset: Poset, r: Sequence[int]) -
     of a unitriangular involution is unique, so this is ``kls_function`` of
     the kernel, without psi's rows.
     """
-    return IncidenceFunction(poset, _kls_values(module.canonical_table().entries, r, poset.elements))
+    values = _kls_values(module.canonical_table().entries, r, poset.elements)
+    return IncidenceFunction(poset, values, proven=True)
 
 
 def _kls_values(
@@ -281,21 +297,22 @@ def _kls_values(
 
     Each value must be a polynomial in q, of degree below r(x, y)/2 off the
     diagonal and 1 on it.  For a genuine kernel none of this can fail, so a
-    violation raises RuntimeError (a solver bug).
+    violation raises RuntimeError (a solver bug).  The value is read off C's
+    coefficient tuple cs: v^{r(x,y)} C has valuation low = val(C) + r(x,y),
+    which must be even and at least 0, and cs[1::2] must be 0; then gamma =
+    q^{low/2} * cs[::2].
     """
     values = {}
     for (i, j), p in entries.items():
         shift = r[j] - r[i]
-        g = p * monomial(shift)
-        try:
-            gamma = _halve_exponents(g)
-        except ValueError:
-            gamma = None
-        if gamma is None or g.valuation < 0:
+        low = p.valuation + shift
+        cs = p.coeffs
+        if low < 0 or low % 2 or any(cs[1::2]):
             raise RuntimeError(
                 f"internal error: canonical entry {p.to_text()} at "
                 f"({labels[i]}, {labels[j]}) is not a q-polynomial"
             )
+        gamma = _make(low // 2, cs[::2])
         if i != j and 2 * gamma.degree >= shift:
             raise RuntimeError(
                 f"internal error: deg_q {gamma.degree} breaks the bound at "
@@ -336,7 +353,7 @@ def kernel_report(bar: BarMatrix) -> tuple[bool, bool, Optional[IncidenceFunctio
     halve(bar(g)), g = v^{-r(x,y)} p, and returns only if every bar(g) has
     even exponents, so doubling them back gives bar(g) exactly, and
     ``bar_from_kernel``'s v^{r(x,y)} bar(bar(g)) is p.  K has exactly bar's
-    keys, and no zero value: a zero entry already makes ``g.degree`` raise.
+    keys, and no zero value: a zero entry already makes ``p.degree`` raise.
     psi must be an involution (``bar_involution``); when it is, the KLS
     function of K comes from the module that proved psi^2 = id, or else
     from psi's rows, and otherwise it is None.  Raises
@@ -356,8 +373,15 @@ def kernel_report(bar: BarMatrix) -> tuple[bool, bool, Optional[IncidenceFunctio
 # bridges from the Hecke world
 
 def poset_of_block(block: Block) -> Poset:
-    """The Bruhat order on a (twisted or group) block: its intervals, as they are."""
-    return Poset(tuple(block.elements), tuple(map(block.lower_indices, range(len(block)))))
+    """The Bruhat order on a (twisted or group) block: its intervals, as they are.
+
+    They are not validated again (``Poset.proven``).  By property Z (``Block``) lower(j)
+    is the principal ideal of elements[j] in Bruhat order, a partial order,
+    so the ideals are transitive; each is sorted and ends in j, as every
+    other member has lower rank, so a lower index.
+    """
+    lower = tuple(map(block.lower_indices, range(len(block))))
+    return Poset(tuple(block.elements), lower, proven=True)
 
 
 def _bar_matrix(module: TwistedModule, r: tuple[int, ...]) -> BarMatrix:

@@ -269,6 +269,23 @@ class GroupBlock(Block):
     def __repr__(self) -> str:
         return f"GroupBlock({self.system!r}, size={len(self)})"
 
+    @cached_property
+    def inverse(self) -> tuple[int, ...]:
+        """inverse[i] is the index of elements[i]^-1.
+
+        For a reduced word s1 ... sk, left multiplication of e by s1, then
+        s2, ..., then sk gives sk ... s1, the inverse: one cross-table step
+        per letter.
+        """
+        cross = [[t for t, _, _ in row] for row in self.cross]
+        out = []
+        for w in self.elements:
+            k = 0
+            for s in w:
+                k = cross[s][k]
+            out.append(k)
+        return tuple(out)
+
 
 if __name__ == "__main__":  # pragma: no cover
     import doctest

@@ -12,17 +12,24 @@ The incidence algebra's product lives here too: ``convolve`` checks the
 KLS function's defining equation K * gamma = q^r bar(gamma) directly,
 ``delta`` is its unit, and ``is_p_kernel`` asks whether psi_K is an
 involution by the full pass.
+
+Before ``kernel_from_bar`` and ``_kls_values`` read their values off the
+coefficient tuples, they formed each value as a product by a monomial,
+then a bar, then ``halve_exponents``; ``kernel_by_products`` and
+``kls_values_by_products`` are that computation, errors included.
 """
 
 from bisect import bisect_left
 
 from ivhecke import cli
 from ivhecke.coxeter import parse_system
-from ivhecke.laurent import ONE, ZERO
+from ivhecke.laurent import ONE, ZERO, LaurentPoly, monomial
 from ivhecke.pkernel import (
     IncidenceFunction,
     NotParityCompatible,
+    _label_json,
     bar_from_kernel,
+    check_grading,
     hecke_bar_matrix,
     kernel_from_bar,
     kls_function,
@@ -104,3 +111,63 @@ def delta(poset):
 def is_p_kernel(K, r):
     """Whether psi_K is an involution."""
     return bar_from_kernel(K, r).is_involution()
+
+
+def halve_exponents(p):
+    """p(v) read in q = v^2; ValueError if p has an odd exponent."""
+    if p.val % 2 or any(p.coeffs[1::2]):
+        raise ValueError(f"{p.to_text()} has an odd exponent and cannot be halved")
+    return LaurentPoly(p.val // 2, p.coeffs[::2])
+
+
+def kernel_by_products(bar):
+    """``kernel_from_bar``'s values, or its NotParityCompatible, through products."""
+    r = check_grading(bar.poset, bar.grading)
+    values = {}
+    for i, j in sorted(bar.entries, key=lambda ij: (ij[1], r[ij[1]] - r[ij[0]], ij[0])):
+        p = bar.entries[(i, j)]
+        g = p * monomial(-(r[j] - r[i]))
+        try:
+            k = halve_exponents(g.bar())
+        except ValueError:
+            k = None
+        if k is None or g.degree > 0:
+            raise NotParityCompatible(
+                "bar-matrix entry outside Z[v^-2] * v^r",
+                {
+                    "pair": [
+                        _label_json(bar.poset.elements[i]),
+                        _label_json(bar.poset.elements[j]),
+                    ],
+                    "entry": p.to_json(),
+                    "shift": r[j] - r[i],
+                },
+            )
+        values[(i, j)] = k
+    return IncidenceFunction(bar.poset, values)
+
+
+def kls_values_by_products(entries, r, labels):
+    """``_kls_values``, or its RuntimeError, through products."""
+    values = {}
+    for (i, j), p in entries.items():
+        shift = r[j] - r[i]
+        g = p * monomial(shift)
+        try:
+            gamma = halve_exponents(g)
+        except ValueError:
+            gamma = None
+        if gamma is None or g.valuation < 0:
+            raise RuntimeError(
+                f"internal error: canonical entry {p.to_text()} at "
+                f"({labels[i]}, {labels[j]}) is not a q-polynomial"
+            )
+        if i != j and 2 * gamma.degree >= shift:
+            raise RuntimeError(
+                f"internal error: deg_q {gamma.degree} breaks the bound at "
+                f"({labels[i]}, {labels[j]})"
+            )
+        if i == j and gamma != ONE:
+            raise RuntimeError("internal error: KLS diagonal must be 1")
+        values[(i, j)] = gamma
+    return values

@@ -8,14 +8,21 @@ oracle's, values and key order.  Every column's seed descent now satisfies
 the eigenvalue property by construction, so ``recurrence_check("pi")`` no
 longer checks that descent on its own: this comparison does.
 ``pi_prime`` and ``iota`` keep the full peel.
+
+On the regular module, the columns and psi rows at w with w^-1 < w are
+copied from w^-1 (``TwistedModule._mirror``); the ``h`` comparisons cover
+those columns, and the tests below the rows, the permutation and the
+structures that get no mirror.
 """
 
 import pytest
 
 from peel_oracle import full_peel_entries
 
+from ivhecke.classify import GROUP_FLIP_MATRIX
 from ivhecke.coxeter import parse_system
-from ivhecke.ivmodules import REGULAR_STRUCTURES, TwistedModule
+from ivhecke.ivmodules import GROUP_PLAIN_MATRIX, REGULAR_STRUCTURES, TwistedModule, bar_row_vector
+from ivhecke.laurent import ONE
 from ivhecke.twisted import GroupBlock, TwistedBlock, involutive_automorphisms
 
 slow = pytest.mark.slow  # deselected by default; `pytest -m slow` runs them
@@ -37,6 +44,38 @@ def regular_module(name: str, squared: bool) -> TwistedModule:
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_h_fill_matches_full_peel(name, squared):
     assert_matches_full_peel(regular_module(name, squared))
+
+
+@pytest.mark.parametrize("squared", [False, True])
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_mirrored_bar_rows_are_the_derived_rows(name, squared):
+    module = regular_module(name, squared)
+    mirror = module._mirror
+    derived = {0: module.bar_row(0)}
+    mirrored = 0
+    for j in range(1, len(module.block)):
+        derived[j] = bar_row_vector(module.gamma, module.block, j, derived)
+        assert module.bar_row(j) == derived[j], (name, j)
+        mirrored += mirror[j] < j
+    assert mirrored > 0
+
+
+@pytest.mark.parametrize("name", SYSTEMS + ["F4"])
+def test_group_inverse_is_the_word_inverse(name):
+    system = parse_system(name)
+    block = GroupBlock(system)
+    inverse = block.inverse
+    assert all(inverse[inverse[i]] == i for i in range(len(block)))
+    assert [block.elements[k] for k in inverse] == [system.inverse(w) for w in block.elements]
+
+
+@pytest.mark.parametrize("name", ["A3", "H3", "I2(5)"])
+def test_other_group_structures_get_no_mirror(name):
+    block = GroupBlock(parse_system(name))
+    for gamma in (GROUP_FLIP_MATRIX, GROUP_PLAIN_MATRIX.scaled(-ONE, -ONE), REGULAR_STRUCTURES[True].scaled(-ONE, -ONE)):
+        module = TwistedModule(block, "candidate", gamma)
+        assert module._mirror is None
+        assert list(module.canonical_table().entries.items()) == list(full_peel_entries(module).items())
 
 
 @pytest.mark.parametrize("name", SYSTEMS)

@@ -10,6 +10,8 @@ every row psi(m_j) and every seed inside lower(j), and each seed's
 coefficient at j equal to the a1 it is returned with.  A seed returned with
 links (``h`` and ``pi``) must lie in the descent half {x : s |*| x < x} of
 lower(j), for the descent s of j whose ascent half the links describe.
+On the regular module a column j with mirror[j] < j is copied, not
+seeded (``TwistedModule._mirror``); it must lie in lower(j) too.
 """
 
 import pytest
@@ -57,10 +59,12 @@ def assert_rows_and_seeds_in_intervals(module: TwistedModule) -> None:
         return vec, a1, links
 
     module._seed = recording_seed
-    module.canonical_table()
-    assert seeds == list(range(len(block))), where
+    table = module.canonical_table()
+    mirror = module._mirror
+    assert seeds == [j for j in range(len(block)) if mirror is None or mirror[j] >= j], where
     for j in range(len(block)):
         assert set(module.bar_row(j)) <= set(block.lower_indices(j)), where + (j, "row")
+        assert set(table.column(j)) <= set(block.lower_indices(j)), where + (j, "column")
 
 
 def check_twisted_blocks(name: str) -> None:

@@ -8,6 +8,7 @@ as the oracle for the KLS computations.
 from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ivhecke import cli
 from ivhecke.classify import enumerate_candidates
@@ -31,11 +32,20 @@ from ivhecke.pkernel import (
     module_kls_function,
     poset_of_block,
 )
-from ivhecke.pkernel import _bar_matrix, _halve_exponents
+from ivhecke.pkernel import _bar_matrix, _kls_values
 from ivhecke.twisted import GroupBlock, TwistedBlock, involutive_automorphisms, parse_theta
 
 from bar_matrix_oracle import column_by_scan, is_involution_by_scan
-from pkernel_oracle import convolve, delta, is_p_kernel, pkernel_outcome, render
+from pkernel_oracle import (
+    convolve,
+    delta,
+    halve_exponents,
+    is_p_kernel,
+    kernel_by_products,
+    kls_values_by_products,
+    pkernel_outcome,
+    render,
+)
 
 Q = monomial(1)  # the variable q
 
@@ -73,6 +83,16 @@ def test_poset_of_block_is_the_word_level_order(name, theta):
     for j in range(len(poset)):
         for i in range(len(poset)):
             assert poset.leq(i, j) == system.bruhat_leq(elements[i], elements[j]), (name, theta, i, j)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+def test_poset_of_block_passes_the_validator(name):
+    # poset_of_block skips Poset's checks; the intervals pass them all
+    system = parse_system(name)
+    blocks = [GroupBlock(system)] + [TwistedBlock(system, t) for t in involutive_automorphisms(system)]
+    for block in blocks:
+        poset = poset_of_block(block)
+        assert Poset(poset.elements, poset.lower) == poset
 
 
 def test_poset_pairs():
@@ -196,6 +216,70 @@ def test_parity_witness_is_nearest_the_diagonal():
     }
 
 
+def test_parity_witnesses_are_the_products():
+    # an odd exponent, and a positive degree after the shift: the witnesses
+    # of the tuple read-off are those of the product, bar and halving
+    p = chain(2)
+    for entry, shift, witness in (
+        (monomial(2) + monomial(1), 2, {"pair": [0, 1], "entry": {"1": 1, "2": 1}, "shift": 2}),
+        (monomial(4) + monomial(-2), 2, {"pair": [0, 1], "entry": {"-2": 1, "4": 1}, "shift": 2}),
+    ):
+        bm = BarMatrix(p, (0, shift), {(0, 0): ONE, (1, 1): ONE, (0, 1): entry})
+        for read_off in (kernel_from_bar, kernel_by_products):
+            with pytest.raises(NotParityCompatible) as exc:
+                read_off(bm)
+            assert exc.value.witness == witness
+
+
+def outcome(read_off, *args):
+    """read_off's value, or its error's type, message and witness."""
+    try:
+        return read_off(*args)
+    except (NotParityCompatible, RuntimeError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+laurent_polys = st.builds(
+    LaurentPoly, st.integers(-6, 6), st.lists(st.integers(-2, 2), min_size=1, max_size=6)
+).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(laurent_polys, min_size=6, max_size=6), st.sampled_from([(0, 1, 2), (0, 2, 4), (0, 1, 3)]))
+@example([ONE, ONE, ONE, monomial(-1), monomial(-2), monomial(-1)], (0, 1, 2))
+def test_kernel_read_off_is_the_products(polys, grading):
+    bm = BarMatrix(chain(3), grading, dict(zip([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)], polys)))
+    assert outcome(kernel_from_bar, bm) == outcome(kernel_by_products, bm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(laurent_polys, min_size=3, max_size=3), st.sampled_from([(0, 1, 2), (0, 2, 4), (0, 3, 5)]))
+@example([ONE, ONE, monomial(-1)], (0, 1, 2))
+@example([ONE, ONE, monomial(-1) + monomial(-3)], (0, 2, 4))
+@example([ONE, monomial(2), monomial(-1)], (0, 1, 2))
+def test_kls_read_off_is_the_products(polys, grading):
+    entries = dict(zip([(0, 0), (1, 1), (0, 2)], polys))
+    labels = ["x", "y", "z"]
+    assert outcome(_kls_values, entries, grading, labels) == outcome(kls_values_by_products, entries, grading, labels)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3"])
+def test_module_kernels_are_the_products(name):
+    system = parse_system(name)
+    matrices = [hecke_bar_matrix(system)]
+    for theta in involutive_automorphisms(system):
+        for label in ("pi", "pi_prime"):
+            matrices.append(module_bar_matrix(system, theta, label, "length"))
+    for bm in matrices:
+        K = kernel_from_bar(bm)  # proven, so not validated: the validation passes
+        assert list(K.values.items()) == list(kernel_by_products(bm).values.items())
+        assert IncidenceFunction(bm.poset, K.values) == K
+    table = HeckeAlgebra(system).kl_table()
+    assert _kls_values(table.entries, table.ranks, table.elements) == kls_values_by_products(
+        table.entries, table.ranks, table.elements
+    )
+
+
 # ----------------------------------------------------------------------
 # Hecke bridges
 
@@ -224,7 +308,7 @@ def test_kls_equals_kl_polynomials():
         assert set(gamma.values) == set(table.entries)
         for (i, j), p in table.entries.items():
             gap = len(table.elements[j]) - len(table.elements[i])
-            assert gamma.values.get((i, j), ZERO) == _halve_exponents(p * monomial(gap))
+            assert gamma.values.get((i, j), ZERO) == halve_exponents(p * monomial(gap))
 
 
 def test_kls_a2_trivial():
@@ -306,13 +390,13 @@ def test_module_bar_matrix_bad_grading():
 
 
 def test_halve_exponents():
-    assert _halve_exponents(monomial(4) + 2 * monomial(2)) == monomial(2) + 2 * Q
-    assert _halve_exponents(monomial(-2) - monomial(4)) == monomial(-1) - Q**2
-    assert _halve_exponents(ZERO) == ZERO
+    assert halve_exponents(monomial(4) + 2 * monomial(2)) == monomial(2) + 2 * Q
+    assert halve_exponents(monomial(-2) - monomial(4)) == monomial(-1) - Q**2
+    assert halve_exponents(ZERO) == ZERO
     with pytest.raises(ValueError):  # an odd valuation
-        _halve_exponents(monomial(3))
+        halve_exponents(monomial(3))
     with pytest.raises(ValueError):  # an odd exponent inside
-        _halve_exponents(monomial(-2) + monomial(1) + monomial(2))
+        halve_exponents(monomial(-2) + monomial(1) + monomial(2))
 
 
 # ----------------------------------------------------------------------
