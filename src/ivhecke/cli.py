@@ -192,11 +192,18 @@ def _cmd_pkernel(args: argparse.Namespace) -> int:
         labels = [str(list(x)) for x in gamma.poset.elements]
         texts: dict[LaurentPoly, str] = {}
         kls = report["kls"] = {}
-        for (i, j), p in sorted(gamma.values.items()):
-            text = texts.get(p)
-            if text is None:
-                text = texts[p] = p.to_text()
-            kls[f"{labels[i]}<={labels[j]}"] = text
+        rows: dict[int, list[int]] = {}  # in (i, j) order: row by row, each sorted on its own
+        for i, j in gamma.values:
+            rows.setdefault(i, []).append(j)
+        for i in sorted(rows):
+            row = rows[i]
+            row.sort()
+            for j in row:
+                p = gamma.values[(i, j)]
+                text = texts.get(p)
+                if text is None:
+                    text = texts[p] = p.to_text()
+                kls[f"{labels[i]}<={labels[j]}"] = text
     _emit_report(report, args.fmt, args.out)
     return 0 if gamma is not None else 1
 

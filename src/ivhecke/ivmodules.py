@@ -40,7 +40,10 @@ j = s |*| i, C_j is reduced from the psi-invariant (H_s + v^-k) C_i.  Where
 the eigenvalue theorem holds (``h`` and ``pi``), only the half of C_j at
 the descents of s is reduced, and the other half is filled from it
 (``TwistedModule._seed``).  On the regular module, the column and the row
-of psi at w with w^-1 < w are copied from w^-1 (``TwistedModule._mirror``).
+of psi at w with w^-1 < w are copied from w^-1 (``TwistedModule._mirror``);
+every other column is filled at every left and right descent, so its seed
+is read only at two-sided extremal pairs and where a peel can be nonzero,
+and every other row of psi is derived from one descent.
 A structure the paper does not prove pre-canonical
 (``proven_precanonical``) is checked before its table is built, and the
 solve from psi's rows, with equal ranks in reverse order, stays as the
@@ -368,7 +371,7 @@ def precanonical_failure(block: Block, j: int, reason: str, **extra) -> NotPreCa
 
 
 def bar_row_vector(
-    gamma: StructureMatrix, block: Block, j: int, psi: dict[int, Vector]
+    gamma: StructureMatrix, block: Block, j: int, psi: dict[int, Vector], all_descents: bool = True
 ) -> Vector:
     """psi(m_j), derived from the rows of psi at the descents of j.
 
@@ -378,8 +381,10 @@ def bar_row_vector(
         psi(m_j) = [ (op_s + c) psi(m_i) - bar(a2) psi(m_i) ] / bar(a1),
 
     an exact division in A.  Every descent with a1 != 0 is used, and all
-    must give the same row.  psi holds the row of every index below j, as
-    ``TwistedModule.bar_row`` derives them in index order.  Raises
+    must give the same row; with ``all_descents`` False, only the first
+    is, for a module whose psi is known to exist (the regular module,
+    ``TwistedModule.bar_row``).  psi holds the row of every index below j,
+    as ``TwistedModule.bar_row`` derives them in index order.  Raises
     NotPreCanonical if there is no such descent, a division is inexact, or
     two descents disagree.
     """
@@ -401,6 +406,8 @@ def bar_row_vector(
                 raise precanonical_failure(block, j, "inexact division", s=s) from None
         if result is None:
             result = row
+            if not all_descents:
+                break
         elif result != row:
             raise precanonical_failure(block, j, "descent-dependent bar", s=s)
     if result is None:
@@ -500,7 +507,10 @@ class TwistedModule:
         """psi(m_i); rows are derived once each, in index order.
 
         On the regular module, row j with mirror[j] < j is row mirror[j]
-        relabelled (``_mirror``): the row ``bar_row_vector`` would derive.
+        relabelled (``_mirror``): the row ``bar_row_vector`` would derive;
+        every other row is derived from the first descent of j only, as
+        the bar involution of the Hecke algebra exists (Kazhdan-Lusztig
+        1979) and every descent gives its row.
         """
         rows = self._bar_rows
         mirror = self._mirror
@@ -509,7 +519,7 @@ class TwistedModule:
             if m < j:
                 rows[j] = {mirror[x]: p for x, p in rows[m].items()}
             else:
-                rows[j] = bar_row_vector(self.gamma, self.block, j, rows)
+                rows[j] = bar_row_vector(self.gamma, self.block, j, rows, all_descents=mirror is None)
         return rows[i]
 
     def bar(self, vec: Vector) -> Vector:
@@ -530,8 +540,12 @@ class TwistedModule:
         above i (every generator pairs the block, ``Block``), with ascent
         op_s m_i = a1 m_j + a2 m_i, a1 != 0, when op_s^2 = u op_s + 1 holds
         on the whole module (``quadratic_failures``).  Write T = op_s + c.
-        ``bar_row_vector`` checks every usable descent, so bar(a1) psi(m_j)
-        = (T - bar(a2)) psi(m_i), which is intertwining at (i, s).  Apply
+        Every usable descent gives row j: ``bar_row_vector`` compares them
+        all, except on the regular module, where psi, the bar involution of
+        the Hecke algebra, exists and is compatible (Kazhdan-Lusztig 1979),
+        so the recursion from any descent gives psi(m_j), by that theorem
+        and not by a run-time comparison.  So bar(a1) psi(m_j) = (T -
+        bar(a2)) psi(m_i), which is intertwining at (i, s).  Apply
         op_s to a1 m_j = op_s m_i - a2 m_i, then psi: with intertwining at
         (i, s) and the quadratic relation, which gives T^2 = bar(u) T + 1
         as c = -u, both bar(a1) psi(op_s m_j) and bar(a1) T psi(m_j) equal
@@ -617,6 +631,51 @@ class TwistedModule:
         units = self._fill_units
         return [[(t,) + units[commutes] if up else None for t, commutes, up in row] for row in self.block.cross]
 
+    @cached_property
+    def _right_links(self) -> list[list[Optional[tuple[int, int, int]]]]:
+        """On the regular module, right_links[t][x]: None if x t < x, else (x t, c, e).
+
+        ``_links`` under iota (``_seed``); the group block has one commutes
+        case, False.
+        """
+        right = self.block.right_descents
+        unit = self._fill_units[False]
+        return [
+            [None if right[x] >> t & 1 else (y,) + unit for x, y in enumerate(row)]
+            for t, row in enumerate(self.block.right_cross)
+        ]
+
+    def _two_sided_links(self, j: int, s: int, i: int) -> list[Optional[tuple[int, int, int]]]:
+        """The links of column j = s * i of the regular module (``_seed``).
+
+        links[x] is a link of ``_links`` (s' in L(j), s' x > x) or of
+        ``_right_links`` (t in R(j), x t > x) for every x of lower(j) that
+        has one, except the x that can carry a nonzero p_x: s x < x, R(x)
+        >= R(i), and every s' in L(i) with s' x > x has s' x = i (two
+        distinct s' cannot).  So the unlinked x are those and the two-sided
+        extremal ones, with L(x) >= L(j) and R(x) >= R(j).
+        """
+        block = self.block
+        left, right = block.left_descents, block.right_descents
+        left_links, right_links = self._links, self._right_links
+        lj, rj, li, ri = left[j], right[j], left[i], right[i]
+        sbit = 1 << s
+        links: list[Optional[tuple[int, int, int]]] = [None] * len(block)
+        for x in block.lower_indices(j):
+            lx, rx = left[x], right[x]
+            up_left, up_right = lj & ~lx, rj & ~rx
+            if not (up_left or up_right):
+                continue  # two-sided extremal
+            if lx & sbit and not ri & ~rx:
+                m = li & ~lx  # the s' in L(i) with s' x > x: none, or one with s' x = i
+                if not m or (not m & (m - 1) and left_links[m.bit_length() - 1][x][0] == i):
+                    continue  # x can carry p_x
+            if up_left:
+                links[x] = left_links[(up_left & -up_left).bit_length() - 1][x]
+            else:
+                links[x] = right_links[(up_right & -up_right).bit_length() - 1][x]
+        return links
+
     def _seed(self, j: int, columns: dict[int, Vector]) -> Seed:
         """(X, a1, links): X = (H_s + v^-k) C_i at a descent j = s |*| i, a1 its coefficient at j.
 
@@ -624,8 +683,10 @@ class TwistedModule:
         over any other.  The lowest element, with no descent, seeds m_j.
 
         Without the eigenvalue theorem (``_fill_units``), links is None and
-        X is whole.  With it, X is computed only on the descent half {x :
-        s |*| x < x} of lower(j), and links = ``_links[s]`` fills the rest:
+        X is whole.  With it, X is computed only where links[x] is None,
+        which lies in the descent half {x : s |*| x < x} of lower(j), and
+        the links fill the rest.  For ``pi``, links = ``_links[s]`` covers
+        the whole ascent half:
 
         * T X = T^2 C_i = lambda X, so X is a lambda-eigenvector of T.
         * X = a1 C_j + sum_{x < j} p_x C_x (``hecke._column_from_seed``), and
@@ -637,6 +698,32 @@ class TwistedModule:
           descent half and reads X only there.
         * C_j is an eigenvector, so C_j[x] = c v^e C_j[s |*| x] on the ascent
           half, where s |*| x is j or of higher rank than x.
+
+        On the regular module (``_two_sided_links``) the links use every
+        left and right descent of j, and X is read only at the two-sided
+        extremal x and at the x that can carry a nonzero p_x, each on the
+        descent half of s (du Cloux, "Computing Kazhdan-Lusztig polynomials
+        for arbitrary Coxeter groups", Exp. Math. 2002, computes at the
+        two-sided extremal pairs only):
+
+        * The left fill holds at every s' in L(j), as above.
+        * The right fill.  iota(H_w) = H_{w^-1} gives C_j[x] =
+          C_{j^-1}[x^-1] (``hecke``), t in R(j) is a left descent of j^-1,
+          and (x t)^-1 = t x^-1.  So the left fill of column j^-1 at x^-1,
+          C_{j^-1}[x^-1] = v^-k C_{j^-1}[t x^-1] when t x^-1 > x^-1, is
+          C_j[x] = v^-k C_j[x t] when x t > x.
+        * mu-vanishing.  X = C_s C_i = C_j + sum_{z < i, s z < z} mu(z, i)
+          C_z, mu(z, i) the v^-k coefficient of C_i[z] (Kazhdan-Lusztig,
+          "Representations of Coxeter groups and Hecke algebras", Invent.
+          Math. 1979), so p_x = mu(x, i) needs x < i and s x < x.  If s'
+          is in L(i) with s' x > x and x != s' i, then s' x < i (property
+          Z), so C_i[s' x] is a multiple of v^-k, and the left fill of
+          column i makes C_i[x] = v^-k C_i[s' x] a multiple of v^-2k: mu(x,
+          i) = 0.  The same holds with t in R(i), x t > x and x != i t, by
+          the right fill; and x t = i cannot occur with s x < x, as then s
+          x t < x t (else l(s x t) = l(x) + 2 > l(s x) + 1), while s is
+          not in L(i).  Every linked x thus has p_x = 0, so the peel
+          subtracts nothing there, and X is needed only at the unlinked x.
         """
         block = self.block
         best = None
@@ -655,16 +742,18 @@ class TwistedModule:
         s, i, a1 = best
         if self._fill_units is None:
             return self.act_underline_gen(s, columns[i]), a1, None
+        links = self._links[s] if self._mirror is None else self._two_sided_links(j, s, i)
         cross = block.cross[s]
         rows = _shifted_rows(self.gamma, monomial(-2 if self.gamma.squared else -1))
-        half: Vector = {}
+        seed: Vector = {}
         for x, c in columns[i].items():
             t, commutes, up = cross[x]
             if up:  # of m_x's image a m_t + (b + v^-k) m_x, only t is on the descent half
-                accumulate(half, t, rows[commutes][True][0], c)
-            else:  # only x is
-                accumulate(half, x, rows[commutes][False][1], c)
-        return half, a1, self._links[s]
+                if links[t] is None:
+                    accumulate(seed, t, rows[commutes][True][0], c)
+            elif links[x] is None:  # only x is
+                accumulate(seed, x, rows[commutes][False][1], c)
+        return seed, a1, links
 
     def canonical_table(self) -> CanonicalTable:
         """The canonical basis {C_j}: psi(C_j) = C_j, C_j in m_j + sum v^-1 Z[v^-1] m_i.

@@ -236,24 +236,32 @@ def kernel_from_bar(bar: BarMatrix) -> IncidenceFunction:
     (``IncidenceFunction``); any other matrix's is.
     """
     r = check_grading(bar.poset, bar.grading)
+    n = len(r)
+    key = [i - r[i] * n for i in range(n)]  # orders (r(x, y), x) within a column
+    columns: dict[int, list[int]] = {}
+    for i, j in bar.entries:
+        columns.setdefault(j, []).append(i)
     values = {}
-    for i, j in sorted(bar.entries, key=lambda ij: (ij[1], r[ij[1]] - r[ij[0]], ij[0])):
-        p = bar.entries[(i, j)]
-        top = p.degree - (r[j] - r[i])
-        cs = p.coeffs
-        if top > 0 or top % 2 or any(cs[1::2]):
-            raise NotParityCompatible(
-                "bar-matrix entry outside Z[v^-2] * v^r",
-                {
-                    "pair": [
-                        _label_json(bar.poset.elements[i]),
-                        _label_json(bar.poset.elements[j]),
-                    ],
-                    "entry": p.to_json(),
-                    "shift": r[j] - r[i],
-                },
-            )
-        values[(i, j)] = _make(-top // 2, cs[::-2])
+    for j in sorted(columns):
+        column = columns[j]
+        column.sort(key=key.__getitem__)
+        for i in column:
+            p = bar.entries[(i, j)]
+            top = p.degree - (r[j] - r[i])
+            cs = p.coeffs
+            if top > 0 or top % 2 or any(cs[1::2]):
+                raise NotParityCompatible(
+                    "bar-matrix entry outside Z[v^-2] * v^r",
+                    {
+                        "pair": [
+                            _label_json(bar.poset.elements[i]),
+                            _label_json(bar.poset.elements[j]),
+                        ],
+                        "entry": p.to_json(),
+                        "shift": r[j] - r[i],
+                    },
+                )
+            values[(i, j)] = _make(-top // 2, cs[::-2])
     return IncidenceFunction(bar.poset, values, proven=bar.module is not None)
 
 

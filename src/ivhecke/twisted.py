@@ -286,6 +286,28 @@ class GroupBlock(Block):
             out.append(k)
         return tuple(out)
 
+    @cached_property
+    def left_descents(self) -> tuple[int, ...]:
+        """Bit s of left_descents[i] is set when s * elements[i] is shorter: L(w) as a mask."""
+        out = [0] * len(self.elements)
+        for s, row in enumerate(self.cross):
+            for i, (_, _, up) in enumerate(row):
+                if not up:
+                    out[i] |= 1 << s
+        return tuple(out)
+
+    @cached_property
+    def right_descents(self) -> tuple[int, ...]:
+        """R(w) as a mask: R(w) = L(w^-1)."""
+        left = self.left_descents
+        return tuple(left[k] for k in self.inverse)
+
+    @cached_property
+    def right_cross(self) -> list[tuple[int, ...]]:
+        """right_cross[t][i] is the index of elements[i] * t, which is (t * w^-1)^-1."""
+        inverse = self.inverse
+        return [tuple(inverse[row[k][0]] for k in inverse) for row in self.cross]
+
 
 if __name__ == "__main__":  # pragma: no cover
     import doctest

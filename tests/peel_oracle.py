@@ -5,7 +5,8 @@ the descent j = s |*| i that ``TwistedModule._seed`` picks: op_s applied by
 ``act_gen``, then v^-k C_i added by ``vec_axpy``.  The peel reads X at
 every x < j, rank descending, subtracts p_x C_x over all of C_x and
 divides by a1.  No entry is filled from another.  Tests compare the
-module tables, values and key order, with this.
+module tables, values and key order, with this, and the positions where
+the fill reads the seed with the nonzero p_x recorded here.
 """
 
 from ivhecke.ivmodules import act_gen
@@ -34,8 +35,11 @@ def full_seed(module, j, columns):
     return vec, a1
 
 
-def full_peel_entries(module):
-    """{(x, j): pi_{x,j}} of the module's canonical table, in ``solve_canonical``'s key order."""
+def full_peel_entries(module, peels=None):
+    """{(x, j): pi_{x,j}} of the module's canonical table, in ``solve_canonical``'s key order.
+
+    With a dict ``peels``, peels[j][x] = p_x for every nonzero p_x of column j.
+    """
     block = module.block
     entries = {}
     columns = {}
@@ -50,6 +54,8 @@ def full_peel_entries(module):
                 continue
             p = split_bar_invariant(f, a1)
             if p:
+                if peels is not None:
+                    peels.setdefault(j, {})[x] = p
                 vec_axpy(vec, -p, columns[x])
                 f = vec.get(x)
                 if not f:

@@ -6,7 +6,11 @@ arguments.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -228,3 +232,14 @@ def test_parser_covers_all_commands():
     ):
         args = parser.parse_args(argv)
         assert args.command == argv[0]
+
+
+def test_python_m_ivhecke_runs_the_cli(capsys):
+    """``python -m ivhecke`` from a source checkout prints what ``main`` prints."""
+    argv = ["table", "--system", "A3", "--basis", "h", "--format", "csv"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "ivhecke", *argv], capture_output=True, text=True, env=env)
+    code, out = run(capsys, *argv)
+    assert done.returncode == code == 0
+    assert done.stdout == out and out.startswith("x,w,poly\n")

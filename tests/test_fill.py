@@ -12,7 +12,11 @@ longer checks that descent on its own: this comparison does.
 On the regular module, the columns and psi rows at w with w^-1 < w are
 copied from w^-1 (``TwistedModule._mirror``); the ``h`` comparisons cover
 those columns, and the tests below the rows, the permutation and the
-structures that get no mirror.
+structures that get no mirror.  Its other columns are filled on both
+sides (``TwistedModule._two_sided_links``): the seed is read only at
+two-sided extremal x and at the x that can carry a nonzero peel
+coefficient p_x, and the lemma test checks that every nonzero p_x of the
+full peel lies there.  Its other psi rows come from one descent each.
 """
 
 import pytest
@@ -21,6 +25,7 @@ from peel_oracle import full_peel_entries
 
 from ivhecke.classify import GROUP_FLIP_MATRIX
 from ivhecke.coxeter import parse_system
+from ivhecke.hecke import column_index
 from ivhecke.ivmodules import GROUP_PLAIN_MATRIX, REGULAR_STRUCTURES, TwistedModule, bar_row_vector
 from ivhecke.laurent import ONE
 from ivhecke.twisted import GroupBlock, TwistedBlock, involutive_automorphisms
@@ -41,23 +46,43 @@ def regular_module(name: str, squared: bool) -> TwistedModule:
 
 
 @pytest.mark.parametrize("squared", [False, True])
-@pytest.mark.parametrize("name", SYSTEMS)
+@pytest.mark.parametrize("name", SYSTEMS + [pytest.param(name, marks=slow) for name in ("B4", "F4")])
 def test_h_fill_matches_full_peel(name, squared):
     assert_matches_full_peel(regular_module(name, squared))
 
 
 @pytest.mark.parametrize("squared", [False, True])
 @pytest.mark.parametrize("name", SYSTEMS)
+def test_nonzero_peels_lie_where_the_seed_is_read(name, squared):
+    module = regular_module(name, squared)
+    block = module.block
+    peels = {}
+    entries = full_peel_entries(module, peels)
+    columns = column_index(entries)
+    nonzero = 0
+    for j in range(1, len(block)):
+        _vec, _a1, links = module._seed(j, columns)
+        read = {x for x in block.lower_indices(j) if links[x] is None}
+        assert set(peels.get(j, ())) <= read, (name, j)
+        nonzero += len(peels.get(j, ()))
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("squared", [False, True])
+@pytest.mark.parametrize("name", SYSTEMS + [pytest.param("F4", marks=slow)])
 def test_mirrored_bar_rows_are_the_derived_rows(name, squared):
+    """Each row of the regular module, copied or derived from one descent,
+    equals the row derived from every descent, which checks they agree."""
     module = regular_module(name, squared)
     mirror = module._mirror
     derived = {0: module.bar_row(0)}
-    mirrored = 0
+    mirrored = several = 0
     for j in range(1, len(module.block)):
         derived[j] = bar_row_vector(module.gamma, module.block, j, derived)
         assert module.bar_row(j) == derived[j], (name, j)
         mirrored += mirror[j] < j
-    assert mirrored > 0
+        several += mirror[j] >= j and bin(module.block.left_descents[j]).count("1") > 1
+    assert mirrored > 0 and several > 0
 
 
 @pytest.mark.parametrize("name", SYSTEMS + ["F4"])
@@ -67,6 +92,18 @@ def test_group_inverse_is_the_word_inverse(name):
     inverse = block.inverse
     assert all(inverse[inverse[i]] == i for i in range(len(block)))
     assert [block.elements[k] for k in inverse] == [system.inverse(w) for w in block.elements]
+
+
+@pytest.mark.parametrize("name", SYSTEMS + ["B4"])
+def test_group_descents_and_right_cross_are_the_word_ones(name):
+    system = parse_system(name)
+    block = GroupBlock(system)
+    rank = range(system.rank)
+    for i, w in enumerate(block.elements):
+        left = sum(1 << s for s in rank if len(system.left_mult(s, w)) < len(w))
+        right = sum(1 << t for t in rank if len(system.right_mult(w, t)) < len(w))
+        assert (block.left_descents[i], block.right_descents[i]) == (left, right), (name, w)
+        assert [block.elements[row[i]] for row in block.right_cross] == [system.right_mult(w, t) for t in rank]
 
 
 @pytest.mark.parametrize("name", ["A3", "H3", "I2(5)"])
@@ -101,11 +138,6 @@ def test_fill_units_read_off_the_structures():
 def test_h4_pi_fill_matches_full_peel():
     system = parse_system("H4")
     assert_matches_full_peel(TwistedModule(TwistedBlock(system, system.identity_perm()), "pi"))
-
-
-@slow
-def test_f4_h_fill_matches_full_peel():
-    assert_matches_full_peel(regular_module("F4", False))
 
 
 @slow

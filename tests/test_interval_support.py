@@ -8,10 +8,14 @@ lower(i) u s |*| lower(i), which is lower(j) by property Z (``Block``).
 These tests pin that guarantee on real blocks: property Z at every descent,
 every row psi(m_j) and every seed inside lower(j), and each seed's
 coefficient at j equal to the a1 it is returned with.  A seed returned with
-links (``h`` and ``pi``) must lie in the descent half {x : s |*| x < x} of
-lower(j), for the descent s of j whose ascent half the links describe.
-On the regular module a column j with mirror[j] < j is copied, not
-seeded (``TwistedModule._mirror``); it must lie in lower(j) too.
+links (``h`` and ``pi``) has entries only where links[x] is None.  For
+``pi`` it must lie in the descent half {x : s |*| x < x} of lower(j), for
+the descent s of j whose ascent half the links describe.  On the regular
+module the links are per column (``TwistedModule._two_sided_links``):
+each lies in lower(j), and its source is s' x for a left descent s' of j
+or x t for a right descent t of j, both read off the words, and lies in
+lower(j) above x.  A column j with mirror[j] < j is copied, not seeded
+(``TwistedModule._mirror``); it must lie in lower(j) too.
 """
 
 import pytest
@@ -35,6 +39,26 @@ def assert_property_z(block) -> None:
                 assert want == set(lower) | {row[x][0] for x in lower}, (block, j, s)
 
 
+def assert_two_sided_links(module: TwistedModule, j: int, links) -> None:
+    """Each link of column j of the regular module comes from a left or right descent of j."""
+    block, system = module.block, module.block.system
+    elements, index = block.elements, block.index
+    w = elements[j]
+    rank = range(system.rank)
+    left = [s for s in rank if len(system.left_mult(s, w)) < len(w)]
+    right = [t for t in rank if len(system.right_mult(w, t)) < len(w)]
+    lower = set(block.lower_indices(j))
+    for x, link in enumerate(links):
+        if link is None:
+            continue
+        source, c, e = link
+        u = elements[x]
+        sources = {index[system.left_mult(s, u)] for s in left} | {index[system.right_mult(u, t)] for t in right}
+        assert x in lower and source in sources, (block, j, x, "link source")
+        assert source in lower and len(elements[source]) > len(u), (block, j, x, "link above")
+        assert (c, e) == module._fill_units[False], (block, j, x, "link unit")
+
+
 def assert_rows_and_seeds_in_intervals(module: TwistedModule) -> None:
     """Every psi(m_j), and every seed the canonical solve reduces, lies in lower(j)."""
     block = module.block
@@ -46,14 +70,18 @@ def assert_rows_and_seeds_in_intervals(module: TwistedModule) -> None:
         seeds.append(j)
         support = set(block.lower_indices(j))
         if links is not None:
-            # a half seed: links is a descent s of j's ascent half, and vec lies on the other half
-            targets = [link and link[0] for link in links]
-            descents = [
-                s for s, row in enumerate(block.cross)
-                if not row[j][2] and [t if up else None for t, _, up in row] == targets
-            ]
-            assert descents, where + (j, "links")
-            support = {x for x in support if not block.cross[descents[0]][x][2]}
+            assert all(links[x] is None for x in vec), where + (j, "seed at a link")
+            if module._mirror is not None:
+                assert_two_sided_links(module, j, links)
+            else:
+                # a half seed: links is a descent s of j's ascent half, and vec lies on the other half
+                targets = [link and link[0] for link in links]
+                descents = [
+                    s for s, row in enumerate(block.cross)
+                    if not row[j][2] and [t if up else None for t, _, up in row] == targets
+                ]
+                assert descents, where + (j, "links")
+                support = {x for x in support if not block.cross[descents[0]][x][2]}
         assert set(vec) <= support, where + (j, "seed")
         assert vec[j] == a1, where + (j, "seed top")
         return vec, a1, links
