@@ -5,17 +5,20 @@ of each candidate, against a battery of Coxeter systems and all their
 involutive twists:
 
 1. *Representation*: do the generator operators satisfy the Hecke
-   presentation -- the quadratic relation (op - v^k)(op + v^-k) = 0 and
-   the braid relations -- on every block basis vector?  Every generator
-   pairs every block (``twisted.Block``), so the quadratic relation is
-   read off the structure's 2x2 matrices
-   (``ivmodules.quadratic_failures``).  A unit rescaling gamma[alpha,
-   beta] is gamma conjugated by a diagonal change of basis
-   (``StructureMatrix.scaled``), so its relations fail at the same basis
-   vectors, with the same witness.  The pipelines therefore
-   check each battery block once per diagonal class, on the class's
-   ``StructureMatrix.diagonal_normal_form``, and give every candidate of
-   the class that result.
+   presentation, that is the quadratic relation (op - v^k)(op + v^-k) = 0
+   and the braid relations?  Every generator pairs every block
+   (``twisted.Block``), so the quadratic relation is read off the
+   structure's 2x2 matrices (``ivmodules.quadratic_failures``).  Each
+   <s, t>-orbit is then an alternating cycle whose span op_s and op_t
+   keep, so the braid relation of s and t is tested once per orbit shape
+   and position in it (``Block.rank2_positions``), not once per basis
+   vector.  A unit rescaling gamma[alpha, beta] is gamma conjugated by a
+   diagonal change of basis (``StructureMatrix.scaled``), so its
+   relations fail at the same basis vectors, with the same witness.  The
+   pipelines therefore check each battery block once per diagonal class,
+   on the class's ``StructureMatrix.diagonal_normal_form``, give every
+   candidate of the class that result, and share the class's braid
+   verdicts across the battery.
 2. *Pre-canonicity*: does the unique antilinear map psi fixing the lowest
    basis vector and intertwining op_s with op_s + (v^-k - v^k) id exist
    and come out unitriangular with unit diagonal?  Such a psi squares to
@@ -245,14 +248,23 @@ def battery(systems: Sequence[str], mode: str) -> list[tuple[str, Block]]:
 # ----------------------------------------------------------------------
 # stage 1: the representation check
 
-def check_representation(gamma: StructureMatrix, block) -> Optional[dict]:
+def check_representation(
+    gamma: StructureMatrix, block, verdicts: Optional[dict] = None
+) -> Optional[dict]:
     """First witness of a failed quadratic or braid relation, or None.
 
     Quadratic relations come first, generator by generator, then braid
-    relations, each at the first failing basis vector in index order.
-    Every generator pairs the block (``Block``), so the quadratic relation
-    is read off gamma's 2x2 matrices by ``quadratic_failures``; every braid
-    relation is tested on each basis vector.
+    relations, pair (s, t) by pair, each at the first failing basis vector
+    in index order.  Every generator pairs the block (``Block``), so the
+    quadratic relation is read off gamma's 2x2 matrices by
+    ``quadratic_failures``.  It also makes each <s, t>-orbit an
+    alternating cycle whose span op_s and op_t keep, and on which they act
+    as on the cycle's shape (``Block.rank2_positions``).  So the braid
+    relation of bond m holds at a basis vector exactly when it holds at
+    the vector's position p in its orbit's shape: one verdict per
+    (m, shape, p), computed when the scan first reaches it and kept in
+    verdicts, which may be shared by every block checked with gamma.  An
+    infinite bond (m = 0) has no braid relation.
     """
     system = block.system
     for s, i in enumerate(quadratic_failures(gamma, block)):
@@ -263,14 +275,20 @@ def check_representation(gamma: StructureMatrix, block) -> Optional[dict]:
                 "element": list(block.elements[i]),
                 "theta": list(block.theta),
             }
+    if verdicts is None:
+        verdicts = {}
+    positions = block.rank2_positions
     for s in range(system.rank):
         for t in range(s + 1, system.rank):
             m = system.bond(s, t)
-            st_word = tuple(s if k % 2 == 0 else t for k in range(m))
-            ts_word = tuple(t if k % 2 == 0 else s for k in range(m))
-            for i in range(len(block)):
-                e = {i: ONE}
-                if act_word(gamma, block, st_word, e) != act_word(gamma, block, ts_word, e):
+            if m == 0:
+                continue
+            for i, shape, p in positions[(s, t)]:
+                key = (m, shape, p)
+                holds = verdicts.get(key)
+                if holds is None:
+                    holds = verdicts[key] = _braid_holds(gamma, m, shape, p)
+                if not holds:
                     return {
                         "relation": "braid",
                         "s": s,
@@ -281,18 +299,33 @@ def check_representation(gamma: StructureMatrix, block) -> Optional[dict]:
     return None
 
 
+class _Orbit(NamedTuple):
+    """An orbit shape as a block of generators 0 (s) and 1 (t); ``act_gen`` reads only ``cross``."""
+
+    cross: tuple
+
+
+def _braid_holds(gamma: StructureMatrix, m: int, shape: tuple, p: int) -> bool:
+    """Whether (op_s op_t ...)_m = (op_t op_s ...)_m at position p of an orbit of this shape."""
+    orbit, e = _Orbit(shape), {p: ONE}
+    st_word = tuple(k & 1 for k in range(m))
+    ts_word = tuple(1 - (k & 1) for k in range(m))
+    return act_word(gamma, orbit, st_word, e) == act_word(gamma, orbit, ts_word, e)
+
+
 def _class_representation(memo: dict, rep: StructureMatrix, k: int, block) -> Optional[dict]:
     """``check_representation(rep, block)`` for block k of a battery, run
     once per (rep, k) and kept in memo.
 
     rep is a ``StructureMatrix.diagonal_normal_form``.  On the
     ``TwistedBlock``/``GroupBlock`` of ``battery`` its witness is that of
-    every structure in its diagonal class.
+    every structure in its diagonal class.  memo maps rep to its braid
+    verdicts, shared by all the blocks, and its witness on each block.
     """
-    key = (rep, k)
-    if key not in memo:
-        memo[key] = check_representation(rep, block)
-    return memo[key]
+    verdicts, witnesses = memo.setdefault(rep, ({}, {}))
+    if k not in witnesses:
+        witnesses[k] = check_representation(rep, block, verdicts)
+    return witnesses[k]
 
 
 # ----------------------------------------------------------------------

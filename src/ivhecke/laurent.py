@@ -150,10 +150,10 @@ class LaurentPoly:
         return NotImplemented  # type: ignore[return-value]
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly(0, (other,))
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        if other.__class__ is not LaurentPoly:
+            other = self._coerce(other)  # type: ignore[arg-type]
+            if other is NotImplemented:
+                return NotImplemented
         return self.val == other.val and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:

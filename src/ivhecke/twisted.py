@@ -178,6 +178,57 @@ class Block:
     def length(self, i: int) -> int:
         return len(self.elements[i])
 
+    @cached_property
+    def rank2_positions(self) -> dict[tuple[int, int], list[tuple[int, tuple, int]]]:
+        """For each pair s < t: (i, shape, p) for the first basis vector i
+        of each distinct (shape, p), in index order.
+
+        s and t pair the block, so each <s, t>-orbit is a cycle x_0, ...,
+        x_{n-1} with x_0 its lowest index and x_{k+1} (k + 1 mod n) equal to
+        s |*| x_k for even k and t |*| x_k for odd k.  Its shape is its own
+        cross table in positions: ``shape[0][k] = (k', commutes, up)`` when
+        s |*| x_k = x_{k'}, and ``shape[1]`` likewise for t.  op_s and op_t
+        keep the orbit's span and act on it, in the basis x_0, ..., x_{n-1},
+        as generators 0 and 1 act on a block with cross table ``shape``.  So
+        a relation in s and t holds at x_p exactly when it holds at position
+        p of that shape, and every basis vector has the (shape, p) of a
+        listed i at or below it.
+        """
+        n = len(self.elements)
+        out = {}
+        for s in range(len(self.cross)):
+            for t in range(s + 1, len(self.cross)):
+                rows = (self.cross[s], self.cross[t])
+                where: list = [None] * n  # (shape, p) of each basis vector
+                first: dict = {}  # (shape, p) -> its lowest basis vector, in index order
+                for x0 in range(n):
+                    if where[x0] is None:
+                        orbit, flags = [x0], []
+                        while True:
+                            y, commutes, up = rows[len(flags) & 1][orbit[-1]]
+                            flags.append((commutes, up))
+                            if y == x0:
+                                break
+                            orbit.append(y)
+                        shape = _cycle_cross(flags)
+                        for p, x in enumerate(orbit):
+                            where[x] = (shape, p)
+                    first.setdefault(where[x0], x0)
+                out[(s, t)] = [(i, shape, p) for (shape, p), i in first.items()]
+        return out
+
+
+def _cycle_cross(flags: list[tuple[bool, bool]]) -> tuple:
+    """The cross table of generators 0 and 1 on a cycle whose step k, from
+    position k to k + 1 by generator k mod 2, has the (commutes, up) flags[k]."""
+    n = len(flags)
+    rows: tuple[list, list] = ([None] * n, [None] * n)
+    for k, (commutes, up) in enumerate(flags):
+        j = (k + 1) % n
+        rows[k & 1][k] = (j, commutes, up)
+        rows[k & 1][j] = (k, commutes, not up)
+    return tuple(rows[0]), tuple(rows[1])
+
 
 class TwistedBlock(Block):
     """All twisted involutions for one involutive theta, with action tables.

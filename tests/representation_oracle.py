@@ -2,9 +2,11 @@
 
 ``classify.check_representation`` reads the quadratic relation of a
 generator that pairs the block off the structure's 2x2 matrices
-(``ivmodules.quadratic_failures``).  This is the check as it ran before,
-with op_s^2 = u op_s + 1 tested on each basis vector.  Both must return
-the same witness, or None.
+(``ivmodules.quadratic_failures``), and tests the braid relation of s and
+t once per <s, t>-orbit shape and position in it, reading each basis
+vector's verdict off its orbit (``Block.rank2_positions``).  This is the
+check as it ran before, with op_s^2 = u op_s + 1 and both braid words
+applied to each basis vector.  Both must return the same witness, or None.
 """
 
 from typing import Optional
@@ -13,8 +15,13 @@ from ivhecke.ivmodules import StructureMatrix, act_gen, act_word, vec_axpy
 from ivhecke.laurent import ONE
 
 
-def check_representation_per_element(gamma: StructureMatrix, block) -> Optional[dict]:
-    """First witness of a failed quadratic or braid relation, or None."""
+def check_representation_per_element(
+    gamma: StructureMatrix, block, verdicts: Optional[dict] = None
+) -> Optional[dict]:
+    """First witness of a failed quadratic or braid relation, or None.
+
+    verdicts, the memo of ``classify.check_representation``, is ignored.
+    """
     system = block.system
     u = gamma.parameter_diff
     n = len(block.elements)

@@ -41,6 +41,7 @@ from ivhecke.ivmodules import (
     PI_PRIME_MATRIX,
     StructureMatrix,
     TwistedModule,
+    act_word,
 )
 from ivhecke.laurent import ONE, U, U2, V, VI, ZERO, LaurentPoly, monomial
 from ivhecke.pkernel import hecke_bar_matrix
@@ -555,6 +556,70 @@ def test_every_classified_candidate_has_its_own_oracle_witness(mode, monkeypatch
 def test_every_scanned_candidate_has_its_own_oracle_witness(grid):
     candidates = enumerate_candidates(grid)
     assert_records_are_the_oracles(candidates, representation_scan(candidates, ORACLE_SYSTEMS), "hi")
+
+
+# ----------------------------------------------------------------------
+# braid relations once per orbit shape and position
+
+def diagonal_classes(mode):
+    candidates = enumerate_candidates("classified_families", mode)
+    return list(dict.fromkeys(c.gamma.diagonal_normal_form() for c in candidates))
+
+
+def assert_orbit_check_is_the_oracles(structures, all_blocks):
+    # the verdicts are shared across the battery, as the pipelines share them
+    for gamma in structures:
+        verdicts = {}
+        for name, blk in all_blocks:
+            got = check_representation(gamma, blk, verdicts)
+            assert got == check_representation_per_element(gamma, blk), (gamma, name, blk.theta)
+
+
+@pytest.mark.parametrize("mode", ["hw", "hi", "h2i"])
+def test_orbit_check_is_the_per_element_check_on_the_battery(mode):
+    assert_orbit_check_is_the_oracles(diagonal_classes(mode), classify.battery(DEFAULT_SYSTEMS, mode))
+
+
+@pytest.mark.parametrize("grid", ["both_zero", "left_nonzero"])
+def test_orbit_check_is_the_per_element_check_on_the_grids(grid):
+    structures = [c.gamma for c in enumerate_candidates(grid)]
+    assert_orbit_check_is_the_oracles(structures, classify.battery(DEFAULT_SYSTEMS, "hi"))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("system", ["H4", "E6"])
+def test_orbit_check_is_the_per_element_check_at_the_top(system):
+    assert_orbit_check_is_the_oracles(diagonal_classes("hi"), classify.battery([system], "hi"))
+
+
+def braid_fails(gamma, blk, s, t, i):
+    m = blk.system.bond(s, t)
+    st_word = tuple(s if k % 2 == 0 else t for k in range(m))
+    ts_word = tuple(t if k % 2 == 0 else s for k in range(m))
+    return act_word(gamma, blk, st_word, {i: ONE}) != act_word(gamma, blk, ts_word, {i: ONE})
+
+
+def test_braid_witness_is_the_lowest_failing_index_not_the_first_in_orbit_order():
+    # I2(5)'s untwisted block is one <s, t>-orbit, walked s, t, s, ... from
+    # the identity; this structure fails the braid relation first at index
+    # 3 = (0, 1, 0), but the walk reaches index 4 = (1, 0, 1), which also
+    # fails, before it
+    gamma = enumerate_candidates("both_zero")[6].gamma
+    blk = block("I2(5)")
+    walk = [0]
+    while len(walk) < len(blk):
+        walk.append(blk.cross[(len(walk) - 1) % 2][walk[-1]][0])
+    assert walk == [0, 1, 4, 5, 3, 2]
+    failing = [i for i in range(len(blk)) if braid_fails(gamma, blk, 0, 1, i)]
+    assert min(failing) == 3 and next(i for i in walk if i in failing) == 4
+    assert check_representation_per_element(gamma, blk) == {
+        "relation": "braid",
+        "s": 0,
+        "t": 1,
+        "element": [0, 1, 0],
+        "theta": [0, 1],
+    }
+    assert check_representation(gamma, blk) == check_representation_per_element(gamma, blk)
 
 
 # ----------------------------------------------------------------------

@@ -218,6 +218,17 @@ def test_constants_hash_and_compare_as_their_int(n):
     assert {n: "x"}.get(p) == "x" and {p: "x"}.get(n) == "x"
 
 
+def test_equality_takes_the_polynomial_path_first_and_keeps_the_others():
+    three = LaurentPoly.from_int(3)
+    assert three == 3 and 3 == three and not (three != 3)
+    assert V != 3 and 3 != V and ZERO == 0 and 0 == ZERO and ONE == True  # noqa: E712
+    assert three != "x" and not (three == "x") and "x" != three
+    assert three.__eq__("x") is NotImplemented and three.__eq__(3.0) is NotImplemented
+    assert three == lp({0: 3}) and three != lp({1: 3})
+    assert hash(three) == hash(3) and hash(ZERO) == hash(0) == 0 and hash(-ONE) == hash(-1)
+    assert {3: "x"}.get(three) == "x" and {three: "x"}.get(3) == "x"
+
+
 @given(polys)
 def test_json_text_roundtrip(p):
     assert oracle.from_json(p.to_json()) == p

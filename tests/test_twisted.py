@@ -207,3 +207,43 @@ def test_every_generator_pairs_every_block(name):
         for s, row in enumerate(block.cross):
             for k, (t, commutes, up) in enumerate(row):
                 assert t != k and row[t] == (k, commutes, not up), (name, block.theta, s, k)
+
+
+def rank2_orbits(block, s, t):
+    """Each <s, t>-orbit as the list of its indices, walked s, t, s, ... from its lowest."""
+    seen, out = set(), []
+    for x0 in range(len(block)):
+        if x0 not in seen:
+            orbit = [x0]
+            while True:
+                y = block.cross[(s, t)[(len(orbit) - 1) % 2]][orbit[-1]][0]
+                if y == x0:
+                    break
+                orbit.append(y)
+            seen.update(orbit)
+            out.append(orbit)
+    return out
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "I2(5)", "I2(6)"])
+def test_rank2_positions_are_the_orbits_own_cross_tables(name):
+    # the braid check reads each basis vector's relation off its orbit's shape
+    system = parse_system(name)
+    blocks = [GroupBlock(system)] + [TwistedBlock(system, t) for t in involutive_automorphisms(system)]
+    pairs = [(s, t) for s in range(system.rank) for t in range(s + 1, system.rank)]
+    for block in blocks:
+        assert list(block.rank2_positions) == pairs
+        for (s, t), firsts in block.rank2_positions.items():
+            where = {}
+            for orbit in rank2_orbits(block, s, t):
+                assert len(orbit) % 2 == 0, (name, s, t, orbit)
+                position = {x: p for p, x in enumerate(orbit)}
+                shape = tuple(
+                    tuple((position[y], commutes, up) for y, commutes, up in map(block.cross[g].__getitem__, orbit))
+                    for g in (s, t)
+                )
+                where.update({x: (shape, p) for p, x in enumerate(orbit)})
+            expected = {}
+            for x in range(len(block)):
+                expected.setdefault(where[x], x)
+            assert firsts == [(x,) + key for key, x in expected.items()], (name, block.theta, s, t)
