@@ -407,12 +407,13 @@ class CanonicalTable:
         return self.entries.get((i, j), ZERO)
 
     @cached_property
-    def _columns(self) -> dict[int, dict[int, LaurentPoly]]:
+    def columns(self) -> dict[int, dict[int, LaurentPoly]]:
+        """{j: {i: entry (i, j)}}, each column in the order of ``entries``; shared, not to be changed."""
         return column_index(self.entries)
 
     def column(self, j: int) -> dict[int, LaurentPoly]:
         """{i: entry (i, j)}, in the order of ``entries``; a fresh dict."""
-        return dict(self._columns.get(j, {}))
+        return dict(self.columns.get(j, {}))
 
     def sorted_keys(self) -> list[tuple[int, int]]:
         """The keys (i, j) ordered by j, then i: grouped by column, each column sorted on its own."""

@@ -48,6 +48,13 @@ A structure the paper does not prove pre-canonical
 (``proven_precanonical``) is checked before its table is built, and the
 solve from psi's rows, with equal ranks in reverse order, stays as the
 cross-check of ``invariant_suite``.
+
+The paper's generator recurrences (``recurrence_check``) need only a
+module's table: each reads (H_s + v^-k) C_w = sum_y c_y C_y, so one loop
+over (w, s) builds the coefficient dict c of ``pi``'s eigenvalue
+relation or of the mu-corrected recurrences of ``pi_prime`` and ``iota``
+by scattering over the mu-graph (the v^-1 coefficients of the table,
+read once per column), and expands it over the table's columns.
 """
 
 from __future__ import annotations
@@ -57,7 +64,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .coxeter import CoxeterSystem, Word
-from .hecke import CanonicalTable, HeckeAlgebra, NotPreCanonical, Seed, column_index, solve_canonical
+from .hecke import CanonicalTable, HeckeAlgebra, NotPreCanonical, Seed, solve_canonical
 from .laurent import (
     ONE,
     U,
@@ -343,7 +350,8 @@ def quadratic_failures(gamma: StructureMatrix, block: Block) -> list[Optional[in
     the ascent row (a1, a2) and the descent row (b1, b2) of gamma.  The
     relation fails at m_i (m_j) exactly when the first (second) column of
     M_c^2 - u M_c - I is nonzero, so the Laurent work is two 2x2 matrices
-    per structure and the rest is an index scan.
+    per structure and the rest is an index scan, made only when some case
+    fails.
     """
     u = gamma.parameter_diff
     bad = set()
@@ -354,6 +362,8 @@ def quadratic_failures(gamma: StructureMatrix, block: Block) -> list[Optional[in
             bad.add((commutes, True))
         if b1 * t or b2 * (b2 - u) + d:
             bad.add((commutes, False))
+    if not bad:
+        return [None] * len(block.cross)
     return [
         next((k for k, (_, commutes, up) in enumerate(row) if (commutes, up) in bad), None)
         for row in block.cross
@@ -782,10 +792,6 @@ class TwistedModule:
         )
         return self._table
 
-    def underline(self, j: int) -> Vector:
-        """The canonical basis vector attached to block element j."""
-        return self.canonical_table().column(j)
-
 
 def canonical_table(system: CoxeterSystem, theta: Sequence[int], label: str) -> CanonicalTable:
     """Convenience: the canonical table for one structure on one block.
@@ -799,173 +805,94 @@ def canonical_table(system: CoxeterSystem, theta: Sequence[int], label: str) -> 
 
 
 # ----------------------------------------------------------------------
-# mu-data
-
-@dataclass
-class MuData:
-    """First-order coefficients extracted from a canonical table.
-
-    ``mu[(i, j)]`` is the v^-1 coefficient of entry (i, j); for pi_prime
-    tables ``mu2[(i, j)]`` is the combination
-    [v^-2-coefficient] + (v + v^-1) * mu(i, j), a Laurent polynomial.
-    """
-
-    mu: dict[tuple[int, int], int]
-    mu2: Optional[dict[tuple[int, int], LaurentPoly]] = None
-
-    def mu_of(self, i: int, j: int) -> int:
-        return self.mu.get((i, j), 0)
-
-    @cached_property
-    def mu_columns(self) -> dict[int, dict[int, int]]:
-        """{j: {i: mu(i, j)}} over the nonzero mu only."""
-        return column_index(self.mu)
-
-    def mu2_of(self, i: int, j: int) -> LaurentPoly:
-        assert self.mu2 is not None
-        return self.mu2.get((i, j), ZERO)
-
-
-def mu_data(table: CanonicalTable) -> MuData:
-    mu = {}
-    for key, poly in table.entries.items():
-        c = poly.coeff(-1)
-        if c:
-            mu[key] = c
-    mu2 = None
-    if table.label == "pi_prime":
-        mu2 = {}
-        vvi = V + VI
-        for key, poly in table.entries.items():
-            val = LaurentPoly.from_int(poly.coeff(-2)) + vvi * poly.coeff(-1)
-            if val:
-                mu2[key] = val
-    return MuData(mu, mu2)
-
-
-# ----------------------------------------------------------------------
 # recurrence checks (direct expansion)
 
-def _mu_prime_s(
-    s: int,
-    y: int,
-    w: int,
-    block: TwistedBlock,
-    md: MuData,
-) -> LaurentPoly:
-    """The coefficient mu'(s; y, w) entering the pi_prime recurrence."""
-    sy, commutes, up = block.cross[s][y]
-    out = ZERO
-    if not up:
-        out = out + md.mu2_of(y, w)
-    if commutes:
-        # l(y) - l(s |*| y) = +-1 in the commuting case
-        sign = 1 if not up else -1
-        c = md.mu_of(sy, w)
-        if c:
-            out = out + sign * LaurentPoly.from_int(c)
-    # subtract sum over y < z < w with s |*| z < z; mu(y, z) != 0 already
-    # gives y <= z, as entries lie on Bruhat intervals
-    for z, mu_zw in md.mu_columns.get(w, {}).items():
-        if z == y or block.cross[s][z][2]:
-            continue  # need z != y and rank-down at z (mu(w, w) = 0)
-        c = md.mu_of(y, z) * mu_zw
-        if c:
-            out = out - c
-    return out
-
-
-def _nu(s: int, y: int, w: int, block: TwistedBlock, md: MuData) -> int:
-    """The coefficient nu(s; y, w) entering the iota recurrence."""
-    sy, commutes, up = block.cross[s][y]
-    if not up:
-        return md.mu_of(y, w)
-    if commutes:
-        return md.mu_of(sy, w)
-    return 0
-
-
 def recurrence_check(which: str, system: CoxeterSystem, theta: Sequence[int]) -> list[dict]:
-    """Check the canonical-generator recurrences by direct expansion.
+    """Check the canonical-generator recurrences of ``which`` by direct expansion.
 
-    which = "pi":        eigenvalue property at rank-down pairs,
-                         (H_s + v^-2) b_w = (v^2 + v^-2) b_w; the table's
-                         fill makes it hold at the descent that seeds each
-                         column, so only the other descents test it;
-    which = "pi_prime":  the two-case multiplication recurrence at rank-up
-                         pairs, with mu'(s; y, w) corrections;
-    which = "iota":      the one-line recurrence at rank-up pairs, with
-                         nu(s; y, w) corrections.
+    Each recurrence reads (H_s + v^-k) C_w = sum_y c_y C_y for a coefficient
+    dict c, so one loop serves all three: at each covered (w, s) it builds
+    c, expands the right-hand side over the table's columns and compares it
+    with the generator action on C_w.  With w' = s |*| w and mu(y, z) the
+    v^-1 coefficient of entry (y, z), c is scattered over the mu-graph:
 
-    Returns a list of failure records; empty means everything matched.
+    * ``pi``, at each descent s of w: c = {w: v^2 + v^-2}, Lusztig-Vogan's
+      eigenvalue relation.  The fill makes it hold at the descent that
+      seeds each column, so only the other descents test it;
+    * ``pi_prime``, at each ascent: c starts from {w': 1}, or for a
+      commuting s from {w': v + v^-1, w: -1} less mu(y, w') at each y.  At
+      each y of column w with s |*| y < y, add [v^-2] pi'_{y,w} + (v +
+      v^-1) mu(y, w).  For each z with mu(z, w) != 0: if s commutes at z,
+      add mu(z, w) at s |*| z when s |*| z > z and -mu(z, w) otherwise; if
+      s |*| z < z, subtract mu(y, z) mu(z, w) at each y with mu(y, z) != 0;
+    * ``iota``, at each ascent: c starts from {w': 1}, plus {w: 1} when s
+      commutes at w.  For each z with mu(z, w) != 0 and s |*| z < z, add
+      mu(z, w) at z, and at s |*| z too when s commutes at z.
+
+    Every such y lies in lower(w') (the lifting property), so no interval
+    is scanned.  Returns a list of failure records, one per (w, s) whose
+    two sides differ; empty means everything matched.
     """
     block = TwistedBlock(system, theta)
     mod = TwistedModule(block, which)
-    table = mod.canonical_table()
-    md = mu_data(table)
+    columns = mod.canonical_table().columns
+    mu = {w: {y: m for y, p in column.items() if (m := p.coeff(-1))} for w, column in columns.items()}
+    eigenvalue = monomial(2) + monomial(-2)
     failures: list[dict] = []
 
-    def fail(s, w, lhs, rhs):
-        failures.append(
-            {
-                "s": s,
-                "w": list(block.elements[w]),
-                "lhs": {str(i): c.to_json() for i, c in sorted(lhs.items())},
-                "rhs": {str(i): c.to_json() for i, c in sorted(rhs.items())},
-            }
-        )
+    def add(c: dict, y: int, a: LaurentPoly | int) -> None:
+        c[y] = c.get(y, 0) + a
 
     for w in range(len(block)):
-        b_w = mod.underline(w)
+        column, mu_w = columns[w], mu[w]
         for s in range(system.rank):
-            sw, commutes, up = block.cross[s][w]
+            cross = block.cross[s]
+            sw, commutes, up = cross[w]
             if which == "pi":
                 if up:
                     continue
-                lhs = mod.act_underline_gen(s, b_w)
-                rhs = vec_scale(b_w, monomial(2) + monomial(-2))
-                if lhs != rhs:
-                    fail(s, w, lhs, rhs)
-            elif which == "pi_prime":
-                if not up:
-                    continue
-                lhs = mod.act_underline_gen(s, b_w)
-                if not commutes:
-                    rhs = mod.underline(sw)
-                    for y in block.lower_indices(sw):
-                        if y == sw:
-                            continue
-                        c = _mu_prime_s(s, y, w, block, md)
-                        if c:
-                            vec_axpy(rhs, c, mod.underline(y))
-                else:
-                    rhs = vec_scale(mod.underline(sw), V + VI)
-                    rhs = vec_sub(rhs, b_w)
-                    for y in block.lower_indices(sw):
-                        if y == sw:
-                            continue
-                        c = _mu_prime_s(s, y, w, block, md) - md.mu_of(y, sw)
-                        if c:
-                            vec_axpy(rhs, c, mod.underline(y))
-                if lhs != rhs:
-                    fail(s, w, lhs, rhs)
+                c = {w: eigenvalue}
+            elif not up:
+                continue
             elif which == "iota":
-                if not up:
-                    continue
-                lhs = mod.act_underline_gen(s, b_w)
-                rhs = mod.underline(sw)
-                if commutes:
-                    rhs = vec_add(rhs, b_w)
-                for y in block.lower_indices(w):
-                    if y == w:
-                        continue
-                    c = _nu(s, y, w, block, md)
-                    if c:
-                        vec_axpy(rhs, c, mod.underline(y))
-                if lhs != rhs:
-                    fail(s, w, lhs, rhs)
+                c = {sw: 1, w: 1} if commutes else {sw: 1}
+                for z, m in mu_w.items():
+                    sz, commutes_z, up_z = cross[z]
+                    if not up_z:
+                        add(c, z, m)
+                        if commutes_z:
+                            add(c, sz, m)
             else:
-                raise ValueError(f"unknown recurrence target {which!r}")
+                if commutes:
+                    c = {sw: V + VI, w: -1}
+                    for y, m in mu[sw].items():
+                        add(c, y, -m)
+                else:
+                    c = {sw: 1}
+                for y, p in column.items():
+                    if not cross[y][2]:
+                        m = p.coeff(-1)
+                        add(c, y, LaurentPoly.from_terms({1: m, 0: p.coeff(-2), -1: m}))
+                for z, m in mu_w.items():
+                    sz, commutes_z, up_z = cross[z]
+                    if commutes_z:
+                        add(c, sz, m if up_z else -m)
+                    if not up_z:
+                        for y, n in mu[z].items():
+                            add(c, y, -n * m)
+            lhs = mod.act_underline_gen(s, column)
+            rhs: Vector = {}
+            for y, a in c.items():
+                vec_axpy(rhs, a, columns[y])
+            if lhs != rhs:
+                failures.append(
+                    {
+                        "s": s,
+                        "w": list(block.elements[w]),
+                        "lhs": {str(i): p.to_json() for i, p in sorted(lhs.items())},
+                        "rhs": {str(i): p.to_json() for i, p in sorted(rhs.items())},
+                    }
+                )
     return failures
 
 

@@ -20,7 +20,6 @@ from ivhecke.ivmodules import (
     PI_MATRIX,
     PI_PRIME_MATRIX,
     REGULAR_STRUCTURES,
-    MuData,
     StructureMatrix,
     TwistedModule,
     act_gen,
@@ -29,7 +28,6 @@ from ivhecke.ivmodules import (
     invariant_suite,
     inversion_check,
     longest_twist,
-    mu_data,
     recurrence_check,
     vec_add,
     vec_axpy,
@@ -51,6 +49,7 @@ from bar_recipe_oracle import recipe_bar_row
 from embedding_oracle import embedding_check
 from hecke_oracle import entry_by_words
 from laurent_oracle import only_negative_exponents
+from recurrence_oracle import mu_data
 
 
 @pytest.fixture(scope="module")

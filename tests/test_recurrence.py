@@ -1,21 +1,30 @@
-"""The descent recurrence that builds every module table, against the psi-row solve.
+"""The recurrences of the canonical bases: the one that builds them, and the paper's.
 
 ``TwistedModule.canonical_table()`` reduces the psi-invariant seed
 (H_s + v^-k) C_i at a descent of each element; the oracle is
 ``solve_canonical`` fed psi's rows, which shares no step with it but the
 final table.  Both tie orders of the oracle must give the same table.
+
+``recurrence_check`` tests the paper's generator recurrences on a table
+with one expansion loop over the mu-graph; tests/recurrence_oracle.py
+keeps the three per-label loops over Bruhat intervals it replaced.  Both
+must return the same failure records on clean tables and on tables
+corrupted at two entries, and every corrupted table must fail.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
+
+import recurrence_oracle
 
 from ivhecke import hecke
 from ivhecke.classify import DEFAULT_SYSTEMS, battery, enumerate_candidates, precanonical_test
 from ivhecke.coxeter import parse_system
 from ivhecke.hecke import HeckeAlgebra, NotPreCanonical, solve_canonical
-from ivhecke.ivmodules import NAMED_STRUCTURES, REGULAR_STRUCTURES, TwistedModule
-from ivhecke.laurent import ONE, V, VI
+from ivhecke.ivmodules import NAMED_STRUCTURES, REGULAR_STRUCTURES, TwistedModule, recurrence_check
+from ivhecke.laurent import ONE, V, VI, monomial
 from ivhecke.twisted import GroupBlock, TwistedBlock, involutive_automorphisms
 
 
@@ -79,3 +88,49 @@ def test_b4_regular_table_is_pinned():
     assert hashlib.sha256(csv.encode()).hexdigest() == (
         "cd22a58ea733e02eb357eed437ca5b6c1894f231f32019e5e4f2d3541bd4d040"
     )
+
+
+LABELS = ("pi", "pi_prime", "iota")
+
+
+def corrupt_tables(monkeypatch, exponent: int) -> None:
+    """Make every module table gain v^exponent at its first two off-diagonal keys of ``sorted_keys()``.
+
+    The corrupted table is a function of the module's own table, built once
+    per module, so both checks read the same one.
+    """
+    original = TwistedModule.canonical_table
+    corrupted = {}
+
+    def canonical_table(module):
+        if module not in corrupted:
+            table = original(module)
+            entries = dict(table.entries)
+            for key in [key for key in table.sorted_keys() if key[0] != key[1]][:2]:
+                entries[key] += monomial(exponent)
+            corrupted[module] = dataclasses.replace(table, entries=entries)
+        return corrupted[module]
+
+    monkeypatch.setattr(TwistedModule, "canonical_table", canonical_table)
+
+
+@pytest.mark.parametrize("exponent", [None, -1, -2, -3])
+@pytest.mark.parametrize("name", ["A2", "B2", "I2(5)", "I2(6)", "A3", "B3", "H3", "D4"])
+def test_recurrence_check_matches_the_interval_oracle(name, exponent, monkeypatch):
+    if exponent is not None:
+        corrupt_tables(monkeypatch, exponent)
+    system = parse_system(name)
+    for theta in involutive_automorphisms(system):
+        for label in LABELS:
+            failures = recurrence_check(label, system, theta)
+            where = (name, theta, label)
+            assert failures == recurrence_oracle.recurrence_check(label, system, theta), where
+            assert bool(failures) == (exponent is not None), where
+
+
+@pytest.mark.parametrize("name,theta", [("B4", (0, 1, 2, 3)), ("A5", (0, 1, 2, 3, 4)), ("A5", (4, 3, 2, 1, 0))])
+def test_recurrences_hold_on_the_benchmark_blocks(name, theta):
+    system = parse_system(name)
+    for label in LABELS:
+        assert recurrence_check(label, system, theta) == [], (name, theta, label)
+        assert recurrence_oracle.recurrence_check(label, system, theta) == [], (name, theta, label)
