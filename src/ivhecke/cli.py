@@ -125,26 +125,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         for cl in report.classes:
             lines.append(f"  class ({len(cl)}): {', '.join(cl)}")
         _emit("\n".join(lines), args.out)
-    if args.expect_survivors is not None and report.survivor_count != args.expect_survivors:
-        return _fail(
-            {
-                "check": "survivor count",
-                "expected": args.expect_survivors,
-                "actual": report.survivor_count,
-            },
-            args.fmt,
-            None,
-        )
-    if args.expect_classes is not None and len(report.classes) != args.expect_classes:
-        return _fail(
-            {
-                "check": "class count",
-                "expected": args.expect_classes,
-                "actual": len(report.classes),
-            },
-            args.fmt,
-            None,
-        )
+    for check, expected, actual in (
+        ("survivor count", args.expect_survivors, report.survivor_count),
+        ("class count", args.expect_classes, len(report.classes)),
+    ):
+        if expected is not None and actual != expected:
+            return _fail({"check": check, "expected": expected, "actual": actual}, args.fmt, None)
     return 0
 
 

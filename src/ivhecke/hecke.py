@@ -62,25 +62,11 @@ three sources.
   algebra acting on itself, so ``TwistedModule`` mirrors only there
   (``ivmodules.is_regular``).
 
-  iota also turns the left fill into a right one.  At a left descent s'
-  of w, C_w[x] = v^-k C_w[s' x] whenever s' x > x (the eigenvalue
-  relation).  A right descent t of w is a left descent of w^-1, so
-  C_w[x] = C_{w^-1}[x^-1] = v^-k C_{w^-1}[t x^-1] = v^-k C_w[x t]
-  whenever x t > x.  The fill in turn gives mu-vanishing: at the descent
-  w = s y, (H_s + v^-k) C_y = C_w + sum_{z < y, s z < z} mu(z, y) C_z
-  (Kazhdan-Lusztig 1979), mu(z, y) the v^-k coefficient of C_y[z].  If
-  s' x > x for some s' in L(y) and x != s' y, then s' x < y, and C_y[x] =
-  v^-k C_y[s' x] is a multiple of v^-2k, so mu(x, y) = 0; the same holds
-  on the right.  So the peel coefficient at x can be nonzero only if s x
-  < x, R(x) >= R(y), and every left descent of y that moves x up moves
-  it to y.  (On the right, x t = y cannot occur with s x < x < x t, as
-  then s x t < x t, while s is not a left descent of y.)  Every other x
-  of the column is filled from an entry above it, at a left or right
-  descent of w, unless x is two-sided extremal for w: L(x) >= L(w) and
-  R(x) >= R(w).  The seed is read at those two kinds of x only, 13% of
-  the descent half on F4, as du Cloux ("Computing Kazhdan-Lusztig
-  polynomials for arbitrary Coxeter groups", Exp. Math. 2002) computes
-  at extremal pairs only (``TwistedModule._seed``).
+  iota also turns the left fill into a right one: C_w[x] = v^-k C_w[x t]
+  at a right descent t of w with x t > x.  The two fills also make most
+  mu(x, y) vanish, so the regular module's seed is read only at two-sided
+  extremal pairs and where a peel coefficient can be nonzero;
+  ``TwistedModule._seed`` gives both proofs.
 """
 
 from __future__ import annotations
@@ -403,17 +389,10 @@ class CanonicalTable:
     ranks: list[int]
     entries: dict[tuple[int, int], LaurentPoly]
 
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.entries.get((i, j), ZERO)
-
     @cached_property
     def columns(self) -> dict[int, dict[int, LaurentPoly]]:
         """{j: {i: entry (i, j)}}, each column in the order of ``entries``; shared, not to be changed."""
         return column_index(self.entries)
-
-    def column(self, j: int) -> dict[int, LaurentPoly]:
-        """{i: entry (i, j)}, in the order of ``entries``; a fresh dict."""
-        return dict(self.columns.get(j, {}))
 
     def sorted_keys(self) -> list[tuple[int, int]]:
         """The keys (i, j) ordered by j, then i: grouped by column, each column sorted on its own."""

@@ -922,7 +922,6 @@ def invariant_suite(system: CoxeterSystem, theta: Sequence[int]) -> dict:
     h_table = HeckeAlgebra(system).kl_table()
     mods = {label: TwistedModule(block, label) for label in ("pi", "pi_prime", "iota")}
     tables = {label: mod.canonical_table() for label, mod in mods.items()}
-    h_index = {w: i for i, w in enumerate(h_table.elements)}
 
     checks: dict[str, list] = {}
     obs: dict = {}
@@ -945,46 +944,45 @@ def invariant_suite(system: CoxeterSystem, theta: Sequence[int]) -> dict:
             fails.append({"check": "order_independence", "label": label})
     checks["order_independence"] = fails
 
-    # --- degree bounds over all comparable pairs
-    for label, normalizer, member in (
-        ("pi", "length", one_plus_even_positive),
-        ("pi_prime", "length", one_plus_even_positive),
-        ("iota", "rank", one_plus_positive),
-    ):
-        fails = []
-        t = tables[label]
-        for j in range(len(block)):
-            for i in block.lower_indices(j):
-                if normalizer == "length":
-                    gap = len(block.elements[j]) - len(block.elements[i])
-                else:
-                    gap = block.rho[j] - block.rho[i]
-                val = t.entry(i, j) * monomial(gap)
+    # --- one pass over the comparable pairs: degree bounds, mod-2 congruence
+    # pi' == pi == h, half-sum memberships and the rank-2 value sets
+    bounds = (  # (label, True to normalize by length and False by rank, membership)
+        ("pi", True, one_plus_even_positive),
+        ("pi_prime", True, one_plus_even_positive),
+        ("iota", False, one_plus_positive),
+    )
+    degree_fails = {label: checks.setdefault(f"degree_bound_{label}", []) for label, _, _ in bounds}
+    checks["congruence_mod2"] = congruence_fails = []
+    checks["half_membership"] = half_fails = []
+    half_nonneg = {"h+pi": True, "h-pi": True}
+    min_seen = 0
+    dihedral = system.rank == 2
+    norm_values: dict[str, set] = {"h": set(), "pi": set(), "iota": set()}
+    words, rho = block.elements, block.rho
+    h_index = {w: i for i, w in enumerate(h_table.elements)}
+    to_h = [h_index[w] for w in words]
+    entries = {label: t.entries for label, t in tables.items()}
+    for j in range(len(block)):
+        for i in block.lower_indices(j):
+            values = {label: e.get((i, j), ZERO) for label, e in entries.items()}
+            length_gap = len(words[j]) - len(words[i])
+            rank_gap = rho[j] - rho[i]
+            for label, by_length, member in bounds:
+                val = values[label] * monomial(length_gap if by_length else rank_gap)
                 if not member(val):
-                    fails.append(
+                    degree_fails[label].append(
                         {
-                            "x": list(block.elements[i]),
-                            "w": list(block.elements[j]),
+                            "x": list(words[i]),
+                            "w": list(words[j]),
                             "normalized": val.to_json(),
                         }
                     )
-        checks[f"degree_bound_{label}"] = fails
-
-    # --- mod-2 congruence pi' == pi == h, and the half-sum memberships
-    fails = []
-    half_fails = []
-    h_plus_nonneg = True
-    h_minus_nonneg = True
-    min_seen = 0
-    for j in range(len(block)):
-        for i in block.lower_indices(j):
-            pi = tables["pi"].entry(i, j)
-            pip = tables["pi_prime"].entry(i, j)
-            h = h_table.entry(
-                h_index[block.elements[i]], h_index[block.elements[j]]
-            )
+                if dihedral and label in norm_values:
+                    norm_values[label].add(val)
+            pi, pip = values["pi"], values["pi_prime"]
+            h = h_table.entries.get((to_h[i], to_h[j]), ZERO)
             if not (mod2_equal(pip, pi) and mod2_equal(pi, h)):
-                fails.append({"x": list(block.elements[i]), "w": list(block.elements[j])})
+                congruence_fails.append({"x": list(words[i]), "w": list(words[j])})
             for a, b, tag in (
                 (h, pi, "h+pi"),
                 (h, -pi, "h-pi"),
@@ -995,38 +993,21 @@ def invariant_suite(system: CoxeterSystem, theta: Sequence[int]) -> dict:
             ):
                 ok, nonneg, mn = _halves_report(a, b)
                 if not ok:
-                    half_fails.append(
-                        {"pair": tag, "x": list(block.elements[i]), "w": list(block.elements[j])}
-                    )
-                if tag == "h+pi" and not nonneg:
-                    h_plus_nonneg = False
-                if tag == "h-pi" and not nonneg:
-                    h_minus_nonneg = False
-                if tag in ("h+pi", "h-pi") and mn is not None:
-                    min_seen = min(min_seen, mn)
-    checks["congruence_mod2"] = fails
-    checks["half_membership"] = half_fails
+                    half_fails.append({"pair": tag, "x": list(words[i]), "w": list(words[j])})
+                if tag in half_nonneg:
+                    half_nonneg[tag] = half_nonneg[tag] and nonneg
+                    if mn is not None:
+                        min_seen = min(min_seen, mn)
     obs["h_pi_half_nonneg"] = {
-        "h_plus_pi": h_plus_nonneg,
-        "h_minus_pi": h_minus_nonneg,
+        "h_plus_pi": half_nonneg["h+pi"],
+        "h_minus_pi": half_nonneg["h-pi"],
         "min_coefficient": min_seen,
     }
-
-    # --- dihedral value sets
-    if system.rank == 2:
-        norm_values = {"h": set(), "pi": set(), "iota": set()}
-        for j in range(len(block)):
-            for i in block.lower_indices(j):
-                gap = len(block.elements[j]) - len(block.elements[i])
-                norm_values["pi"].add(tables["pi"].entry(i, j) * monomial(gap))
-                rgap = block.rho[j] - block.rho[i]
-                norm_values["iota"].add(tables["iota"].entry(i, j) * monomial(rgap))
-        n = len(h_table.elements)
-        for j in range(n):
-            for i in range(n):
-                if h_table.entry(i, j) or i == j:
-                    gap = len(h_table.elements[j]) - len(h_table.elements[i])
-                    norm_values["h"].add(h_table.entry(i, j) * monomial(gap))
+    if dihedral:
+        # a solved table's keys are its nonzero entries, the diagonal among them
+        h_words = h_table.elements
+        for (i, j), p in h_table.entries.items():
+            norm_values["h"].add(p * monomial(len(h_words[j]) - len(h_words[i])))
         obs["dihedral_values"] = {
             k: sorted(p.to_text() for p in vals) for k, vals in norm_values.items()
         }
@@ -1070,6 +1051,13 @@ def inversion_check(label: str, system: CoxeterSystem) -> list[dict]:
     theta * theta0 is again an involutive twist: every diagram automorphism
     fixes w0, the unique longest element, so theta commutes with theta0 =
     conjugation by w0, and the product of two commuting involutions is one.
+
+    For each x the left side, as a vector in y, is a sparse product: the
+    signed row x of F combines the target table's columns shift(w), and
+    the total's support, read back through shift, holds every y it can
+    fail at besides x.  Right translation by w0 reverses Bruhat order
+    (shift(y) <= shift(w) exactly when w <= y), so F_{x,w} F_{shift(y),
+    shift(w)} is nonzero only for w in [x, y].
     """
     theta0 = longest_twist(system)
     w0 = system.longest_element()
@@ -1079,33 +1067,28 @@ def inversion_check(label: str, system: CoxeterSystem) -> list[dict]:
     failures: list[dict] = []
     for theta in thetas:
         blk = blocks[theta]
-        t = tables[theta]
+        rho = blk.rho
         target_theta = compose_perms(theta, theta0)
-        blk2 = blocks[target_theta]
-        t2 = tables[target_theta]
+        target = tables[target_theta].columns
         # translation w = (x, theta) |-> (x * w0, theta * theta0)
-        shift = [blk2.index[system.multiply(x, w0)] for x in blk.elements]
-        n = len(blk)
-        for xi in range(n):
-            for yi in range(n):
-                total = ZERO
-                for w in range(n):
-                    a = t.entry(xi, w)
-                    if not a:
-                        continue
-                    b = t2.entry(shift[yi], shift[w])
-                    if not b:
-                        continue
-                    sign = -1 if (blk.rho[xi] + blk.rho[w]) % 2 else 1
-                    total = total.addmul(sign * a, b)
-                expected = ONE if xi == yi else ZERO
-                if total != expected:
+        shift = [blocks[target_theta].index[system.multiply(x, w0)] for x in blk.elements]
+        unshift = {k: y for y, k in enumerate(shift)}
+        rows: list[list] = [[] for _ in blk.elements]  # (w, (-1)^{rho(x) + rho(w)} F_{x,w}) per x
+        for (x, w), a in tables[theta].entries.items():
+            rows[x].append((w, -a if (rho[x] + rho[w]) % 2 else a))
+        for x, row in enumerate(rows):
+            total: Vector = {}
+            for w, a in row:
+                vec_axpy(total, a, target[shift[w]])
+            for y in sorted({unshift[k] for k in total} | {x}):
+                value = total.get(shift[y], ZERO)
+                if value != (ONE if y == x else ZERO):
                     failures.append(
                         {
                             "theta": list(theta),
-                            "x": list(blk.elements[xi]),
-                            "y": list(blk.elements[yi]),
-                            "value": total.to_json(),
+                            "x": list(blk.elements[x]),
+                            "y": list(blk.elements[y]),
+                            "value": value.to_json(),
                         }
                     )
     return failures

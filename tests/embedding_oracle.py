@@ -11,6 +11,8 @@ from ivhecke.hecke import HeckeAlgebra
 from ivhecke.ivmodules import TwistedModule
 from ivhecke.twisted import Perm, TwistedBlock
 
+from hecke_oracle import entry
+
 
 def product_with_swap(factor: CoxeterSystem) -> tuple[CoxeterSystem, Perm]:
     """The system W x W with the factor-swapping twist."""
@@ -53,8 +55,8 @@ def embedding_check(factor: CoxeterSystem) -> list[dict]:
     for j, w in enumerate(block.elements):
         for i in block.lower_indices(j):
             x = block.elements[i]
-            val = t.entry(i, j)
-            hval = h.entry(h_index[expected[x]], h_index[expected[w]])
+            val = entry(t, i, j)
+            hval = entry(h, h_index[expected[x]], h_index[expected[w]])
             if val != hval:
                 failures.append(
                     {

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ivhecke.hecke import CanonicalTable, HeckeAlgebra, Terms
-from ivhecke.laurent import ONE, LaurentPoly, vec_axpy
+from ivhecke.laurent import ONE, ZERO, LaurentPoly, vec_axpy
 
 
 @dataclass
@@ -144,11 +144,16 @@ class ElementAlgebra(HeckeAlgebra):
         if table is None:
             table = self.kl_table()
         j = table.elements.index(self.system.reduce(w))
-        return HeckeElt(self, {table.elements[i]: c for i, c in table.column(j).items()})
+        return HeckeElt(self, {table.elements[i]: c for i, c in table.columns[j].items()})
 
 
 def entry_by_words(table: CanonicalTable, x: Iterable[int], w: Iterable[int]) -> LaurentPoly:
     """The table entry at (x, w), given as words."""
     ix = table.elements.index(table.system.reduce(x))
     iw = table.elements.index(table.system.reduce(w))
-    return table.entry(ix, iw)
+    return entry(table, ix, iw)
+
+
+def entry(table: CanonicalTable, i: int, j: int) -> LaurentPoly:
+    """The table entry at (i, j); absent means zero."""
+    return table.entries.get((i, j), ZERO)

@@ -119,7 +119,7 @@ def recurrence_check(which: str, system: CoxeterSystem, theta: Sequence[int]) ->
     failures: list[dict] = []
 
     def underline(j):
-        return mod.canonical_table().column(j)
+        return dict(table.columns[j])  # callers add to it
 
     def fail(s, w, lhs, rhs):
         failures.append(

@@ -106,7 +106,7 @@ def test_criterion_01_generator_columns_and_bar_oracle():
         t = h_table(name)
         for s in range(W.rank):
             j = t.elements.index((s,))
-            assert t.column(j) == {0: VI, j: ONE}, (name, s)
+            assert t.columns[j] == {0: VI, j: ONE}, (name, s)
 
     # (b) the full A2 table against the from-first-principles oracle
     t0 = time.perf_counter()
@@ -114,7 +114,7 @@ def test_criterion_01_generator_columns_and_bar_oracle():
     H = ElementAlgebra(W)
     t = h_table("A2")
     for j, w in enumerate(t.elements):
-        col = t.column(j)
+        col = t.columns[j]
         elt = H.from_terms({t.elements[i]: c for i, c in col.items()})
         assert H.bar(elt) == elt, f"column {w} not bar-invariant"
         assert col[j] == ONE

@@ -107,6 +107,20 @@ def test_classify_expectation_failure(capsys):
     assert "survivor count" in out
 
 
+@pytest.mark.parametrize("fmt,witness", [
+    ("json", '{\n  "ok": false,\n  "witness": {\n    "actual": 1,\n'
+             '    "check": "class count",\n    "expected": 2\n  }\n}\n'),
+    ("text", "FAIL\ncheck: class count\nexpected: 2\nactual: 1\n"),
+])
+def test_classify_class_count_failure(capsys, fmt, witness):
+    # the survivor count matches, so the class count is the failing check
+    code, out = run(capsys, "classify", "--mode", "hw", "--systems", "I2(3)",
+                    "--expect-survivors", "4", "--expect-classes", "2", "--format", fmt)
+    assert code == 1
+    assert out.endswith(witness)
+    assert "survivor count" not in out
+
+
 def test_classify_report_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, _out = run(capsys, "classify", "--mode", "hw",

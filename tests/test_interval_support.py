@@ -92,7 +92,7 @@ def assert_rows_and_seeds_in_intervals(module: TwistedModule) -> None:
     assert seeds == [j for j in range(len(block)) if mirror is None or mirror[j] >= j], where
     for j in range(len(block)):
         assert set(module.bar_row(j)) <= set(block.lower_indices(j)), where + (j, "row")
-        assert set(table.column(j)) <= set(block.lower_indices(j)), where + (j, "column")
+        assert set(table.columns[j]) <= set(block.lower_indices(j)), where + (j, "column")
 
 
 def check_twisted_blocks(name: str) -> None:

@@ -9,6 +9,9 @@ have off-diagonal entries in v^-1 Z[v^-1].  Those properties characterize
 the table uniquely, so they are a complete correctness oracle.
 """
 
+import dataclasses
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +48,7 @@ from ivhecke.laurent import (
 )
 from ivhecke.twisted import GroupBlock, TwistedBlock, compose_perms, involutive_automorphisms
 
+import invariant_oracle
 from bar_recipe_oracle import recipe_bar_row
 from embedding_oracle import embedding_check
 from hecke_oracle import entry_by_words
@@ -237,7 +241,7 @@ class TestCanonicalTables:
         mod = TwistedModule(blk, label)
         table = mod.canonical_table()
         for j in range(len(blk)):
-            col = table.column(j)
+            col = table.columns[j]
             assert mod.bar(col) == col, (label, blk.elements[j])
             assert col[j] == ONE
             for i, c in col.items():
@@ -330,6 +334,71 @@ class TestInversion:
     @pytest.mark.parametrize("label", ["pi", "pi_prime", "iota"])
     def test_small_systems(self, name, label):
         assert inversion_check(label, parse_system(name)) == []
+
+
+# ----------------------------------------------------------------------
+# the one-pass suite and the sparse inversion check against the loops they
+# replaced (tests/invariant_oracle.py), on clean and on corrupted tables
+
+CORRUPTION = (monomial(-1), V, monomial(-3))  # added at the 2nd-4th off-diagonal keys
+ORACLE_SYSTEMS = ["A2", "B2", "I2(5)", "A3", "B3", "H3", "D4"]
+
+
+def corrupt_tables(monkeypatch, how: str) -> None:
+    """Corrupt every module table, ``h`` included.
+
+    "entries" adds CORRUPTION at the 2nd-4th off-diagonal keys of
+    ``sorted_keys()``; "diagonal" sets the lowest element's diagonal
+    entry to zero.  The corrupted table is a fresh copy, built once per module, so
+    no ``columns`` cached from the clean entries is read.
+    """
+    original = TwistedModule.canonical_table
+    corrupted = {}
+
+    def canonical_table(module):
+        if module not in corrupted:
+            table = original(module)
+            entries = dict(table.entries)
+            if how == "diagonal":
+                entries[(0, 0)] = ZERO
+            else:
+                keys = [key for key in table.sorted_keys() if key[0] != key[1]][1:4]
+                for key, p in zip(keys, CORRUPTION):
+                    entries[key] += p
+            corrupted[module] = dataclasses.replace(table, entries=entries)
+        return corrupted[module]
+
+    monkeypatch.setattr(TwistedModule, "canonical_table", canonical_table)
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("name", ORACLE_SYSTEMS)
+def test_invariant_suite_matches_the_oracle(name, corrupt, monkeypatch):
+    if corrupt:
+        corrupt_tables(monkeypatch, "entries")
+    system = parse_system(name)
+    for theta in involutive_automorphisms(system):
+        report = invariant_suite(system, theta)
+        expected = invariant_oracle.invariant_suite(system, theta)
+        # unsorted JSON: the text format prints the keys in insertion order
+        assert json.dumps(report) == json.dumps(expected), theta
+        assert report["ok"] != corrupt, theta
+
+
+@pytest.mark.parametrize(
+    "name,corrupt",
+    [(name, corrupt) for corrupt in (None, "entries", "diagonal") for name in ORACLE_SYSTEMS]
+    + [pytest.param("F4", None, marks=pytest.mark.slow)],  # the oracle alone: 6-8 s on F4
+)
+def test_inversion_check_matches_the_oracle(name, corrupt, monkeypatch):
+    if corrupt:
+        corrupt_tables(monkeypatch, corrupt)
+    system = parse_system(name)
+    for label in ("pi", "pi_prime", "iota"):
+        failures = inversion_check(label, system)
+        expected = invariant_oracle.inversion_check(label, system)
+        assert json.dumps(failures) == json.dumps(expected), label
+        assert bool(failures) == bool(corrupt), label
 
 
 class TestEmbedding:
