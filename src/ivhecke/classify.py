@@ -15,10 +15,12 @@ involutive twists:
    vector.  A unit rescaling gamma[alpha, beta] is gamma conjugated by a
    diagonal change of basis (``StructureMatrix.scaled``), so its
    relations fail at the same basis vectors, with the same witness.  The
-   pipelines therefore check each battery block once per diagonal class,
-   on the class's ``StructureMatrix.diagonal_normal_form``, give every
-   candidate of the class that result, and share the class's braid
-   verdicts across the battery.
+   candidate grids and the classified families therefore go through one
+   screening loop (``_first_failure``), which checks each battery block
+   once per diagonal class, on the class's
+   ``StructureMatrix.diagonal_normal_form``, gives every candidate of the
+   class that result, and shares the class's braid verdicts across the
+   battery.
 2. *Pre-canonicity*: does the unique antilinear map psi fixing the lowest
    basis vector and intertwining op_s with op_s + (v^-k - v^k) id exist
    and come out unitriangular with unit diagonal?  Such a psi squares to
@@ -40,13 +42,12 @@ involutive twists:
    transports (a, b, negate_v) compose by XOR, so they form (Z/2)^3, and a
    survivor's tables are its sign class's carried by the transport
    (a, b, False) of its +-1 rescaling: a diagonal of signs has no v in it,
-   so it never twists v |-> -v.  The transports carrying class P's tables
-   onto class Q's are a coset u xor Stab(P).  The pipeline works out each
-   class's stabilizer and each reached class pair's coset once, comparing
-   tables entry by entry up to the first difference, and reads off each
-   survivor pair the first transport t, in ``TRANSPORTS`` order, with
-   t xor sigma_p xor sigma_q in that coset.  No survivor's own table is
-   built.
+   so it never twists v |-> -v.  So t carries survivor p's tables onto
+   q's exactly when t xor sigma_p xor sigma_q carries class P's onto
+   Q's.  The pipeline decides that once per (P, Q, t xor sigma_p xor
+   sigma_q), comparing tables entry by entry up to the first difference,
+   and gives each survivor pair the first such t in ``TRANSPORTS`` order.
+   No survivor's own table is built.
 
 Candidate grids:
 
@@ -313,21 +314,6 @@ def _braid_holds(gamma: StructureMatrix, m: int, shape: tuple, p: int) -> bool:
     return act_word(gamma, orbit, st_word, e) == act_word(gamma, orbit, ts_word, e)
 
 
-def _class_representation(memo: dict, rep: StructureMatrix, k: int, block) -> Optional[dict]:
-    """``check_representation(rep, block)`` for block k of a battery, run
-    once per (rep, k) and kept in memo.
-
-    rep is a ``StructureMatrix.diagonal_normal_form``.  On the
-    ``TwistedBlock``/``GroupBlock`` of ``battery`` its witness is that of
-    every structure in its diagonal class.  memo maps rep to its braid
-    verdicts, shared by all the blocks, and its witness on each block.
-    """
-    verdicts, witnesses = memo.setdefault(rep, ({}, {}))
-    if k not in witnesses:
-        witnesses[k] = check_representation(rep, block, verdicts)
-    return witnesses[k]
-
-
 # ----------------------------------------------------------------------
 # stage 2: the pre-canonicity test
 
@@ -342,12 +328,52 @@ def precanonical_test(gamma: StructureMatrix, block) -> TwistedModule:
     fails for some generator
     (``TwistedModule.check_precanonical``, which tests it only where the
     recursion and the quadratic relation do not prove it); psi^2 = id
-    then follows.  ``classification_run`` calls it once per sign class and
+    then follows.  ``_first_failure`` calls it once per sign class and
     block (``StructureMatrix.sign_normal_form``).
     """
     module = TwistedModule(block, "candidate", gamma)
     module.check_precanonical()
     return module
+
+
+# ----------------------------------------------------------------------
+# the screening loop of the grids and the families
+
+def _first_failure(
+    gamma: StructureMatrix, all_blocks: Sequence[tuple[str, Block]], memo: dict, modules: Optional[list] = None
+) -> Optional[tuple[str, str, dict]]:
+    """(status, block name, witness) of gamma's first failure on a battery, or None.
+
+    Block by block: the representation check, once per diagonal class
+    (``StructureMatrix.diagonal_normal_form``) and block, with the class's
+    braid verdicts shared by the blocks; then, only if modules is given,
+    pre-canonicity on the same block, once per sign class
+    (``StructureMatrix.sign_normal_form``) and block, appending each
+    checked module to modules.  On a ``battery``
+    a class's witness is each member's (see the module docstring).  memo
+    keeps every result for all the structures screened on the battery.
+    """
+    rep = gamma.diagonal_normal_form()
+    verdicts = memo.setdefault(("braid", rep), {})
+    sign_rep = None if modules is None else gamma.sign_normal_form()[0]
+    for k, (name, blk) in enumerate(all_blocks):
+        key = ("representation", rep, k)
+        if key not in memo:
+            memo[key] = check_representation(rep, blk, verdicts)
+        if memo[key] is not None:
+            return "rejected_representation", name, memo[key]
+        if sign_rep is None:
+            continue
+        key = ("precanonical", sign_rep, k)
+        if key not in memo:
+            try:
+                memo[key] = precanonical_test(sign_rep, blk)
+            except NotPreCanonical as exc:
+                memo[key] = exc.with_traceback(None)  # the frames would keep sign_rep's module alive
+        if isinstance(memo[key], NotPreCanonical):
+            return "rejected_precanonical", name, memo[key].witness
+        modules.append(memo[key])
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -406,23 +432,6 @@ def _carries(f: CanonicalTable, g: CanonicalTable, t: Transport) -> bool:
     return all(rule(i, j, p) == target.get((i, j)) for (i, j), p in f.entries.items())
 
 
-def _stabilizer(tables: Sequence[CanonicalTable]) -> frozenset[Transport]:
-    """The transports that fix every table: a subgroup of (Z/2)^3."""
-    return frozenset(t for t in TRANSPORTS if all(_carries(f, f, t) for f in tables))
-
-
-def _coset(
-    fs: Sequence[CanonicalTable], gs: Sequence[CanonicalTable], stabilizer: frozenset[Transport]
-) -> frozenset[Transport]:
-    """The transports carrying every f-table onto its g-table, given the f-tables' stabilizer.
-
-    If u is one, t is one exactly when t xor u fixes the f-tables, so they
-    are the coset u xor Stab; empty if there is no u.
-    """
-    u = next((t for t in TRANSPORTS if all(_carries(f, g, t) for f, g in zip(fs, gs))), None)
-    return frozenset() if u is None else frozenset(_compose(u, s) for s in stabilizer)
-
-
 # ----------------------------------------------------------------------
 # the full pipeline
 
@@ -470,24 +479,16 @@ def representation_scan(
     records = []
     survivors = []
     for cand in candidates:
-        witness = None
-        where = None
-        rep = cand.gamma.diagonal_normal_form()
-        for k, (name, blk) in enumerate(all_blocks):
-            witness = _class_representation(memo, rep, k, blk)
-            if witness is not None:
-                where = name
-                break
+        failure = _first_failure(cand.gamma, all_blocks, memo)
         rec = {
             "provenance": cand.provenance,
             "trivial": cand.trivial,
-            "status": "pass" if witness is None else "fail",
+            "status": "pass" if failure is None else "fail",
         }
-        if witness is not None:
-            rec["failed_on"] = where
-            rec["witness"] = witness
-        else:
+        if failure is None:
             survivors.append(cand.provenance)
+        else:
+            _, rec["failed_on"], rec["witness"] = failure
         records.append(rec)
     return ClassReport(
         mode=mode,
@@ -497,24 +498,6 @@ def representation_scan(
         survivors=survivors,
         classes=[],
     )
-
-
-def _class_precanonical(memo: dict, rep: StructureMatrix, k: int, block):
-    """``precanonical_test(rep, block)`` for block k of a battery, run once
-    per (rep, k) and kept in memo: the checked module or its NotPreCanonical.
-
-    rep is a ``StructureMatrix.sign_normal_form``.  On the
-    ``TwistedBlock``/``GroupBlock`` of ``battery`` its witness is that of
-    every structure in its sign class, and its table gives theirs
-    (``_sign_transport``).
-    """
-    key = (rep, k)
-    if key not in memo:
-        try:
-            memo[key] = precanonical_test(rep, block)
-        except NotPreCanonical as exc:
-            memo[key] = exc.with_traceback(None)  # the frames would keep rep's module alive
-    return memo[key]
 
 
 def _sign_transport(group: bool, alpha: LaurentPoly, beta: LaurentPoly) -> Transport:
@@ -553,70 +536,57 @@ def screen_candidates(
     """The representation and pre-canonicity stages of ``classification_run``.
 
     Returns each candidate's record, and every survivor's sign class and
-    sign transport, in order.  Representation is checked once per diagonal
-    class and block, pre-canonicity and the tables once per sign class and
-    block; each candidate gets its class's witness, and no survivor's own
-    table is built.  The blocks must be all group blocks or all twisted
-    blocks (``battery`` makes either), so that one transport serves each.
+    sign transport, in order.  ``_first_failure`` screens each candidate,
+    and the tables are solved once per sign class and block; each candidate
+    gets its class's witness, and no survivor's own table is built.  The
+    blocks must be all group blocks or all twisted blocks (``battery``
+    makes either), so that one transport serves each.
     """
     kinds = {isinstance(blk, GroupBlock) for _, blk in all_blocks}
     if len(kinds) > 1:
         raise ValueError("a battery mixes group and twisted blocks")
     group = kinds == {True}
-    representation: dict = {}
-    precanonical: dict = {}
+    memo: dict = {}
     records = []
     survivors: dict[str, Survivor] = {}
     for cand in candidates:
         rec: dict = {"provenance": cand.provenance, "base": cand.base}
         status = "survivor"
-        found = []
-        rep = cand.gamma.diagonal_normal_form()
-        sign_rep, alpha, beta = cand.gamma.sign_normal_form()
-        for k, (name, blk) in enumerate(all_blocks):
-            witness = _class_representation(representation, rep, k, blk)
-            if witness is not None:
-                status = "rejected_representation"
-                rec["failed_on"] = name
-                rec["witness"] = witness
-                break
-            module = _class_precanonical(precanonical, sign_rep, k, blk)
-            if isinstance(module, NotPreCanonical):
-                status = "rejected_precanonical"
-                rec["failed_on"] = name
-                rec["witness"] = module.witness
-                break
-            found.append(module)
+        modules: list[TwistedModule] = []
+        failure = _first_failure(cand.gamma, all_blocks, memo, modules)
+        if failure is not None:
+            status, rec["failed_on"], rec["witness"] = failure
         rec["status"] = status
         records.append(rec)
-        if status == "survivor":
+        if failure is None:
+            sign_rep, alpha, beta = cand.gamma.sign_normal_form()
             survivors[cand.provenance] = Survivor(
                 sign_rep,
-                [module.canonical_table() for module in found],
+                [module.canonical_table() for module in modules],
                 _sign_transport(group, alpha, beta),
             )
     return records, survivors
 
 
-def _first_transport(p: Survivor, q: Survivor, stabilizers: dict, cosets: dict) -> Optional[Transport]:
+def _first_transport(p: Survivor, q: Survivor, carried: dict) -> Optional[Transport]:
     """The first transport in ``TRANSPORTS`` order carrying p's tables onto q's.
 
     p's tables are those of its sign class P transported by sigma_p, q's
     those of Q by sigma_q, and transports compose by XOR
     (``transport_basis``), each its own inverse.  So t carries p's tables
-    onto q's exactly when t xor sigma_p xor sigma_q carries P's onto Q's,
-    that is, lies in ``_coset`` of P's and Q's tables.  Stabilizers and
-    cosets are worked out once per class and class pair, kept in the memos.
-    The first such t need not be u xor sigma_p xor sigma_q for the coset's
-    u: on the group block l = rho, so (1, 1, False) fixes every table.
+    onto q's exactly when x = t xor sigma_p xor sigma_q carries P's onto
+    Q's.  That verdict is worked out once per (P, Q, x), comparing tables
+    entry by entry up to the first difference, and kept in carried.
     """
     P, Q = p.sign_class, q.sign_class
-    if (P, Q) not in cosets:
-        if P not in stabilizers:
-            stabilizers[P] = _stabilizer(p.tables)
-        cosets[(P, Q)] = _coset(p.tables, q.tables, stabilizers[P])
     shift = _compose(p.transport, q.transport)
-    return next((t for t in TRANSPORTS if _compose(t, shift) in cosets[(P, Q)]), None)
+    for t in TRANSPORTS:
+        x = _compose(t, shift)
+        if (P, Q, x) not in carried:
+            carried[P, Q, x] = all(_carries(f, g, x) for f, g in zip(p.tables, q.tables))
+        if carried[P, Q, x]:
+            return t
+    return None
 
 
 def classification_run(
@@ -631,12 +601,11 @@ def classification_run(
     # transports form a group acting on the tables, so relatedness is an
     # equivalence: each survivor joins the first class whose first member
     # carries onto it, or starts a class of its own
-    stabilizers: dict = {}
-    cosets: dict = {}
+    carried: dict = {}
     classes_by_first: dict[str, list[tuple[str, Transport]]] = {}
     for q in survivors:
         for first, joined in classes_by_first.items():
-            combo = _first_transport(survivors[first], survivors[q], stabilizers, cosets)
+            combo = _first_transport(survivors[first], survivors[q], carried)
             if combo is not None:
                 joined.append((q, combo))
                 break

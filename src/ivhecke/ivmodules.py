@@ -150,6 +150,19 @@ class StructureMatrix:
         """rows[commutes][up] = ``row_for(commutes, up)``, as a table."""
         return [[self.row_for(commutes, up) for up in (False, True)] for commutes in (False, True)]
 
+    @cached_property
+    def quadratic_failing_cases(self) -> frozenset[tuple[bool, bool]]:
+        """The cases (commutes, up) failing the quadratic relation (``quadratic_failures``)."""
+        u, bad = self.parameter_diff, set()
+        for commutes in (False, True):
+            (a1, a2), (b1, b2) = self.row_for(commutes, True), self.row_for(commutes, False)
+            t, d = a2 + b2 - u, a1 * b1 - 1  # M^2 - u M - I = [[a2(a2-u)+d, b1 t], [a1 t, b2(b2-u)+d]]
+            if a2 * (a2 - u) + d or a1 * t:
+                bad.add((commutes, True))
+            if b1 * t or b2 * (b2 - u) + d:
+                bad.add((commutes, False))
+        return frozenset(bad)
+
     def scaled(self, alpha: LaurentPoly, beta: LaurentPoly) -> "StructureMatrix":
         """The diagonally equivalent structure gamma[alpha, beta].
 
@@ -350,18 +363,10 @@ def quadratic_failures(gamma: StructureMatrix, block: Block) -> list[Optional[in
     the ascent row (a1, a2) and the descent row (b1, b2) of gamma.  The
     relation fails at m_i (m_j) exactly when the first (second) column of
     M_c^2 - u M_c - I is nonzero, so the Laurent work is two 2x2 matrices
-    per structure and the rest is an index scan, made only when some case
-    fails.
+    per structure, done once (``StructureMatrix.quadratic_failing_cases``),
+    and the rest is an index scan, made only when some case fails.
     """
-    u = gamma.parameter_diff
-    bad = set()
-    for commutes in (False, True):
-        (a1, a2), (b1, b2) = gamma.row_for(commutes, True), gamma.row_for(commutes, False)
-        t, d = a2 + b2 - u, a1 * b1 - 1  # M^2 - u M - I = [[a2(a2-u)+d, b1 t], [a1 t, b2(b2-u)+d]]
-        if a2 * (a2 - u) + d or a1 * t:
-            bad.add((commutes, True))
-        if b1 * t or b2 * (b2 - u) + d:
-            bad.add((commutes, False))
+    bad = gamma.quadratic_failing_cases
     if not bad:
         return [None] * len(block.cross)
     return [

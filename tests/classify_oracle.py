@@ -9,8 +9,8 @@ tables solved from its own structure.  Both must give the same records and
 the same tables, entry for entry and in key order.
 
 ``classify.classification_run`` compares each survivor with the first
-member of each class found so far, by transport cosets of their sign
-classes.  ``classification_per_pair`` builds every survivor's
+member of each class found so far, deciding each transport once per pair
+of sign classes.  ``classification_per_pair`` builds every survivor's
 own tables and tries every transport on every pair of survivors that the
 union-find reaches; both must give the same report, byte for byte.
 """

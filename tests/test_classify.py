@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from ivhecke import classify
 from ivhecke.classify import (
     DEFAULT_SYSTEMS,
-    GROUP_FLIP_MATRIX,
     IOTA_ALT_MATRIX,
     TRANSPORTS,
     base_structures,
@@ -43,7 +42,7 @@ from ivhecke.ivmodules import (
     TwistedModule,
     act_word,
 )
-from ivhecke.laurent import ONE, U, U2, V, VI, ZERO, LaurentPoly, monomial
+from ivhecke.laurent import ONE, U, V, VI, ZERO, monomial
 from ivhecke.pkernel import hecke_bar_matrix
 from ivhecke.twisted import GroupBlock, TwistedBlock, involutive_automorphisms
 
@@ -337,7 +336,7 @@ def test_transport_basis_is_the_entrywise_sign_and_twist():
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(0, 2), t1=st.sampled_from(TRANSPORTS), t2=st.sampled_from(TRANSPORTS))
 def test_transports_compose_by_xor(k, t1, t2):
-    # grouping by cosets rests on this: the transports are the group (Z/2)^3
+    # grouping by sign class rests on this: the transports are the group (Z/2)^3
     table = real_tables()[k]
     once = replace(table, entries=transport_basis(table, *t1))
     twice = transport_basis(once, *t2)
@@ -412,7 +411,7 @@ ORACLE_SYSTEMS = ("I2(3)", "I2(4)", "A3")
 
 @pytest.mark.parametrize("systems", [ORACLE_SYSTEMS, DEFAULT_SYSTEMS], ids=["oracle", "default"])
 @pytest.mark.parametrize("mode", ["hw", "hi", "h2i"])
-def test_grouping_by_cosets_is_the_pairwise_grouping(mode, systems):
+def test_memoized_grouping_is_the_pairwise_grouping(mode, systems):
     assert classification_run(mode, systems).to_json() == classification_per_pair(mode, systems).to_json()
 
 
@@ -424,12 +423,12 @@ def hw_survivors():
 def test_a_group_block_class_has_a_nontrivial_stabilizer():
     # l = rho on the group block, so (1, 1, False) fixes every table
     for survivor in hw_survivors().values():
-        assert (1, 1, False) in classify._stabilizer(survivor.tables)
+        assert all(classify._carries(f, f, (1, 1, False)) for f in survivor.tables)
 
 
-def test_the_report_takes_the_first_transport_of_the_coset():
-    # grp_plain[1] and grp_plain[-1] share a sign class (u is the identity),
-    # and sigma_p xor sigma_q = (1, 0, False) carries the one's tables onto
+def test_the_report_takes_the_first_carrying_transport():
+    # grp_plain[1] and grp_plain[-1] share a sign class, and
+    # sigma_p xor sigma_q = (1, 0, False) carries the one's tables onto
     # the other's; so does (0, 0, True), which comes first in TRANSPORTS
     survivors = hw_survivors()
     p, q = survivors["grp_plain[1]"], survivors["grp_plain[-1]"]
@@ -444,6 +443,35 @@ def test_the_report_takes_the_first_transport_of_the_coset():
     report = classification_run("hw", ORACLE_SYSTEMS)
     assert report.transports[0] == {
         "from": "grp_plain[1]", "to": "grp_plain[-1]", "sign_l": 0, "sign_rho": 0, "negate_v": True
+    }
+
+
+def test_the_scan_and_the_screen_reject_a_grid_alike():
+    # both walk the battery through one screening loop, and the screen also
+    # tests pre-canonicity on each block before it moves to the next: a
+    # candidate the scan fails is rejected by the screen on the same block
+    # with the same witness, unless pre-canonicity fails on a block no later
+    candidates = enumerate_candidates("both_zero")
+    scan = representation_scan(candidates, ORACLE_SYSTEMS, "hi")
+    all_blocks = classify.battery(ORACLE_SYSTEMS, "hi")
+    records, _ = classify.screen_candidates(candidates, all_blocks)
+    position = {(name, tuple(blk.theta)): k for k, (name, blk) in enumerate(all_blocks)}
+
+    def stop(rec):
+        return position[rec["failed_on"], tuple(rec["witness"]["theta"])]
+
+    statuses = Counter()
+    for scanned, screened in zip(scan.candidates, records):
+        statuses[scanned["status"], screened["status"]] += 1
+        if screened["status"] == "rejected_representation":
+            assert (screened["failed_on"], screened["witness"]) == (scanned["failed_on"], scanned["witness"])
+        elif scanned["status"] == "fail":
+            assert screened["status"] == "rejected_precanonical"
+            assert stop(screened) <= stop(scanned)
+    assert statuses == {
+        ("fail", "rejected_representation"): 136,
+        ("fail", "rejected_precanonical"): 6,
+        ("pass", "rejected_precanonical"): 2,
     }
 
 

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from ivhecke.coxeter import parse_system
 from ivhecke.hecke import (
-    CanonicalTable,
     HeckeAlgebra,
     NotPreCanonical,
     solve_canonical,
@@ -26,7 +25,6 @@ from ivhecke.laurent import (
     U2,
     V,
     VI,
-    ZERO,
     LaurentPoly,
     monomial,
     one_plus_even_positive,

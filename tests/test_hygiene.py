@@ -2,7 +2,8 @@
 
 Each module of ``src/ivhecke`` is parsed with ``ast``.  A module-level
 import must be used in the module (in code, an annotation, or a doctest
-example); a def or class must be referenced somewhere in ``src/`` or
+example), and so must one of a file in ``tests/``; a def or class of
+the package must be referenced somewhere in ``src/`` or
 ``perfbench/`` besides its own definition.  A reference from ``tests/``
 does not count: code that only tests reach belongs in ``tests/``, as an
 oracle, or nowhere.
@@ -64,7 +65,7 @@ def _corpus() -> str:
     )
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + sorted((ROOT / "tests").glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     tree = ast.parse(path.read_text())
     used = used_names(tree)

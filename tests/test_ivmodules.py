@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from ivhecke.classify import enumerate_candidates
 from ivhecke.coxeter import parse_system
-from ivhecke.hecke import HeckeAlgebra
 from ivhecke.ivmodules import (
     IOTA_MATRIX,
     PI_MATRIX,
@@ -39,7 +38,6 @@ from ivhecke.ivmodules import (
 from ivhecke.laurent import (
     ONE,
     U,
-    U2,
     V,
     VI,
     ZERO,
