@@ -108,8 +108,9 @@ IOTA_ALT_MATRIX = StructureMatrix(
     ((ONE, ZERO), (ONE, U), (ONE, -ONE), (-U, U + 1)),
 )
 
-#: parameter v, the two-row sibling of GROUP_PLAIN_MATRIX on the group itself
-GROUP_FLIP_MATRIX = StructureMatrix(False, ((ONE, U), (ONE, ZERO)))
+#: parameter v, the sibling of GROUP_PLAIN_MATRIX on the group itself, with the
+#: second columns swapped; like it, it repeats its noncommuting rows
+GROUP_FLIP_MATRIX = StructureMatrix(False, ((ONE, U), (ONE, ZERO)) * 2)
 
 
 def squared_image(gamma: StructureMatrix) -> StructureMatrix:
@@ -210,16 +211,14 @@ def enumerate_candidates(case: str, mode: str = "hi") -> list[Candidate]:
         out = []
         for name, base in base_structures(mode).items():
             for alpha in _UNITS:
-                if len(base.rows) == 2:
-                    gamma = base.scaled(alpha, ONE)
-                    tag = f"{name}[{alpha}]"
-                    out.append(Candidate(tag, gamma, base=name))
+                if mode == "hw":  # the group block reads no commuting row: beta = 1
+                    out.append(Candidate(f"{name}[{alpha}]", base.scaled(alpha, ONE), base=name))
                     continue
                 for beta in _UNITS:
                     gamma = base.scaled(alpha, beta)
                     tag = f"{name}[{alpha},{beta}]"
                     out.append(Candidate(tag, gamma, base=name))
-        # for the two-row mode also include the v^-1 rescalings
+        # on the group block also include the v^-1 rescalings
         if mode == "hw":
             for name, base in base_structures(mode).items():
                 for alpha in (VI, -VI):
@@ -232,7 +231,7 @@ def enumerate_candidates(case: str, mode: str = "hi") -> list[Candidate]:
 
 
 # ----------------------------------------------------------------------
-# blocks, including the group itself as a two-row block
+# blocks, including the group itself
 
 def blocks_for_mode(system: CoxeterSystem, mode: str) -> list:
     if mode == "hw":

@@ -135,15 +135,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_invert(args: argparse.Namespace) -> int:
-    system = build_system(args)
-    report: dict = {"system": args.system, "bases": {}}
-    ok = True
-    for label in ("pi", "pi_prime", "iota"):
-        failures = inversion_check(label, system)
-        report["bases"][label] = {"ok": not failures, "failures": failures}
-        ok = ok and not failures
-    report["ok"] = ok
-    _emit_report(report, args.fmt, args.out)
+    failures = inversion_check(build_system(args))
+    ok = not any(failures.values())
+    bases = {label: {"ok": not f, "failures": f} for label, f in failures.items()}
+    _emit_report({"system": args.system, "bases": bases, "ok": ok}, args.fmt, args.out)
     return 0 if ok else 1
 
 

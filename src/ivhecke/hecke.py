@@ -8,7 +8,7 @@ and quadratic parameter v, so
 
 ``HeckeAlgebra(W, squared=True)`` is the same algebra with parameter v^2,
 i.e. (v^2 - v^-2) in the rule.  Its ``kl_table`` is the canonical table
-of the group block with the matching two-row structure (``ivmodules``):
+of the group block with the matching structure (``ivmodules``):
 the ``h`` table of the commands.  Its word-level arithmetic is two maps on
 {word: coefficient} dicts: ``mult_gen`` (left multiplication by H_s) and
 ``bar_basis_terms``, the expansion of bar(H_w) = H_{s1}^-1 ... H_{sk}^-1
@@ -156,9 +156,10 @@ class HeckeAlgebra:
     def kl_table(self) -> "CanonicalTable":
         """The canonical (Kazhdan-Lusztig) basis table of the regular module.
 
-        The regular module is the group block with the two-row structure
-        H_s H_w = H_{sw} (up), H_{sw} + (v^k - v^-k) H_w (down); its bar
-        involution is derived from that structure like every block module's.
+        The regular module is the group block with the structure
+        H_s H_w = H_{sw} (up), H_{sw} + (v^k - v^-k) H_w (down), whose
+        commuting rows repeat these; its bar involution is derived from
+        that structure like every block module's.
         """
         from .ivmodules import REGULAR_STRUCTURES, TwistedModule  # ivmodules imports hecke
 

@@ -11,10 +11,10 @@ s |*| w relative to w:
     row 2:  s*x == x*theta(s), rank up
     row 3:  s*x == x*theta(s), rank down
 
-(a two-row matrix is the analogous structure on the group itself, rows
-up/down; ``GROUP_PLAIN_MATRIX`` is the regular module, whose canonical
-basis is the Kazhdan-Lusztig table ``h``).  The three named block
-structures are:
+On the group itself every generator is a noncommuting move, so only rows
+0 and 1 are read; ``GROUP_PLAIN_MATRIX``, the regular module, whose
+canonical basis is the Kazhdan-Lusztig table ``h``, repeats them as its
+commuting rows.  The three named block structures are:
 
 * ``pi``        -- parameter v^2, the module whose canonical basis has the
                    classical Lusztig-Vogan coefficients;
@@ -120,15 +120,15 @@ class StructureMatrix:
     """Coefficients of a generator action; see the module docstring.
 
     ``squared`` records the Hecke parameter (v^2 when True).  ``rows`` has
-    four entries for block structures, two for group structures.
+    four entries.
     """
 
     squared: bool
     rows: tuple[tuple[LaurentPoly, LaurentPoly], ...]
 
     def __post_init__(self):
-        if len(self.rows) not in (2, 4):
-            raise ValueError("a structure matrix has 2 or 4 rows")
+        if len(self.rows) != 4:
+            raise ValueError("a structure matrix has 4 rows")
 
     @property
     def parameter_diff(self) -> LaurentPoly:
@@ -140,22 +140,18 @@ class StructureMatrix:
         """c = v^-k - v^k, the constant in bar(H_s) = H_s + c."""
         return -self.parameter_diff
 
-    def row_for(self, commutes: bool, up: bool) -> tuple[LaurentPoly, LaurentPoly]:
-        if len(self.rows) == 2:
-            return self.rows[0 if up else 1]
-        return self.rows[(0 if up else 1) + (2 if commutes else 0)]
-
     @cached_property
     def action_rows(self) -> list[list[tuple[LaurentPoly, LaurentPoly]]]:
-        """rows[commutes][up] = ``row_for(commutes, up)``, as a table."""
-        return [[self.row_for(commutes, up) for up in (False, True)] for commutes in (False, True)]
+        """rows[commutes][up]: the row of the case (commutes, up), as a table."""
+        r = self.rows
+        return [[r[1], r[0]], [r[3], r[2]]]
 
     @cached_property
     def quadratic_failing_cases(self) -> frozenset[tuple[bool, bool]]:
         """The cases (commutes, up) failing the quadratic relation (``quadratic_failures``)."""
         u, bad = self.parameter_diff, set()
         for commutes in (False, True):
-            (a1, a2), (b1, b2) = self.row_for(commutes, True), self.row_for(commutes, False)
+            (b1, b2), (a1, a2) = self.action_rows[commutes]
             t, d = a2 + b2 - u, a1 * b1 - 1  # M^2 - u M - I = [[a2(a2-u)+d, b1 t], [a1 t, b2(b2-u)+d]]
             if a2 * (a2 - u) + d or a1 * t:
                 bad.add((commutes, True))
@@ -183,11 +179,7 @@ class StructureMatrix:
         so d_y / d_x is alpha^-1 or beta^-1 there, and the inverse at a
         descent: the factor each row's first entry picks up.
         """
-        ai = alpha.unit_inverse()
-        if len(self.rows) == 2:
-            (a0, b0), (a1, b1) = self.rows
-            return StructureMatrix(self.squared, ((a0 * ai, b0), (a1 * alpha, b1)))
-        bi = beta.unit_inverse()
+        ai, bi = alpha.unit_inverse(), beta.unit_inverse()
         (a0, b0), (a1, b1), (a2, b2), (a3, b3) = self.rows
         return StructureMatrix(
             self.squared,
@@ -225,10 +217,8 @@ class StructureMatrix:
                 return monomial(-second.valuation, 1 if second.coeffs[0] > 0 else -1)
             return ONE
 
-        alpha = unit(self.rows[0][0], self.rows[1][0])
-        if len(self.rows) == 2:
-            return alpha, ONE
-        return alpha, unit(self.rows[2][0], self.rows[3][0])
+        (a0, _), (a1, _), (a2, _), (a3, _) = self.rows
+        return unit(a0, a1), unit(a2, a3)
 
     def sign_normal_form(self) -> tuple["StructureMatrix", LaurentPoly, LaurentPoly]:
         """(rep, alpha, beta) with alpha, beta in {1, -1} and gamma = rep[alpha, beta].
@@ -317,7 +307,7 @@ IOTA_MATRIX = StructureMatrix(
 )
 
 #: parameter v, on the group block: the regular module, canonical basis h
-GROUP_PLAIN_MATRIX = StructureMatrix(False, _rows((1, 0), (1, U)))
+GROUP_PLAIN_MATRIX = StructureMatrix(False, _rows((1, 0), (1, U), (1, 0), (1, U)))
 
 
 # ----------------------------------------------------------------------
@@ -409,7 +399,7 @@ def bar_row_vector(
         i, commutes, up = block.cross[s][j]
         if up:
             continue  # need a descent of j
-        a1, a2 = gamma.row_for(commutes, True)  # the ascent row at i
+        a1, a2 = gamma.action_rows[commutes][True]  # the ascent row at i
         if not a1:
             continue  # this descent cannot reach j
         row = act_gen(gamma, block, s, psi[i], c - a2.bar())
@@ -437,13 +427,16 @@ NAMED_STRUCTURES: dict[str, StructureMatrix] = {
     "iota": IOTA_MATRIX,
 }
 
-#: the regular module's two-row structure, keyed by ``squared``
-REGULAR_STRUCTURES = {False: GROUP_PLAIN_MATRIX, True: StructureMatrix(True, _rows((1, 0), (1, U2)))}
+#: the regular module's structure, keyed by ``squared``
+REGULAR_STRUCTURES = {
+    False: GROUP_PLAIN_MATRIX,
+    True: StructureMatrix(True, _rows((1, 0), (1, U2), (1, 0), (1, U2))),
+}
 
 
 def is_regular(block: Block, gamma: StructureMatrix) -> bool:
     """Whether (block, gamma) is the regular module, in v or v^2: the group
-    block with the Hecke algebra's own two-row structure."""
+    block with the Hecke algebra's own structure."""
     return isinstance(block, GroupBlock) and gamma == REGULAR_STRUCTURES[gamma.squared]
 
 
@@ -599,7 +592,7 @@ class TwistedModule:
                 )
         c = self.gamma.bar_shift
         proved = [k is None for k in quadratic_failures(self.gamma, block)]
-        ascends = {commutes: bool(self.gamma.row_for(commutes, True)[0]) for commutes in (False, True)}
+        ascends = [bool(rows[True][0]) for rows in self.gamma.action_rows]
         for j in range(len(block)):
             row = self.bar_row(j)
             for s in range(block.system.rank):
@@ -634,8 +627,7 @@ class TwistedModule:
         vk = monomial(2 if gamma.squared else 1)
         units = {}
         for commutes in (False, True):
-            a2 = gamma.row_for(commutes, True)[1]
-            b1 = gamma.row_for(commutes, False)[0]
+            (b1, _), (_, a2) = gamma.action_rows[commutes]
             unit = (vk - a2).exact_div(b1).unit_inverse()
             units[commutes] = (unit.coeffs[0], unit.val)
         return units
@@ -746,7 +738,7 @@ class TwistedModule:
             i, commutes, up = block.cross[s][j]
             if up:
                 continue
-            a1 = self.gamma.row_for(commutes, True)[0]
+            a1 = self.gamma.action_rows[commutes][True][0]
             if a1 == ONE or a1 == -ONE:
                 best = (s, i, a1)
                 break
@@ -964,8 +956,7 @@ def invariant_suite(system: CoxeterSystem, theta: Sequence[int]) -> dict:
     dihedral = system.rank == 2
     norm_values: dict[str, set] = {"h": set(), "pi": set(), "iota": set()}
     words, rho = block.elements, block.rho
-    h_index = {w: i for i, w in enumerate(h_table.elements)}
-    to_h = [h_index[w] for w in words]
+    to_h = [system.element_index(w) for w in words]
     entries = {label: t.entries for label, t in tables.items()}
     for j in range(len(block)):
         for i in block.lower_indices(j):
@@ -1041,17 +1032,21 @@ def longest_twist(system: CoxeterSystem) -> Perm:
     return tuple(perm)
 
 
-def inversion_check(label: str, system: CoxeterSystem) -> list[dict]:
-    """Verify the signed-inverse identity of the table family ``label``.
+def inversion_check(system: CoxeterSystem) -> dict[str, list[dict]]:
+    """Verify the signed-inverse identity of the table families ``pi``,
+    ``pi_prime`` and ``iota``.
 
-    Writing F for the full table over all involutive twists theta and
+    Writing F for a family's full table over all involutive twists theta and
     w |-> w * (w0, theta0) for right translation by the longest twisted
     element, the claim is
 
         sum_w (-1)^{rho(x) + rho(w)} F_{x,w} F_{y w0+, w w0+} = delta_{x,y}
 
     with x, w, y ranging over one theta's block (the translation lands in
-    the theta * theta0 block).  Returns failure records; empty = pass.
+    the theta * theta0 block).  Returns {label: failure records} for the
+    three families in that order; an empty list is a pass.  The blocks, w0,
+    theta0 and the translation maps are built once and serve every family;
+    each family's tables are built in turn.
 
     theta * theta0 is again an involutive twist: every diagram automorphism
     fixes w0, the unique longest element, so theta commutes with theta0 =
@@ -1068,32 +1063,37 @@ def inversion_check(label: str, system: CoxeterSystem) -> list[dict]:
     w0 = system.longest_element()
     thetas = involutive_automorphisms(system)
     blocks = {theta: TwistedBlock(system, theta) for theta in thetas}
-    tables = {theta: TwistedModule(blocks[theta], label).canonical_table() for theta in thetas}
-    failures: list[dict] = []
-    for theta in thetas:
-        blk = blocks[theta]
-        rho = blk.rho
+    # translation w = (x, theta) |-> (x * w0, theta * theta0): (target theta, shift, unshift)
+    translations = {}
+    for theta, blk in blocks.items():
         target_theta = compose_perms(theta, theta0)
-        target = tables[target_theta].columns
-        # translation w = (x, theta) |-> (x * w0, theta * theta0)
         shift = [blocks[target_theta].index[system.multiply(x, w0)] for x in blk.elements]
-        unshift = {k: y for y, k in enumerate(shift)}
-        rows: list[list] = [[] for _ in blk.elements]  # (w, (-1)^{rho(x) + rho(w)} F_{x,w}) per x
-        for (x, w), a in tables[theta].entries.items():
-            rows[x].append((w, -a if (rho[x] + rho[w]) % 2 else a))
-        for x, row in enumerate(rows):
-            total: Vector = {}
-            for w, a in row:
-                vec_axpy(total, a, target[shift[w]])
-            for y in sorted({unshift[k] for k in total} | {x}):
-                value = total.get(shift[y], ZERO)
-                if value != (ONE if y == x else ZERO):
-                    failures.append(
-                        {
-                            "theta": list(theta),
-                            "x": list(blk.elements[x]),
-                            "y": list(blk.elements[y]),
-                            "value": value.to_json(),
-                        }
-                    )
-    return failures
+        translations[theta] = target_theta, shift, {k: y for y, k in enumerate(shift)}
+    report: dict[str, list[dict]] = {}
+    for label in ("pi", "pi_prime", "iota"):
+        tables = {theta: TwistedModule(blk, label).canonical_table() for theta, blk in blocks.items()}
+        report[label] = failures = []
+        for theta in thetas:
+            blk = blocks[theta]
+            rho = blk.rho
+            target_theta, shift, unshift = translations[theta]
+            target = tables[target_theta].columns
+            rows: list[list] = [[] for _ in blk.elements]  # (w, (-1)^{rho(x) + rho(w)} F_{x,w}) per x
+            for (x, w), a in tables[theta].entries.items():
+                rows[x].append((w, -a if (rho[x] + rho[w]) % 2 else a))
+            for x, row in enumerate(rows):
+                total: Vector = {}
+                for w, a in row:
+                    vec_axpy(total, a, target[shift[w]])
+                for y in sorted({unshift[k] for k in total} | {x}):
+                    value = total.get(shift[y], ZERO)
+                    if value != (ONE if y == x else ZERO):
+                        failures.append(
+                            {
+                                "theta": list(theta),
+                                "x": list(blk.elements[x]),
+                                "y": list(blk.elements[y]),
+                                "value": value.to_json(),
+                            }
+                        )
+    return report

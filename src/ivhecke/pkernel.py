@@ -48,11 +48,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .coxeter import CoxeterSystem
-from .hecke import NotPreCanonical, column_index, solve_canonical
+from .hecke import NotPreCanonical, solve_canonical
 from .ivmodules import GROUP_PLAIN_MATRIX, TwistedModule, apply_psi
 from .laurent import ONE, LaurentPoly, _make, monomial_times
 from .twisted import Block, GroupBlock, TwistedBlock
@@ -178,29 +177,23 @@ class IncidenceFunction:
 class BarMatrix:
     """Matrix of an antilinear operator in the a-basis, column by column.
 
-    ``entries[(i, j)]`` is the coefficient of a_i in psi(a_j), a Laurent
-    polynomial in v; support is within the order.  ``grading`` is the r
-    used to build it, which the inverse map ``kernel_from_bar`` reads.
-    ``module`` is the module whose bar involution this is, for
-    a matrix read off one (``hecke_bar_matrix``, ``module_bar_matrix``).
+    ``columns[j]`` is psi(a_j) as {i: coefficient of a_i}, each a Laurent
+    polynomial in v; support is within the order, and a missing column is
+    zero.  ``grading`` is the r used to build it, which the inverse map
+    ``kernel_from_bar`` reads.  ``module`` is the module whose bar
+    involution this is, for a matrix read off one (``hecke_bar_matrix``,
+    ``module_bar_matrix``); its columns are then the module's own rows
+    (``TwistedModule.bar_row``), not copies, and must not be changed.
     """
 
     poset: Poset
     grading: tuple[int, ...]
-    entries: dict[tuple[int, int], LaurentPoly]
+    columns: dict[int, dict[int, LaurentPoly]]
     module: Optional[TwistedModule] = field(default=None, compare=False, repr=False)
-
-    @cached_property
-    def _columns(self) -> dict[int, dict[int, LaurentPoly]]:
-        return column_index(self.entries)
-
-    def column(self, j: int) -> dict[int, LaurentPoly]:
-        """{i: entry (i, j)}, in the order of ``entries``; a fresh dict."""
-        return dict(self._columns.get(j, {}))
 
     def is_involution(self) -> bool:
         """Whether the antilinear operator squares to the identity."""
-        columns = self._columns
+        columns = self.columns
         return all(
             apply_psi(columns, columns.get(j, {})) == {j: ONE} for j in range(len(self.poset))
         )
@@ -209,10 +202,10 @@ class BarMatrix:
 def bar_from_kernel(K: IncidenceFunction, r: Sequence[int]) -> BarMatrix:
     """psi_K(a_y) = sum_x v^{r(x,y)} bar(K(x,y)) a_x, with q = v^2."""
     r = check_grading(K.poset, r)
-    entries = {}
+    columns: dict[int, dict[int, LaurentPoly]] = {}
     for (i, j), p in K.values.items():
-        entries[(i, j)] = monomial_times(1, r[j] - r[i], p.square_v().bar())
-    return BarMatrix(K.poset, r, entries)
+        columns.setdefault(j, {})[i] = monomial_times(1, r[j] - r[i], p.square_v().bar())
+    return BarMatrix(K.poset, r, columns)
 
 
 def kernel_from_bar(bar: BarMatrix) -> IncidenceFunction:
@@ -222,7 +215,7 @@ def kernel_from_bar(bar: BarMatrix) -> IncidenceFunction:
     recovered K(x, y) is bar(v^{-r(x,y)} * entry) read as a polynomial
     in q = v^2.  Entries are checked column by column, each from the
     diagonal outwards (then by index), so the witness does not depend on
-    the order the entries were built in.
+    the order of the columns or of their keys.
 
     The values are read off the entry's coefficient tuple cs: g =
     v^{-r(x,y)} * entry has degree top = deg(entry) - r(x,y), which must be
@@ -238,15 +231,11 @@ def kernel_from_bar(bar: BarMatrix) -> IncidenceFunction:
     r = check_grading(bar.poset, bar.grading)
     n = len(r)
     key = [i - r[i] * n for i in range(n)]  # orders (r(x, y), x) within a column
-    columns: dict[int, list[int]] = {}
-    for i, j in bar.entries:
-        columns.setdefault(j, []).append(i)
     values = {}
-    for j in sorted(columns):
-        column = columns[j]
-        column.sort(key=key.__getitem__)
-        for i in column:
-            p = bar.entries[(i, j)]
+    for j in sorted(bar.columns):
+        column = bar.columns[j]
+        for i in sorted(column, key=key.__getitem__):
+            p = column[i]
             top = p.degree - (r[j] - r[i])
             cs = p.coeffs
             if top > 0 or top % 2 or any(cs[1::2]):
@@ -280,7 +269,7 @@ def kls_function(K: IncidenceFunction, r: Sequence[int]) -> IncidenceFunction:
     r = bar.grading
     poset = K.poset
     entries = solve_canonical(
-        list(r), poset.lower_indices, bar.column, labels=poset.elements
+        list(r), poset.lower_indices, lambda j: bar.columns.get(j, {}), labels=poset.elements
     )
     return IncidenceFunction(poset, _kls_values(entries, r, poset.elements))
 
@@ -393,13 +382,10 @@ def poset_of_block(block: Block) -> Poset:
 
 
 def _bar_matrix(module: TwistedModule, r: tuple[int, ...]) -> BarMatrix:
-    """The matrix of a module's bar involution, graded by r."""
+    """The matrix of a module's bar involution, graded by r: its columns are the module's rows."""
     block = module.block
-    entries = {}
-    for j in range(len(block)):
-        for i, c in module.bar_row(j).items():
-            entries[(i, j)] = c
-    return BarMatrix(poset_of_block(block), r, entries, module)
+    columns = {j: module.bar_row(j) for j in range(len(block))}
+    return BarMatrix(poset_of_block(block), r, columns, module)
 
 
 def hecke_bar_matrix(system: CoxeterSystem) -> BarMatrix:

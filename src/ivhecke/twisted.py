@@ -299,8 +299,8 @@ class TwistedBlock(Block):
 class GroupBlock(Block):
     """W itself as a block: cross[s][i] targets s * w.
 
-    rho is the length, theta the identity, and the commutes flag, which
-    two-row structures ignore, is False.
+    rho is the length, theta the identity, and the commutes flag is False,
+    so a structure's commuting rows are never read here.
     """
 
     def __init__(self, system: CoxeterSystem) -> None:

@@ -21,7 +21,7 @@ def full_seed(module, j, columns):
         i, commutes, up = block.cross[s][j]
         if up:
             continue
-        a1 = gamma.row_for(commutes, True)[0]
+        a1 = gamma.action_rows[commutes][True][0]
         if a1 == ONE or a1 == -ONE:
             best = (s, i, a1)
             break

@@ -58,7 +58,7 @@ def pkernel_outcome(system_name, basis, theta="id", grading="length"):
         witness["basis"] = basis
         witness["grading"] = grading
         return None, witness, None
-    roundtrip = bar_from_kernel(kernel, bar.grading).entries == bar.entries
+    roundtrip = bar_from_kernel(kernel, bar.grading).columns == bar.columns
     involution = bar.is_involution()
     report = {
         "system": system_name,
@@ -123,9 +123,10 @@ def halve_exponents(p):
 def kernel_by_products(bar):
     """``kernel_from_bar``'s values, or its NotParityCompatible, through products."""
     r = check_grading(bar.poset, bar.grading)
+    entries = {(i, j): p for j, column in bar.columns.items() for i, p in column.items()}
     values = {}
-    for i, j in sorted(bar.entries, key=lambda ij: (ij[1], r[ij[1]] - r[ij[0]], ij[0])):
-        p = bar.entries[(i, j)]
+    for i, j in sorted(entries, key=lambda ij: (ij[1], r[ij[1]] - r[ij[0]], ij[0])):
+        p = entries[(i, j)]
         g = p * monomial(-(r[j] - r[i]))
         try:
             k = halve_exponents(g.bar())

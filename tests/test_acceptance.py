@@ -319,8 +319,8 @@ def test_criterion_08_recurrences():
 def test_criterion_09_signed_inversion():
     for name in INVERSION_BATTERY:
         W = system(name)
-        for label in ("pi", "pi_prime", "iota"):
-            assert inversion_check(label, W) == [], (name, label)
+        for label, failures in inversion_check(W).items():
+            assert failures == [], (name, label)
     print(
         f"\n[criterion 09] signed inversion for pi/pi'/iota on"
         f" {len(INVERSION_BATTERY)} systems, all twists: PASS"
@@ -349,7 +349,7 @@ def test_criterion_11_pkernel_roundtrip():
         W = system(name)
         bm = hecke_bar_matrix(W)
         K = kernel_from_bar(bm)
-        assert bar_from_kernel(K, bm.grading).entries == bm.entries, name
+        assert bar_from_kernel(K, bm.grading).columns == bm.columns, name
         assert is_p_kernel(K, bm.grading), name
 
         # the KLS function of the regular bar structure is the KL table
@@ -370,7 +370,7 @@ def test_criterion_11_pkernel_roundtrip():
         for label in ("pi", "pi_prime"):
             bmod = module_bar_matrix(W, id_theta, label, grading="length")
             Km = kernel_from_bar(bmod)
-            assert bar_from_kernel(Km, bmod.grading).entries == bmod.entries, (name, label)
+            assert bar_from_kernel(Km, bmod.grading).columns == bmod.columns, (name, label)
             assert is_p_kernel(Km, bmod.grading), (name, label)
 
     # the iota structure on I2(4) is outside the P-kernel picture for both

@@ -207,8 +207,7 @@ def test_precanonical_group_mode_matches_hecke_bar():
                 expected = solve_canonical(gb.rho, gb.lower_indices, rows.__getitem__, labels=gb.elements)
                 assert H.kl_table().entries == expected, (name, squared)
             if not squared:
-                bars = {(i, j): c for j, row in enumerate(rows) for i, c in row.items()}
-                assert hecke_bar_matrix(sysm).entries == bars, name
+                assert hecke_bar_matrix(sysm).columns == dict(enumerate(rows)), name
 
 
 def test_precanonical_rejects_v_scalings():
@@ -664,8 +663,6 @@ def quadratic_constraints_hold(gamma: StructureMatrix) -> bool:
         E or G nonzero  =>  F + H = v^k - v^-k,
         both columns active => D - H in {1, -1} and B - F in {1, -1}.
     """
-    if len(gamma.rows) != 4:
-        raise ValueError("expects a four-row structure")
     (a, b), (c, d), (e, f), (g, h) = gamma.rows
     vk = monomial(2 if gamma.squared else 1)
     vki = monomial(-2 if gamma.squared else -1)
@@ -703,8 +700,8 @@ def test_quadratic_constraints_violations():
     # B + D != u with a nonzero first column
     bad = StructureMatrix(False, ((ONE, V), (ONE, V), (ZERO, V), (ZERO, -VI)))
     assert not quadratic_constraints_hold(bad)
-    with pytest.raises(ValueError):
-        quadratic_constraints_hold(GROUP_PLAIN_MATRIX)
+    # the group structure repeats its rows, so D - H = 0 with both columns active
+    assert not quadratic_constraints_hold(GROUP_PLAIN_MATRIX)
 
 
 def test_group_block_interface():

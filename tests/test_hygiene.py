@@ -97,7 +97,6 @@ def code_names(path: Path) -> Counter:
 PERFBENCH_ONLY = {
     "apply_automorphism",
     "bruhat_leq",
-    "element_index",
     "kappa",
     "recurrence_check",
     "representation_scan",

@@ -113,10 +113,9 @@ SIGN_CLASSES = list(dict.fromkeys(
     for candidate in enumerate_candidates("classified_families", mode)
 ))
 SHIFT_STRUCTURES = [PI_MATRIX, PI_PRIME_MATRIX, IOTA_MATRIX, *REGULAR_STRUCTURES.values(), *SIGN_CLASSES]
-SHIFT_BLOCKS = {
-    2: [GroupBlock(parse_system(name)) for name in ("A3", "I2(5)")],
-    4: [TwistedBlock(parse_system(name), theta) for name, theta in (("B3", (0, 1, 2)), ("A3", (2, 1, 0)))],
-}
+SHIFT_BLOCKS = [GroupBlock(parse_system(name)) for name in ("A3", "I2(5)")] + [
+    TwistedBlock(parse_system(name), theta) for name, theta in (("B3", (0, 1, 2)), ("A3", (2, 1, 0)))
+]
 small_polys = st.builds(
     LaurentPoly, st.integers(-4, 4), st.lists(st.integers(-3, 3), max_size=4)
 )
@@ -125,13 +124,13 @@ small_polys = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from(SHIFT_STRUCTURES),
-    st.integers(0, 1),
+    st.integers(0, 3),
     st.integers(0, 2),
     st.dictionaries(st.integers(0, 5), small_polys.filter(bool), max_size=6),
     st.one_of(st.sampled_from([ZERO, VI, monomial(-2), -(V - VI)]), small_polys),
 )
 def test_act_gen_shift_is_act_then_axpy(gamma, which, s, vec, shift):
-    block = SHIFT_BLOCKS[len(gamma.rows)][which]
+    block = SHIFT_BLOCKS[which]
     s %= block.system.rank
     vec = {i * len(block) // 6: p for i, p in vec.items()}
     want = act_gen(gamma, block, s, vec)
@@ -180,8 +179,9 @@ class TestMatrixAlgebra:
             assert row_old[1] == row_new[1]
 
     def test_row_count_validation(self):
-        with pytest.raises(ValueError):
-            StructureMatrix(False, ((ONE, ZERO),))
+        for rows in (((ONE, ZERO),), ((ONE, ZERO), (ONE, U)), ((ONE, ZERO), (ONE, U)) * 3):
+            with pytest.raises(ValueError):
+                StructureMatrix(False, rows)
 
 
 class TestBarRecipes:
@@ -331,7 +331,7 @@ class TestInversion:
     @pytest.mark.parametrize("name", ["A1", "A2", "B2", "I2(5)"])
     @pytest.mark.parametrize("label", ["pi", "pi_prime", "iota"])
     def test_small_systems(self, name, label):
-        assert inversion_check(label, parse_system(name)) == []
+        assert inversion_check(parse_system(name))[label] == []
 
 
 # ----------------------------------------------------------------------
@@ -392,8 +392,9 @@ def test_inversion_check_matches_the_oracle(name, corrupt, monkeypatch):
     if corrupt:
         corrupt_tables(monkeypatch, corrupt)
     system = parse_system(name)
-    for label in ("pi", "pi_prime", "iota"):
-        failures = inversion_check(label, system)
+    report = inversion_check(system)
+    assert list(report) == ["pi", "pi_prime", "iota"]
+    for label, failures in report.items():
         expected = invariant_oracle.inversion_check(label, system)
         assert json.dumps(failures) == json.dumps(expected), label
         assert bool(failures) == bool(corrupt), label

@@ -35,7 +35,7 @@ from ivhecke.pkernel import (
 from ivhecke.pkernel import _bar_matrix, _kls_values
 from ivhecke.twisted import GroupBlock, TwistedBlock, involutive_automorphisms, parse_theta
 
-from bar_matrix_oracle import column_by_scan, is_involution_by_scan
+from bar_matrix_oracle import is_involution_by_scan
 from pkernel_oracle import (
     convolve,
     delta,
@@ -167,7 +167,7 @@ def test_two_chain_kernel_and_bar():
     K = IncidenceFunction(p, {(0, 0): ONE, (1, 1): ONE, (0, 1): Q - 1})
     bm = bar_from_kernel(K, (0, 1))
     # v^1 * bar(v^2 - 1) = v(v^-2 - 1) = v^-1 - v
-    assert bm.entries.get((0, 1), ZERO) == monomial(-1) - monomial(1)
+    assert bm.columns[1].get(0, ZERO) == monomial(-1) - monomial(1)
     assert bm.is_involution()
     assert is_p_kernel(K, (0, 1))
     assert kernel_from_bar(bm) == K
@@ -184,26 +184,24 @@ def test_two_chain_non_kernel():
 def test_parity_failure_witness():
     # entry v^{r}+v^{r-1} mixes parities after the shift
     p = chain(2)
-    bm = BarMatrix(
-        p, (0, 2), {(0, 0): ONE, (1, 1): ONE, (0, 1): monomial(2) + monomial(1)}
-    )
+    bm = BarMatrix(p, (0, 2), {0: {0: ONE}, 1: {1: ONE, 0: monomial(2) + monomial(1)}})
     with pytest.raises(NotParityCompatible) as exc:
         kernel_from_bar(bm)
     assert exc.value.witness["pair"] == [0, 1]
     # entry with exponent above the shift is outside the image too
-    bm = BarMatrix(p, (0, 2), {(0, 1): monomial(4)})
+    bm = BarMatrix(p, (0, 2), {1: {0: monomial(4)}})
     with pytest.raises(NotParityCompatible):
         kernel_from_bar(bm)
 
 
 def test_parity_witness_is_nearest_the_diagonal():
     # two bad entries in column 2: the one with the smaller shift is reported,
-    # whatever the order of the entries
+    # whatever the order of the column's keys
     p = chain(3)
-    bad = {(0, 2): monomial(1), (1, 2): monomial(1) + ONE}
-    for entries in (bad, dict(reversed(bad.items()))):
+    bad = {0: monomial(1), 1: monomial(1) + ONE}
+    for column in (bad, dict(reversed(bad.items()))):
         with pytest.raises(NotParityCompatible) as exc:
-            kernel_from_bar(BarMatrix(p, (0, 1, 2), entries))
+            kernel_from_bar(BarMatrix(p, (0, 1, 2), {2: column}))
         assert exc.value.witness == {"pair": [1, 2], "entry": {"0": 1, "1": 1}, "shift": 1}
     # a block module: I2(5), the flip, iota graded by rho
     bm = module_bar_matrix(parse_system("I2(5)"), (1, 0), "iota", "rho")
@@ -224,7 +222,7 @@ def test_parity_witnesses_are_the_products():
         (monomial(2) + monomial(1), 2, {"pair": [0, 1], "entry": {"1": 1, "2": 1}, "shift": 2}),
         (monomial(4) + monomial(-2), 2, {"pair": [0, 1], "entry": {"-2": 1, "4": 1}, "shift": 2}),
     ):
-        bm = BarMatrix(p, (0, shift), {(0, 0): ONE, (1, 1): ONE, (0, 1): entry})
+        bm = BarMatrix(p, (0, shift), {0: {0: ONE}, 1: {1: ONE, 0: entry}})
         for read_off in (kernel_from_bar, kernel_by_products):
             with pytest.raises(NotParityCompatible) as exc:
                 read_off(bm)
@@ -248,7 +246,10 @@ laurent_polys = st.builds(
 @given(st.lists(laurent_polys, min_size=6, max_size=6), st.sampled_from([(0, 1, 2), (0, 2, 4), (0, 1, 3)]))
 @example([ONE, ONE, ONE, monomial(-1), monomial(-2), monomial(-1)], (0, 1, 2))
 def test_kernel_read_off_is_the_products(polys, grading):
-    bm = BarMatrix(chain(3), grading, dict(zip([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)], polys)))
+    columns = {0: {}, 1: {}, 2: {}}
+    for (i, j), p in zip([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)], polys):
+        columns[j][i] = p
+    bm = BarMatrix(chain(3), grading, columns)
     assert outcome(kernel_from_bar, bm) == outcome(kernel_by_products, bm)
 
 
@@ -288,7 +289,7 @@ def test_hecke_kernel_a1():
     K = kernel_from_bar(bm)
     assert K.values.get((0, 1), ZERO) == Q - 1  # the R-polynomial of the edge
     assert K.values.get((0, 0), ZERO) == ONE and K.values.get((1, 1), ZERO) == ONE
-    assert bar_from_kernel(K, bm.grading).entries == bm.entries
+    assert bar_from_kernel(K, bm.grading).columns == bm.columns
 
 
 def test_hecke_kernel_roundtrips():
@@ -296,7 +297,7 @@ def test_hecke_kernel_roundtrips():
         bm = hecke_bar_matrix(parse_system(name))
         K = kernel_from_bar(bm)
         assert is_p_kernel(K, bm.grading)
-        assert bar_from_kernel(K, bm.grading).entries == bm.entries
+        assert bar_from_kernel(K, bm.grading).columns == bm.columns
 
 
 def test_kls_equals_kl_polynomials():
@@ -338,7 +339,7 @@ def test_block_modules_in_image():
             bm = module_bar_matrix(sysm, sysm.identity_perm(), label, "length")
             K = kernel_from_bar(bm)
             assert is_p_kernel(K, bm.grading)
-            assert bar_from_kernel(K, bm.grading).entries == bm.entries
+            assert bar_from_kernel(K, bm.grading).columns == bm.columns
 
 
 def test_block_module_kls_a1():
@@ -360,10 +361,10 @@ def test_iota_not_parity_compatible():
 
 def _perturbed(bm):
     """A copy with the first off-diagonal entry (by column, then row) plus 1."""
-    key = min((ij for ij in bm.entries if ij[0] != ij[1]), key=lambda ij: (ij[1], ij[0]))
-    entries = dict(bm.entries)
-    entries[key] = entries[key] + 1
-    return BarMatrix(bm.poset, bm.grading, entries)
+    j, i = min((j, i) for j, column in bm.columns.items() for i in column if i != j)
+    columns = {k: dict(column) for k, column in bm.columns.items()}
+    columns[j][i] = columns[j][i] + 1
+    return BarMatrix(bm.poset, bm.grading, columns)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(5)"])
@@ -376,11 +377,20 @@ def test_bar_matrix_checks_match_the_scan_oracle(name):
                 matrices.append(module_bar_matrix(sysm, theta, label, grading))
     for bm in matrices:
         assert bm.is_involution() and is_involution_by_scan(bm)
-        for j in range(len(bm.poset)):
-            assert bm.column(j) == column_by_scan(bm, j)
-            assert list(bm.column(j)) == list(column_by_scan(bm, j))
         bad = _perturbed(bm)
         assert not bad.is_involution() and not is_involution_by_scan(bad)
+
+
+@pytest.mark.parametrize("name", ["A3", "I2(5)"])
+def test_a_module_bar_matrix_holds_the_module_rows(name):
+    sysm = parse_system(name)
+    matrices = [hecke_bar_matrix(sysm)]
+    for theta in involutive_automorphisms(sysm):
+        for label in ("pi", "pi_prime", "iota"):
+            matrices.append(module_bar_matrix(sysm, theta, label, "length"))
+    for bm in matrices:
+        assert list(bm.columns) == list(range(len(bm.poset)))
+        assert all(bm.columns[j] is bm.module.bar_row(j) for j in bm.columns)
 
 
 def test_module_bar_matrix_bad_grading():
@@ -488,7 +498,7 @@ def test_a_failed_check_reports_the_row_solve(monkeypatch):
     # on the A2 group block this structure fails intertwining, yet psi is an
     # involution: the report is that of the full pass and of the psi-row solve
     block = GroupBlock(parse_system("A2"))
-    structure = StructureMatrix(False, ((ONE, -VI), (-V, V - VI)))
+    structure = StructureMatrix(False, ((ONE, -VI), (-V, V - VI)) * 2)
     module = TwistedModule(block, "candidate", structure)
     with pytest.raises(NotPreCanonical, match="intertwining"):
         module.check_precanonical()

@@ -122,7 +122,7 @@ def structures(draw):
     squared = draw(st.booleans())
     mode = draw(st.sampled_from(("hw", "h2i" if squared else "hi")))
     pair = st.tuples(st.sampled_from(POOLS[squared]), st.sampled_from(POOLS[squared]))
-    rows = draw(st.tuples(*[pair] * (2 if mode == "hw" else 4)))
+    rows = draw(st.tuples(*[pair] * 4))  # the group block reads only the first two
     block = draw(st.sampled_from(blocks(mode)))
     return StructureMatrix(squared, rows), block
 
@@ -130,7 +130,7 @@ def structures(draw):
 @settings(max_examples=300, deadline=None)
 @given(structures())
 # fail intertwining first at s = 0 on the B2 group block, at s = 1 on the A3 flip block,
-@example((StructureMatrix(False, ((-ONE, V), (-U, V))), GroupBlock(parse_system("B2"))))
+@example((StructureMatrix(False, ((-ONE, V), (-U, V)) * 2), GroupBlock(parse_system("B2"))))
 @example(
     (
         StructureMatrix(False, ((-ONE, V), (U, -VI), (ONE, -VI), (-VI, -VI))),
@@ -150,6 +150,22 @@ def structures(draw):
 @example((ZERO_ASCENT, SwappedZeroAscentBlock()))
 def test_random_structures_agree_with_the_psi_squared_oracle(case):
     assert_agrees_with_oracle(*case)
+
+
+@pytest.mark.parametrize("junk", [((ZERO, ZERO),) * 2, ((ONE, V), (ONE, V))], ids=["zero", "not_quadratic"])
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_the_group_block_reads_no_commuting_row(name, junk):
+    """Junk commuting rows leave the regular module's bar rows, canonical
+    table and representation and pre-canonicity verdicts as they are."""
+    block = GroupBlock(parse_system(name))
+    gamma = StructureMatrix(False, GROUP_PLAIN_MATRIX.rows[:2] + junk)
+    assert gamma != GROUP_PLAIN_MATRIX
+    assert check_representation(gamma, block) is check_representation(GROUP_PLAIN_MATRIX, block) is None
+    module, got = witness(TwistedModule.check_precanonical, gamma, block)
+    plain, expected = witness(TwistedModule.check_precanonical, GROUP_PLAIN_MATRIX, block)
+    assert got is expected is None
+    assert [module.bar_row(j) for j in range(len(block))] == [plain.bar_row(j) for j in range(len(block))]
+    assert list(module.canonical_table().entries.items()) == list(plain.canonical_table().entries.items())
 
 
 def test_a_zero_ascent_pair_keeps_its_intertwining_test():
@@ -199,15 +215,14 @@ def representation_cases(draw, extra_blocks=SYNTHETIC):
     squared = draw(st.booleans())
     mode = draw(st.sampled_from(("hw", "h2i" if squared else "hi")))
     pool = st.sampled_from(POOLS[squared])
-    size = 2 if mode == "hw" else 4
-    seeds = [g.rows for g in seed_structures() if g.squared == squared and len(g.rows) == size]
+    seeds = [g.rows for g in seed_structures() if g.squared == squared]
     source = draw(st.sampled_from(("random", "seed", "mutant", "mutant")))
     if source == "random":
-        rows = [[draw(pool), draw(pool)] for _ in range(size)]
+        rows = [[draw(pool), draw(pool)] for _ in range(4)]
     else:
         rows = [list(row) for row in draw(st.sampled_from(seeds))]
     if source == "mutant":
-        rows[draw(st.integers(0, size - 1))][draw(st.integers(0, 1))] = draw(pool)
+        rows[draw(st.integers(0, 3))][draw(st.integers(0, 1))] = draw(pool)
     block = draw(st.sampled_from(blocks(mode) + extra_blocks))
     return StructureMatrix(squared, tuple(map(tuple, rows))), block
 
