@@ -211,8 +211,8 @@ def enumerate_candidates(case: str, mode: str = "hi") -> list[Candidate]:
         out = []
         for name, base in base_structures(mode).items():
             for alpha in _UNITS:
-                if mode == "hw":  # the group block reads no commuting row: beta = 1
-                    out.append(Candidate(f"{name}[{alpha}]", base.scaled(alpha, ONE), base=name))
+                if mode == "hw":  # beta = alpha keeps the repeated rows repeated
+                    out.append(Candidate(f"{name}[{alpha}]", base.scaled(alpha, alpha), base=name))
                     continue
                 for beta in _UNITS:
                     gamma = base.scaled(alpha, beta)
@@ -223,7 +223,7 @@ def enumerate_candidates(case: str, mode: str = "hi") -> list[Candidate]:
             for name, base in base_structures(mode).items():
                 for alpha in (VI, -VI):
                     out.append(
-                        Candidate(f"{name}[{alpha}]", base.scaled(alpha, ONE), base=name)
+                        Candidate(f"{name}[{alpha}]", base.scaled(alpha, alpha), base=name)
                     )
         return out
 

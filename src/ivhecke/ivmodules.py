@@ -956,7 +956,7 @@ def invariant_suite(system: CoxeterSystem, theta: Sequence[int]) -> dict:
     dihedral = system.rank == 2
     norm_values: dict[str, set] = {"h": set(), "pi": set(), "iota": set()}
     words, rho = block.elements, block.rho
-    to_h = [system.element_index(w) for w in words]
+    to_h = [system.element_index(w) for w in words]  # h_table is on GroupBlock: W's order
     entries = {label: t.entries for label, t in tables.items()}
     for j in range(len(block)):
         for i in block.lower_indices(j):

@@ -197,12 +197,16 @@ SYNTHETIC = (ZeroAscentBlock(), SwappedZeroAscentBlock())
 
 
 @lru_cache(maxsize=None)
-def seed_structures() -> tuple:
-    """The candidates of every grid and mode, and the v^2 images of those in v."""
-    grids = (("both_zero", "hi"), ("left_nonzero", "hi")) + tuple(
-        ("classified_families", mode) for mode in ("hw", "hi", "h2i")
-    )
-    out = [c.gamma for case, mode in grids for c in enumerate_candidates(case, mode)]
+def seed_structures(group: bool) -> tuple:
+    """The candidates of the group's families (``group``) or of every block
+    grid and family, and the v^2 images of those in v."""
+    if group:
+        grids = (("classified_families", "hw"),)
+    else:
+        grids = (("both_zero", "hi"), ("left_nonzero", "hi")) + tuple(
+            ("classified_families", m) for m in ("hi", "h2i")
+        )
+    out = [c.gamma for case, m in grids for c in enumerate_candidates(case, m)]
     return tuple(out + [squared_image(g) for g in out if not g.squared])
 
 
@@ -215,14 +219,14 @@ def representation_cases(draw, extra_blocks=SYNTHETIC):
     squared = draw(st.booleans())
     mode = draw(st.sampled_from(("hw", "h2i" if squared else "hi")))
     pool = st.sampled_from(POOLS[squared])
-    seeds = [g.rows for g in seed_structures() if g.squared == squared]
+    seeds = [g.rows for g in seed_structures(mode == "hw") if g.squared == squared]
     source = draw(st.sampled_from(("random", "seed", "mutant", "mutant")))
     if source == "random":
         rows = [[draw(pool), draw(pool)] for _ in range(4)]
     else:
         rows = [list(row) for row in draw(st.sampled_from(seeds))]
-    if source == "mutant":
-        rows[draw(st.integers(0, 3))][draw(st.integers(0, 1))] = draw(pool)
+    if source == "mutant":  # the group block reads only the noncommuting rows
+        rows[draw(st.integers(0, 1 if mode == "hw" else 3))][draw(st.integers(0, 1))] = draw(pool)
     block = draw(st.sampled_from(blocks(mode) + extra_blocks))
     return StructureMatrix(squared, tuple(map(tuple, rows))), block
 
