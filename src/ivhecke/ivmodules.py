@@ -54,7 +54,11 @@ module's table: each reads (H_s + v^-k) C_w = sum_y c_y C_y, so one loop
 over (w, s) builds the coefficient dict c of ``pi``'s eigenvalue
 relation or of the mu-corrected recurrences of ``pi_prime`` and ``iota``
 by scattering over the mu-graph (the v^-1 coefficients of the table,
-read once per column), and expands it over the table's columns.
+read once per column), and expands it over the table's columns.  That
+expansion, and the sums of the signed-inverse identity
+(``inversion_check``), run on the table's entries packed into integers at
+v^-1 = 2^K (``laurent.pack``), with K taken from a proven coefficient
+bound, so each sum is exact.
 """
 
 from __future__ import annotations
@@ -75,11 +79,14 @@ from .laurent import (
     LaurentPoly,
     NotDivisible,
     accumulate,
+    digit_width,
     mod2_equal,
     monomial,
     one_plus_even_positive,
     one_plus_positive,
     only_nonpositive_exponents,
+    pack,
+    unpack,
     vec_axpy,
 )
 from .twisted import Block, GroupBlock, Perm, TwistedBlock, compose_perms, involutive_automorphisms
@@ -354,14 +361,14 @@ def quadratic_failures(gamma: StructureMatrix, block: Block) -> list[Optional[in
     relation fails at m_i (m_j) exactly when the first (second) column of
     M_c^2 - u M_c - I is nonzero, so the Laurent work is two 2x2 matrices
     per structure, done once (``StructureMatrix.quadratic_failing_cases``),
-    and the rest is an index scan, made only when some case fails.
+    and where some case fails, the first index of each case is read off the
+    block, scanned once per block (``Block.first_case_indices``).
     """
     bad = gamma.quadratic_failing_cases
     if not bad:
         return [None] * len(block.cross)
     return [
-        next((k for k, (_, commutes, up) in enumerate(row) if (commutes, up) in bad), None)
-        for row in block.cross
+        min((k for case, k in first.items() if case in bad), default=None) for first in block.first_case_indices
     ]
 
 
@@ -804,6 +811,17 @@ def canonical_table(system: CoxeterSystem, theta: Sequence[int], label: str) -> 
 # ----------------------------------------------------------------------
 # recurrence checks (direct expansion)
 
+def _entry_range(entries) -> tuple[int, int]:
+    """(the largest |coefficient|, the largest exponent or 0) over the polynomials ``entries``."""
+    big = top = 0
+    for p in entries:
+        cs = p.coeffs
+        if cs:
+            big = max(big, max(cs), -min(cs))
+            top = max(top, p.val + len(cs) - 1)
+    return big, top
+
+
 def recurrence_check(which: str, system: CoxeterSystem, theta: Sequence[int]) -> list[dict]:
     """Check the canonical-generator recurrences of ``which`` by direct expansion.
 
@@ -827,15 +845,36 @@ def recurrence_check(which: str, system: CoxeterSystem, theta: Sequence[int]) ->
       mu(z, w) at z, and at s |*| z too when s commutes at z.
 
     Every such y lies in lower(w') (the lifting property), so no interval
-    is scanned.  Returns a list of failure records, one per (w, s) whose
-    two sides differ; empty means everything matched.
+    is scanned.
+
+    The two sides are compared as packed integers (``laurent.pack``):
+
+    * the map: each coefficient of a vector is evaluated at v^-1 = 2^K,
+      so a vector becomes a dict of ints, with zero values dropped;
+    * the window: entries are packed times v^-e and multipliers (the
+      shifted rows of the action, and each c_y) times v^-top, where e and
+      top are the largest exponents found among them (at least 0; e is 0
+      on a canonical table, whose entries lie in v^-1 Z[v^-1] u {1}), so
+      every product lies in Z[v^-1] and packs to an integer;
+    * exactness: a coefficient of either side is a sum of products of a
+      multiplier by an entry, so it is at most sum ||multiplier||_1 *
+      max |entry| in size, the sum taken over that side's multipliers.  K
+      is the least width whose balanced digits, in [-2^(K-1), 2^(K-1)),
+      hold the largest such bound at any (w, s) (``digit_width``).  An
+      integer has one balanced expansion, so two packed vectors are equal
+      exactly when the Laurent vectors are, and ``unpack`` reads a
+      failure's sides back.
+
+    Returns a list of failure records, one per (w, s) whose two sides
+    differ, each side as Laurent JSON; empty means everything matched.
     """
     block = TwistedBlock(system, theta)
     mod = TwistedModule(block, which)
-    columns = mod.canonical_table().columns
+    table = mod.canonical_table()
+    columns = table.columns
     mu = {w: {y: m for y, p in column.items() if (m := p.coeff(-1))} for w, column in columns.items()}
     eigenvalue = monomial(2) + monomial(-2)
-    failures: list[dict] = []
+    cases: list[tuple[int, int, dict]] = []  # (w, s, c)
 
     def add(c: dict, y: int, a: LaurentPoly | int) -> None:
         c[y] = c.get(y, 0) + a
@@ -868,8 +907,9 @@ def recurrence_check(which: str, system: CoxeterSystem, theta: Sequence[int]) ->
                     c = {sw: 1}
                 for y, p in column.items():
                     if not cross[y][2]:
-                        m = p.coeff(-1)
-                        add(c, y, LaurentPoly.from_terms({1: m, 0: p.coeff(-2), -1: m}))
+                        m, m2 = p.coeff(-1), p.coeff(-2)
+                        if m or m2:
+                            add(c, y, LaurentPoly(-1, (m, m2, m)))
                 for z, m in mu_w.items():
                     sz, commutes_z, up_z = cross[z]
                     if commutes_z:
@@ -877,19 +917,54 @@ def recurrence_check(which: str, system: CoxeterSystem, theta: Sequence[int]) ->
                     if not up_z:
                         for y, n in mu[z].items():
                             add(c, y, -n * m)
-            lhs = mod.act_underline_gen(s, column)
-            rhs: Vector = {}
-            for y, a in c.items():
-                vec_axpy(rhs, a, columns[y])
-            if lhs != rhs:
-                failures.append(
-                    {
-                        "s": s,
-                        "w": list(block.elements[w]),
-                        "lhs": {str(i): p.to_json() for i, p in sorted(lhs.items())},
-                        "rhs": {str(i): p.to_json() for i, p in sorted(rhs.items())},
-                    }
-                )
+            cases.append((w, s, c))
+
+    # the window and the bound over the multipliers: the action's rows (all
+    # eight, one side's), then each c (the other side's)
+    rows = _shifted_rows(mod.gamma, monomial(-2 if mod.gamma.squared else -1))
+    row_multipliers = [a for row in rows for pair in row for a in pair if a]
+    top = max([0] + [a.degree for a in row_multipliers])
+    norm = sum(sum(map(abs, a.coeffs)) for a in row_multipliers)
+    for _, _, c in cases:
+        rhs_norm = 0
+        for a in c.values():
+            if a.__class__ is int:
+                rhs_norm += abs(a)
+            elif a:
+                top = max(top, a.degree)
+                rhs_norm += sum(map(abs, a.coeffs))
+        norm = max(norm, rhs_norm)
+    big, e = _entry_range(table.entries.values())
+    K = digit_width(norm * big)
+    packed = {w: {i: pack(p, -e, K) for i, p in column.items()} for w, column in columns.items()}
+    prows = [[(pack(a, -top, K), pack(b, -top, K)) for a, b in row] for row in rows]
+    failures: list[dict] = []
+
+    def record(vec: dict[int, int]) -> dict:
+        return {str(i): unpack(n, -top - e, K).to_json() for i, n in sorted(vec.items())}
+
+    for w, s, c in cases:
+        cross = block.cross[s]
+        lhs: dict[int, int] = {}
+        for i, n in packed[w].items():
+            j, commutes, up = cross[i]
+            a, b = prows[commutes][up]
+            if a:
+                lhs[j] = lhs.get(j, 0) + a * n
+            if b:
+                lhs[i] = lhs.get(i, 0) + b * n
+        rhs: dict[int, int] = {}
+        for y, a in c.items():
+            a = pack(a, -top, K)
+            if a:
+                for x, n in packed[y].items():
+                    rhs[x] = rhs.get(x, 0) + a * n
+        if lhs == rhs:  # equal as they stand, else compare without the zero sums
+            continue
+        lhs = {i: n for i, n in lhs.items() if n}
+        rhs = {i: n for i, n in rhs.items() if n}
+        if lhs != rhs:
+            failures.append({"s": s, "w": list(block.elements[w]), "lhs": record(lhs), "rhs": record(rhs)})
     return failures
 
 
@@ -1058,6 +1133,21 @@ def inversion_check(system: CoxeterSystem) -> dict[str, list[dict]]:
     fail at besides x.  Right translation by w0 reverses Bruhat order
     (shift(y) <= shift(w) exactly when w <= y), so F_{x,w} F_{shift(y),
     shift(w)} is nonzero only for w in [x, y].
+
+    The sums run on packed integers (``laurent.pack``):
+
+    * the map: each entry is evaluated at v^-1 = 2^K;
+    * the window: entries lie in Z[v^-1], but the window is computed, not
+      assumed: with top the largest exponent of any entry (at least 0),
+      entries are packed times v^-top, so each product, and the expected
+      delta_{x,y} packed times v^-2top, lies in Z[v^-1];
+    * exactness: a coefficient of the total at y is at most
+      (sum_w ||F_{x,w}||_1) * max |F| in size, and K is the least width
+      whose balanced digits, in [-2^(K-1), 2^(K-1)), hold the largest such
+      bound over the family's rows (``digit_width``; K >= 2 also holds
+      delta's 1).  An integer has one balanced expansion, so a packed
+      value equals the packed delta exactly when the Laurent sum does, and
+      ``unpack`` reads a failing value back for its witness.
     """
     theta0 = longest_twist(system)
     w0 = system.longest_element()
@@ -1072,28 +1162,43 @@ def inversion_check(system: CoxeterSystem) -> dict[str, list[dict]]:
     report: dict[str, list[dict]] = {}
     for label in ("pi", "pi_prime", "iota"):
         tables = {theta: TwistedModule(blk, label).canonical_table() for theta, blk in blocks.items()}
+        big, top = _entry_range(p for table in tables.values() for p in table.entries.values())
+        row_norm = 0
+        for table in tables.values():
+            norms = [0] * len(table.elements)
+            for (x, _), p in table.entries.items():
+                norms[x] += sum(map(abs, p.coeffs))
+            row_norm = max(row_norm, *norms)
+        K = digit_width(row_norm * big)
+        packed = {
+            theta: {w: {x: pack(p, -top, K) for x, p in column.items()} for w, column in table.columns.items()}
+            for theta, table in tables.items()
+        }
+        one = pack(ONE, -2 * top, K)
         report[label] = failures = []
         for theta in thetas:
             blk = blocks[theta]
             rho = blk.rho
             target_theta, shift, unshift = translations[theta]
-            target = tables[target_theta].columns
-            rows: list[list] = [[] for _ in blk.elements]  # (w, (-1)^{rho(x) + rho(w)} F_{x,w}) per x
-            for (x, w), a in tables[theta].entries.items():
-                rows[x].append((w, -a if (rho[x] + rho[w]) % 2 else a))
+            target = packed[target_theta]
+            rows: list[list] = [[] for _ in blk.elements]  # (w, (-1)^{rho(x) + rho(w)} F_{x,w}) per x, packed
+            for w, column in packed[theta].items():
+                for x, a in column.items():
+                    rows[x].append((w, -a if (rho[x] + rho[w]) % 2 else a))
             for x, row in enumerate(rows):
-                total: Vector = {}
+                total: dict[int, int] = {}
                 for w, a in row:
-                    vec_axpy(total, a, target[shift[w]])
+                    for k, n in target[shift[w]].items():
+                        total[k] = total.get(k, 0) + a * n
                 for y in sorted({unshift[k] for k in total} | {x}):
-                    value = total.get(shift[y], ZERO)
-                    if value != (ONE if y == x else ZERO):
+                    value = total.get(shift[y], 0)
+                    if value != (one if y == x else 0):
                         failures.append(
                             {
                                 "theta": list(theta),
                                 "x": list(blk.elements[x]),
                                 "y": list(blk.elements[y]),
-                                "value": value.to_json(),
+                                "value": unpack(value, -2 * top, K).to_json(),
                             }
                         )
     return report

@@ -38,6 +38,12 @@ canonical-basis solve from a bar involution's rows; its companion
 ``split_bar_invariant`` drives the descent recurrence, peeling the
 bar-invariant part off a coefficient.
 
+A packed-integer kernel serves checks that only multiply, add and
+compare: ``pack`` evaluates p * v^shift at v^-1 = 2^K (Kronecker
+substitution), ``unpack`` reads the polynomial back from balanced base-2^K
+digits, and ``digit_width`` picks the least K that holds a coefficient
+bound, so packed sums stay exact.
+
 >>> p = LaurentPoly.from_terms({1: 1, -1: -1})   # v - v^-1
 >>> p.bar()
 LaurentPoly('v^-1 - v')
@@ -491,6 +497,80 @@ def vec_axpy(out: dict, coeff: IntLike, b: dict) -> None:
         return
     for i, p in b.items():
         accumulate(out, i, coeff, p)
+
+
+# ----------------------------------------------------------------------
+# packed integers: a polynomial evaluated at v^-1 = 2^K (Kronecker substitution)
+
+def digit_width(bound: int) -> int:
+    """The least K >= 2 with 2^(K-1) > bound.
+
+    Balanced base-2^K digits, in [-2^(K-1), 2^(K-1)), then hold every
+    coefficient c with |c| <= bound, so ``unpack`` recovers any polynomial
+    whose coefficients obey the bound from its packed value.
+
+    >>> digit_width(0), digit_width(1), digit_width(2), digit_width(2**70)
+    (2, 2, 3, 72)
+    """
+    return max(bound.bit_length() + 1, 2)
+
+
+def pack(p: IntLike, shift: int, K: int) -> int:
+    """The value of p * v^shift at v^-1 = 2^K.
+
+    The window is the exponents e <= -shift of p, where v^(e + shift) is
+    the integer 2^(-K (e + shift)); an exponent above it raises ValueError,
+    so no term ever wraps into a fraction.  The map is additive and
+    multiplicative: pack(p, s, K) * pack(q, t, K) == pack(p * q, s + t, K).
+
+    >>> pack(LaurentPoly.from_terms({-1: 3, -2: -1}), 0, 8)   # 3 * 2^8 - 2^16
+    -64768
+    >>> pack(V + VI, -1, 8)                                    # 1 + v^-2
+    65537
+    >>> pack(V, 0, 8)
+    Traceback (most recent call last):
+    ...
+    ValueError: v has an exponent above the window e <= 0
+    """
+    if p.__class__ is int:
+        cs, top = (p,) if p else (), shift
+    else:
+        cs = p.coeffs
+        top = p.val + len(cs) - 1 + shift
+    if not cs:
+        return 0
+    if top > 0:
+        raise ValueError(f"{p} has an exponent above the window e <= {-shift}")
+    n = 0
+    for c in cs:  # Horner, from the lowest exponent: the highest power of 2^K
+        n = (n << K) + c
+    return n << (-top * K)
+
+
+def unpack(n: int, shift: int, K: int) -> LaurentPoly:
+    """The p with pack(p, shift, K) == n whose coefficients are balanced base-2^K digits.
+
+    Digit i of n, in [-2^(K-1), 2^(K-1)), is the coefficient of v^(-i - shift).
+    Each integer has exactly one such expansion, so this inverts ``pack``
+    on every p whose coefficients lie in (-2^(K-1), 2^(K-1)) (``digit_width``).
+    K must be at least 2.
+
+    >>> unpack(-64768, 0, 8)
+    LaurentPoly('-v^-2 + 3*v^-1')
+    >>> unpack(65537, -1, 8)
+    LaurentPoly('v^-1 + v')
+    """
+    if K < 2:
+        raise ValueError(f"balanced base-2^K digits need K >= 2, not {K}")
+    half, mask = 1 << (K - 1), (1 << K) - 1
+    digits = []
+    while n:
+        d = n & mask
+        if d >= half:
+            d -= mask + 1
+        digits.append(d)
+        n = (n - d) >> K
+    return LaurentPoly(1 - shift - len(digits), reversed(digits))
 
 
 # ----------------------------------------------------------------------

@@ -179,6 +179,22 @@ class Block:
         return len(self.elements[i])
 
     @cached_property
+    def first_case_indices(self) -> list[dict[tuple[bool, bool], int]]:
+        """For each generator s, {(commutes, up): the first k with cross[s][k] in that case}.
+
+        A case s never meets has no key.
+        """
+        out = []
+        for row in self.cross:
+            first: dict[tuple[bool, bool], int] = {}
+            for k, (_, commutes, up) in enumerate(row):
+                first.setdefault((commutes, up), k)
+                if len(first) == 4:
+                    break
+            out.append(first)
+        return out
+
+    @cached_property
     def rank2_positions(self) -> dict[tuple[int, int], list[tuple[int, tuple, int]]]:
         """For each pair s < t: (i, shape, p) for the first basis vector i
         of each distinct (shape, p), in index order.

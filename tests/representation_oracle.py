@@ -7,6 +7,9 @@ t once per <s, t>-orbit shape and position in it, reading each basis
 vector's verdict off its orbit (``Block.rank2_positions``).  This is the
 check as it ran before, with op_s^2 = u op_s + 1 and both braid words
 applied to each basis vector.  Both must return the same witness, or None.
+It also keeps the scan of a generator's cross row that
+``quadratic_failures`` made on every call, before it read each case's
+first index off the block (``Block.first_case_indices``).
 """
 
 from typing import Optional
@@ -56,3 +59,10 @@ def check_representation_per_element(
                         "theta": list(block.theta),
                     }
     return None
+
+
+def quadratic_failures_by_scan(bad, block) -> list[Optional[int]]:
+    """For each generator s, the first k whose case (commutes, up) under s is in ``bad``, or None."""
+    return [
+        next((k for k, (_, commutes, up) in enumerate(row) if (commutes, up) in bad), None) for row in block.cross
+    ]

@@ -354,8 +354,11 @@ def corrupt_tables(monkeypatch, how: str) -> None:
 
     "entries" adds CORRUPTION at the 2nd-4th off-diagonal keys of
     ``sorted_keys()``; "diagonal" sets the lowest element's diagonal
-    entry to zero.  The corrupted table is a fresh copy, built once per module, so
-    no ``columns`` cached from the clean entries is read.
+    entry to zero; "wide" sets every diagonal entry to 2^70, so the
+    inversion sum at (x, x) is 2^140, too wide for 64-bit packed digits
+    and within a factor 2 of its coefficient bound.  The corrupted table
+    is a fresh copy, built once per module, so no ``columns`` cached from
+    the clean entries is read.
     """
     original = TwistedModule.canonical_table
     corrupted = {}
@@ -366,6 +369,9 @@ def corrupt_tables(monkeypatch, how: str) -> None:
             entries = dict(table.entries)
             if how == "diagonal":
                 entries[(0, 0)] = ZERO
+            elif how == "wide":
+                for j in range(len(table.elements)):
+                    entries[(j, j)] = monomial(0, 2**70)
             else:
                 keys = [key for key in table.sorted_keys() if key[0] != key[1]][1:4]
                 for key, p in zip(keys, CORRUPTION):
@@ -392,7 +398,7 @@ def test_invariant_suite_matches_the_oracle(name, corrupt, monkeypatch):
 
 @pytest.mark.parametrize(
     "name,corrupt",
-    [(name, corrupt) for corrupt in (None, "entries", "diagonal") for name in ORACLE_SYSTEMS]
+    [(name, corrupt) for corrupt in (None, "entries", "diagonal", "wide") for name in ORACLE_SYSTEMS]
     + [pytest.param("F4", None, marks=pytest.mark.slow)],  # the oracle alone: 6-8 s on F4
 )
 def test_inversion_check_matches_the_oracle(name, corrupt, monkeypatch):

@@ -14,13 +14,16 @@ from ivhecke.laurent import (
     NotAntisymmetric,
     NotDivisible,
     accumulate,
+    digit_width,
     mod2_equal,
     monomial,
     one_plus_even_positive,
     one_plus_positive,
     only_nonpositive_exponents,
+    pack,
     split_antisymmetric,
     split_bar_invariant,
+    unpack,
     vec_axpy,
 )
 
@@ -396,3 +399,60 @@ def test_vec_axpy_matches_oracle(start, coeff, b):
     assert cancelled == {key: p for key, p in start.items()}
     with pytest.raises(TypeError):
         vec_axpy(got, 1.5, b)
+
+
+# ----------------------------------------------------------------------
+# the packed-integer kernel: evaluation at v^-1 = 2^K
+
+
+@st.composite
+def packable(draw):
+    """(p, shift, K) with p's exponents in the window e <= -shift and |coefficients| <= 2^(K-1) - 1."""
+    K = draw(st.integers(2, 80))
+    bound = 2 ** (K - 1) - 1
+    coefficient = st.one_of(st.sampled_from((bound, -bound)), st.integers(-bound, bound))
+    shift = draw(st.integers(-6, 6))
+    cs = draw(st.lists(coefficient, min_size=1, max_size=10))
+    gap = draw(st.sampled_from((0, 0, 1, 5)))  # gap 0: the top exponent at the window's end
+    return LaurentPoly(1 - shift - gap - len(cs), cs), shift, K
+
+
+@given(packable())
+def test_pack_round_trip(case):
+    p, shift, K = case
+    assert digit_width(2 ** (K - 1) - 1) == K  # the least width that holds these coefficients
+    assert unpack(pack(p, shift, K), shift, K) == p
+
+
+def test_pack_round_trip_at_both_ends_of_the_window():
+    for K in (2, 3, 8, 64, 65):
+        bound = 2 ** (K - 1) - 1
+        for shift in (-3, 0, 2):
+            # the top exponent -shift and one 11 places below it, at the largest coefficients
+            p = LaurentPoly(-shift - 11, (-bound,) + (0,) * 10 + (bound,))
+            assert unpack(pack(p, shift, K), shift, K) == p
+            assert unpack(pack(-p, shift, K), shift, K) == -p
+
+
+@given(polys, polys)
+def test_pack_adds_and_multiplies(p, q):
+    shift = -max([r.degree for r in (p, q) if r] + [0])  # both in the window e <= -shift
+    K = digit_width(max(abs(c) for r in (p, q, p + q, p * q) for c in r.coeffs + (0,)))
+    assert pack(p, shift, K) + pack(q, shift, K) == pack(p + q, shift, K)
+    assert pack(p, shift, K) * pack(q, shift, K) == pack(p * q, 2 * shift, K)
+
+
+@given(nonzero_polys, st.integers(2, 40))
+def test_pack_refuses_an_exponent_above_the_window(p, K):
+    pack(p, -p.degree, K)  # the top exponent at the window's end packs
+    with pytest.raises(ValueError):
+        pack(p, 1 - p.degree, K)
+
+
+def test_pack_takes_ints_and_unpack_refuses_one_bit_digits():
+    assert pack(3, -2, 8) == 3 << 16
+    assert pack(0, 5, 8) == pack(ZERO, 5, 8) == 0
+    with pytest.raises(ValueError):
+        pack(-1, 1, 8)
+    with pytest.raises(ValueError):  # no balanced digit set for K = 1 holds +1
+        unpack(1, 0, 1)

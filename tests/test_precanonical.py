@@ -9,6 +9,8 @@ classified families, which mostly do, run through both checks as well.
 """
 
 from functools import lru_cache
+from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,11 +35,11 @@ from ivhecke.ivmodules import (
     vec_axpy,
 )
 from ivhecke.laurent import ONE, U, U2, V, VI, ZERO, monomial
-from ivhecke.twisted import Block, GroupBlock, TwistedBlock
+from ivhecke.twisted import Block, GroupBlock, TwistedBlock, involutive_automorphisms
 
 from precanonical_oracle import check_precanonical_with_psi_squared
 from test_interval_support import assert_property_z
-from representation_oracle import check_representation_per_element
+from representation_oracle import check_representation_per_element, quadratic_failures_by_scan
 
 SYSTEMS = ("A2", "B2", "I2(5)", "A3")
 
@@ -255,6 +257,32 @@ def test_random_structures_agree_with_the_representation_oracle(case):
     # the witness names only the first failing generator: check every one
     expected = [first_quadratic_failure(gamma, block, s) for s in range(block.system.rank)]
     assert quadratic_failures(gamma, block) == expected, (gamma, block.theta)
+
+
+CASES = [(commutes, up) for commutes in (False, True) for up in (False, True)]
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "H3", "F4"] + [f"I2({m})" for m in range(2, 9)]
+)
+def test_quadratic_failures_match_the_scan(name):
+    """Every set of failing cases gives the index the cross-row scan gives, on every block."""
+    system = parse_system(name)
+    for block in [GroupBlock(system)] + [TwistedBlock(system, theta) for theta in involutive_automorphisms(system)]:
+        assert_quadratic_failures_match_the_scan(block)
+
+
+@pytest.mark.parametrize("block", SYNTHETIC, ids=["zero", "swapped"])
+def test_quadratic_failures_match_the_scan_on_synthetic_blocks(block):
+    assert_quadratic_failures_match_the_scan(block)
+
+
+def assert_quadratic_failures_match_the_scan(block) -> None:
+    for size in range(1, len(CASES) + 1):
+        for bad in map(frozenset, combinations(CASES, size)):
+            # quadratic_failures reads only the failing cases of the structure
+            gamma = SimpleNamespace(quadratic_failing_cases=bad)
+            assert quadratic_failures(gamma, block) == quadratic_failures_by_scan(bad, block), (block, bad)
 
 
 UNITS = st.builds(monomial, st.integers(-2, 2), st.sampled_from((1, -1)))

@@ -6,10 +6,12 @@
 final table.  Both tie orders of the oracle must give the same table.
 
 ``recurrence_check`` tests the paper's generator recurrences on a table
-with one expansion loop over the mu-graph; tests/recurrence_oracle.py
-keeps the three per-label loops over Bruhat intervals it replaced.  Both
-must return the same failure records on clean tables and on tables
-corrupted at two entries, and every corrupted table must fail.
+with one expansion loop over the mu-graph, in packed integers;
+tests/recurrence_oracle.py keeps the three per-label loops over Bruhat
+intervals it replaced, in Laurent arithmetic.  Both must return the same
+failure records on clean tables and on tables corrupted at two entries,
+one corruption with a coefficient too wide for 64-bit digits among them,
+and every corrupted table must fail.
 """
 
 import dataclasses
@@ -93,11 +95,12 @@ def test_b4_regular_table_is_pinned():
 LABELS = ("pi", "pi_prime", "iota")
 
 
-def corrupt_tables(monkeypatch, exponent: int) -> None:
-    """Make every module table gain v^exponent at its first two off-diagonal keys of ``sorted_keys()``.
+def corrupt_tables(monkeypatch, exponent: int, coefficient: int = 1) -> None:
+    """Make every module table gain coefficient * v^exponent at its first two off-diagonal keys of ``sorted_keys()``.
 
     The corrupted table is a function of the module's own table, built once
-    per module, so both checks read the same one.
+    per module, so both checks read the same one.  A coefficient of 2^70
+    needs packed digits wider than 64 bits.
     """
     original = TwistedModule.canonical_table
     corrupted = {}
@@ -107,18 +110,22 @@ def corrupt_tables(monkeypatch, exponent: int) -> None:
             table = original(module)
             entries = dict(table.entries)
             for key in [key for key in table.sorted_keys() if key[0] != key[1]][:2]:
-                entries[key] += monomial(exponent)
+                entries[key] += monomial(exponent, coefficient)
             corrupted[module] = dataclasses.replace(table, entries=entries)
         return corrupted[module]
 
     monkeypatch.setattr(TwistedModule, "canonical_table", canonical_table)
 
 
-@pytest.mark.parametrize("exponent", [None, -1, -2, -3])
+@pytest.mark.parametrize(
+    "exponent,coefficient",
+    [(None, 1), (-1, 1), (-2, 1), (-3, 1), (-1, 2**70)],
+    ids=["None", "-1", "-2", "-3", "-1*2^70"],
+)
 @pytest.mark.parametrize("name", ["A2", "B2", "I2(5)", "I2(6)", "A3", "B3", "H3", "D4"])
-def test_recurrence_check_matches_the_interval_oracle(name, exponent, monkeypatch):
+def test_recurrence_check_matches_the_interval_oracle(name, exponent, coefficient, monkeypatch):
     if exponent is not None:
-        corrupt_tables(monkeypatch, exponent)
+        corrupt_tables(monkeypatch, exponent, coefficient)
     system = parse_system(name)
     for theta in involutive_automorphisms(system):
         for label in LABELS:
