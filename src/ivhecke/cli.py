@@ -19,13 +19,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from contextlib import nullcontext
+from json.encoder import encode_basestring_ascii as encode
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .classify import DEFAULT_SYSTEMS, classification_run
 from .coxeter import CoxeterSystem, InfiniteOrTooLarge, parse_system
 from .ivmodules import canonical_table, inversion_check, invariant_suite
-from .laurent import LaurentPoly
-from .pkernel import BarMatrix, NotParityCompatible, hecke_bar_matrix, kernel_report, module_bar_matrix
+from .pkernel import (
+    BarMatrix,
+    IncidenceFunction,
+    NotParityCompatible,
+    hecke_bar_matrix,
+    kernel_report,
+    module_bar_matrix,
+)
 from .twisted import parse_theta
 
 
@@ -38,14 +47,18 @@ def build_system(args: argparse.Namespace) -> CoxeterSystem:
     return system
 
 
-def _emit(text: str, path: Optional[str]) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _emit(chunks: Union[str, Iterable[str]], path: Optional[str]) -> None:
+    """Write a text, or its chunks as they are formed, then a newline if it does not end in one."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
+    with nullcontext(sys.stdout) if path is None else open(path, "w") as fh:
+        last = ""
+        for chunk in chunks:
+            if chunk:
+                fh.write(chunk)
+                last = chunk
+        if not last.endswith("\n"):
+            fh.write("\n")
 
 
 def _report_text(data: dict, indent: int = 0) -> str:
@@ -168,25 +181,72 @@ def _cmd_pkernel(args: argparse.Namespace) -> int:
         "roundtrip_identity": roundtrip,
         "is_involution": involution,
     }
-    if gamma is not None:
-        # one label per element and one text per distinct value, as CanonicalTable._rows
-        labels = [str(list(x)) for x in gamma.poset.elements]
-        texts: dict[LaurentPoly, str] = {}
-        kls = report["kls"] = {}
-        rows: dict[int, list[int]] = {}  # in (i, j) order: row by row, each sorted on its own
-        for i, j in gamma.values:
-            rows.setdefault(i, []).append(j)
-        for i in sorted(rows):
-            row = rows[i]
-            row.sort()
-            for j in row:
-                p = gamma.values[(i, j)]
-                text = texts.get(p)
-                if text is None:
-                    text = texts[p] = p.to_text()
-                kls[f"{labels[i]}<={labels[j]}"] = text
-    _emit_report(report, args.fmt, args.out)
-    return 0 if gamma is not None else 1
+    if gamma is None:
+        _emit_report(report, args.fmt, args.out)
+        return 1
+    kls = _kls_pairs(gamma)
+    if args.fmt == "json":
+        _emit(_kls_json(report, kls), args.out)
+    else:
+        _emit(_kls_text(report, kls), args.out)
+    return 0
+
+
+#: entries per chunk of a streamed kls report
+_CHUNK = 4096
+
+
+def _kls_pairs(gamma: IncidenceFunction) -> list[tuple[str, str]]:
+    """("[x]<=[w]", text of gamma at (x, w)) in (i, j) order: row by row, each row sorted.
+
+    One label per element, and one text per distinct value, cached by
+    (val, coeffs) as ``CanonicalTable._rows`` does.
+    """
+    labels = [str(list(x)) for x in gamma.poset.elements]
+    values = gamma.values
+    rows: dict[int, list[int]] = {}
+    for i, j in values:
+        rows.setdefault(i, []).append(j)
+    texts: dict[tuple, str] = {}
+    pairs: list[tuple[str, str]] = []
+    for i in sorted(rows):
+        row = rows[i]
+        row.sort()
+        x = labels[i] + "<="
+        for j in row:
+            p = values[(i, j)]
+            key = p.val, p.coeffs
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = p.to_text()
+            pairs.append((x + labels[j], text))
+    return pairs
+
+
+def _kls_text(report: dict, kls: list[tuple[str, str]]) -> Iterator[str]:
+    """``_report_text`` of the report with "kls" as its last key, the kls entries in chunks."""
+    yield _report_text(report) + "\nkls:\n"
+    for start in range(0, len(kls), _CHUNK):
+        yield "".join([f"  {key}: {text}\n" for key, text in kls[start : start + _CHUNK]])
+
+
+def _kls_json(report: dict, kls: list[tuple[str, str]]) -> Iterator[str]:
+    """``json.dumps(report with "kls", indent=2, sort_keys=True)``, the kls entries in chunks.
+
+    The rest of the report is dumped with an empty "kls"; only a
+    top-level key starts a line with two spaces and a quote, so the split
+    finds it.  The entries are sorted by key, as sort_keys sorts them.
+    """
+    doc = json.dumps(dict(report, kls={}), indent=2, sort_keys=True)
+    head, tail = doc.split('\n  "kls": {}', 1)
+    kls = sorted(kls, key=itemgetter(0))
+    sep = head + '\n  "kls": {\n    '
+    for start in range(0, len(kls), _CHUNK):
+        yield sep + ",\n    ".join(
+            [f"{encode(key)}: {encode(text)}" for key, text in kls[start : start + _CHUNK]]
+        )
+        sep = ",\n    "
+    yield "\n  }" + tail
 
 
 # ----------------------------------------------------------------------

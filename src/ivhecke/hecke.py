@@ -71,7 +71,6 @@ three sources.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import dataclass
@@ -414,37 +413,56 @@ class CanonicalTable:
         """(labels[i], labels[j], poly_form(entry)) in ``sorted_keys`` order, one at a time.
 
         poly_form runs once per distinct polynomial: tables repeat a few
-        values many times.
+        values many times.  The cache is keyed by (val, coeffs), so a
+        lookup hashes and compares tuples, not ``LaurentPoly`` objects.
         """
-        forms: dict[LaurentPoly, Any] = {}
+        forms: dict[tuple, Any] = {}
         for i, j in self.sorted_keys():
             p = self.entries[(i, j)]
-            form = forms.get(p)
+            key = p.val, p.coeffs
+            form = forms.get(key)
             if form is None:
-                form = forms[p] = poly_form(p)
+                form = forms[key] = poly_form(p)
             yield labels[i], labels[j], form
 
-    def to_json_dict(self) -> dict:
-        """The JSON form; entries share their "x", "w" and equal "poly" objects."""
-        words = [list(x) for x in self.elements]
-        return {
-            "label": self.label,
-            "system": self.system.system_json(),
-            "theta": list(self.theta),
-            "entries": [
-                {"x": x, "w": w, "poly": poly}
-                for x, w, poly in self._rows(words, LaurentPoly.to_json)
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """``json.dumps(doc, indent=2)`` of {"label", "system", "theta", "entries"}.
+
+        Each entry is {"x": word, "w": word, "poly": poly.to_json()}.  Each
+        word and each distinct polynomial is dumped once, indented to its
+        depth in an entry, and the entries are joined around them.
+        """
+        doc = json.dumps(
+            {"label": self.label, "system": self.system.system_json(), "theta": list(self.theta), "entries": []},
+            indent=2,
+        )
+        if not self.entries:
+            return doc
+
+        def piece(value) -> str:
+            return json.dumps(value, indent=2).replace("\n", "\n      ")
+
+        words = [piece(list(x)) for x in self.elements]
+        entries = ",\n    ".join(
+            [
+                f'{{\n      "x": {x},\n      "w": {w},\n      "poly": {poly}\n    }}'
+                for x, w, poly in self._rows(words, lambda p: piece(p.to_json()))
+            ]
+        )
+        head = doc[: -len("[]\n}")]  # ends in '"entries": '
+        return f"{head}[\n    {entries}\n  ]\n}}"
 
     def to_csv(self) -> str:
+        """A header, then one "x,w,poly" line per entry.
+
+        No field needs CSV quoting: a label holds only digits, spaces and
+        "e", and ``LaurentPoly.to_text`` only digits, "v", "^", "*", "+",
+        "-" and spaces, so the lines are written as they are.
+        """
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["x", "w", "poly"])
-        writer.writerows(self._rows(self._labels(), LaurentPoly.to_text))
+        buf.write("x,w,poly\n")
+        for x, w, poly in self._rows(self._labels(), LaurentPoly.to_text):
+            buf.write(f"{x},{w},{poly}\n")
         return buf.getvalue()
 
     def to_text(self) -> str:

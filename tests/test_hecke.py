@@ -9,6 +9,8 @@ table uniquely, so frozen expected values (A1, A2) are genuinely checked
 against an independent computation.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -274,7 +276,7 @@ class TestSolverFailures:
 class TestTableSerialization:
     def test_json_shape(self):
         alg = HeckeAlgebra(parse_system("A1"))
-        data = alg.kl_table().to_json_dict()
+        data = json.loads(alg.kl_table().to_json())
         assert data["label"] == "h"
         assert data["system"] == "A1"
         assert data["theta"] == [0]
