@@ -166,7 +166,7 @@ def _pkernel_bar(args: argparse.Namespace) -> BarMatrix:
 def _cmd_pkernel(args: argparse.Namespace) -> int:
     # the bar matrix, its module and its kernel are released before the report is written
     try:
-        roundtrip, involution, gamma = kernel_report(_pkernel_bar(args))
+        involution, gamma = kernel_report(_pkernel_bar(args))
     except NotParityCompatible as exc:
         witness = dict(exc.witness)
         witness["check"] = "kernel_from_bar"
@@ -178,7 +178,7 @@ def _cmd_pkernel(args: argparse.Namespace) -> int:
         "basis": args.basis,
         "grading": args.grading,
         "in_image": True,
-        "roundtrip_identity": roundtrip,
+        "roundtrip_identity": True,  # kernel_report's docstring
         "is_involution": involution,
     }
     if gamma is None:

@@ -21,21 +21,9 @@ package: given a finite poset interval structure and a bar involution that
 is antilinear, involutive and unitriangular with diagonal 1, it produces
 the unique basis {b_w} with bar(b_w) = b_w and
 b_w in a_w + sum_{x < w} v^-1 Z[v^-1] a_x.  Each column comes from one of
-three sources.
+two sources.  (A P-kernel with no module behind it has only psi's rows
+to offer, and ``pkernel.kls_function`` solves it from them.)
 
-* psi's rows.  Writing psi(a_y) = sum_x r_{x,y} a_x, the coefficients of
-  b_w satisfy
-
-      pi_{x,w} - bar(pi_{x,w}) = sum_{x < y <= w} r_{x,y} bar(pi_{y,w}),
-
-  and the right-hand side determines pi_{x,w} by the antisymmetric split,
-  top-down, at O(|interval|) Laurent operations per entry.  Elements of
-  equal rank are independent, which the reverse_ties flag lets callers
-  confirm.  A P-kernel on a poset with no module behind it
-  (``pkernel.kls_function``) has nothing else to offer, and module tables
-  are cross-checked this way, with ties reversed
-  (``ivmodules.invariant_suite``); the ``pkernel`` command reads a
-  module's KLS function off its recurrence table instead.
 * A psi-invariant seed: a vector X = a1 b_w + (lower terms), such as
   (H_s + v^-k) b_y at a descent w = s y of a module (du Cloux's approach
   for Kazhdan-Lusztig polynomials, Lusztig-Vogan's for twisted
@@ -82,20 +70,17 @@ from .laurent import (
     ONE,
     U,
     U2,
-    ZERO,
     LaurentPoly,
-    NotAntisymmetric,
     NotDivisible,
     accumulate,
     monomial_times,
-    split_antisymmetric,
     split_bar_invariant,
     vec_axpy,
 )
 from .twisted import GroupBlock
 
 Terms = dict[Word, LaurentPoly]
-Column = dict[int, LaurentPoly]  # {index: coefficient}: a psi row, or a canonical column
+Column = dict[int, LaurentPoly]  # {index: coefficient}: a canonical column
 #: per element, None or (t, c, e): the entry at it is c v^e times the entry at t
 Links = Sequence[Optional[tuple[int, int, int]]]
 Seed = tuple[Column, LaurentPoly, Optional[Links]]  # (X, a1, links), see solve_canonical
@@ -172,27 +157,18 @@ class HeckeAlgebra:
 def solve_canonical(
     ranks: Sequence[int],
     lower: Callable[[int], Sequence[int]],
-    bar_row: Optional[Callable[[int], Column]] = None,
-    reverse_ties: bool = False,
+    seed: Callable[[int, dict[int, Column]], Seed],
     *,
     labels: Sequence,
-    seed: Optional[Callable[[int, dict[int, Column]], Seed]] = None,
     mirror: Optional[Sequence[int]] = None,
 ) -> dict[tuple[int, int], LaurentPoly]:
-    """Solve for the canonical basis of a pre-canonical involution.
+    """Solve for the canonical basis of a pre-canonical involution from its seeds.
 
     ``ranks`` lists a grading, indexed in a linear extension of the order
     (strictly comparable elements have distinct ranks); ``lower(j)`` lists
     the indices i <= j, j included; ``labels[i]`` names element i in the
-    errors.  Each column comes from exactly one of three sources:
+    errors.  Each column comes from exactly one of two sources:
 
-    * ``bar_row(j)``, the expansion of psi(a_j) as {i: coefficient}: the
-      column is solved top-down from the defect equation.  This serves
-      P-kernels with no module behind them (``pkernel.kls_function``) and,
-      with ``reverse_ties``, the cross-check of every module table in
-      ``ivmodules.invariant_suite``;
-      a module's KLS function is read off its seeded table
-      (``pkernel.module_kls_function``).
     * ``seed(j, columns)``, a psi-invariant vector X with top coefficient
       a1 at j, returned as (X, a1, links); ``columns`` holds every solved
       column b_i = {x: pi_{x,i}} with i < j.  Walking x < j downward, the
@@ -204,81 +180,30 @@ def solve_canonical(
       its coefficient at j is a1 (s |*| x = j only for x = i), so neither
       is checked.  ``links`` is None, or fills part of the column from
       entries above (``_column_from_seed``).
-    * with a seed, ``mirror``: an order- and rank-preserving permutation
-      of the elements, with pi_{x,j} = pi_{mirror[x],mirror[j]} proven by
-      the caller.  A column j with mirror[j] < j is copied from column
+    * ``mirror``: an order- and rank-preserving permutation of the
+      elements, with pi_{x,j} = pi_{mirror[x],mirror[j]} proven by the
+      caller.  A column j with mirror[j] < j is copied from column
       mirror[j], with no seed and no peel (``_mirrored_column``).  The
       regular module's w |-> w^-1 is one (module docstring).
 
     Returns all nonzero entries pi_{x,w} keyed by (x_index, w_index),
-    including the unit diagonal, each column in the walk order.
+    including the unit diagonal, each column in the walk order: rank
+    descending, then index ascending.
 
-    Raises NotPreCanonical if a row of psi, which the caller supplies, is
-    not unitriangular with diagonal 1, or if a column's defect fails the
-    antisymmetric split (which is exactly the failure mode of psi^2 != 1 or
-    a non-bar-involutive setup); with a seed, if a coefficient has no
-    bar-invariant split.
+    Raises NotPreCanonical if a seed coefficient has no bar-invariant split.
     """
-    if (bar_row is None) == (seed is None):
-        raise TypeError("solve_canonical takes exactly one of bar_row and seed")
-    if mirror is not None and seed is None:
-        raise TypeError("solve_canonical takes a mirror only with a seed")
     n = len(ranks)
     entries: dict[tuple[int, int], LaurentPoly] = {}
-    solved: dict[int, Column] = {}  # psi rows, or the solved columns
+    solved: dict[int, Column] = {}
 
-    # walk order: rank descending, then index ascending (descending with reverse_ties)
-    key = [(n - 1 - i if reverse_ties else i) - n * r for i, r in enumerate(ranks)].__getitem__
+    key = [i - n * r for i, r in enumerate(ranks)].__getitem__
     for j in range(n):
-        interval = lower(j)
-        order = sorted((i for i in interval if i != j), key=key)
+        order = sorted((i for i in lower(j) if i != j), key=key)
         entries[(j, j)] = ONE
-        if seed is not None:
-            if mirror is not None and mirror[j] < j:
-                solved[j] = _mirrored_column(j, order, mirror, solved[mirror[j]], entries)
-            else:
-                solved[j] = _column_from_seed(j, order, seed, solved, entries, labels)
-            continue
-        row = bar_row(j)
-        solved[j] = row
-        diag = row.get(j, ZERO)
-        if diag != ONE:
-            raise NotPreCanonical(
-                f"bar matrix diagonal at {labels[j]} is {diag}, expected 1",
-                {"element": labels[j], "diagonal": diag.to_json()},
-            )
-        members = set(interval)
-        for i in row:
-            if row[i] and i not in members:
-                raise NotPreCanonical(
-                    f"bar matrix not unitriangular: psi(a_{labels[j]}) hits {labels[i]}",
-                    {"element": labels[j], "offender": labels[i]},
-                )
-
-        # bar(pi_{y,w}) for each y solved so far in this column
-        column_bar: dict[int, LaurentPoly] = {j: ONE}
-        for x in order:
-            d = ZERO
-            for y, pi_y_bar in column_bar.items():
-                r = solved[y].get(x)
-                if r:
-                    d = d.addmul(r, pi_y_bar)
-            if not d:
-                continue
-            try:
-                mu = split_antisymmetric(d)
-            except NotAntisymmetric:
-                raise NotPreCanonical(
-                    f"column {labels[j]}: defect at {labels[x]} is not antisymmetric: {d}",
-                    {
-                        "column": labels[j],
-                        "element": labels[x],
-                        "defect": d.to_json(),
-                    },
-                ) from None
-            if mu:
-                column_bar[x] = mu.bar()
-                entries[(x, j)] = mu
+        if mirror is not None and mirror[j] < j:
+            solved[j] = _mirrored_column(j, order, mirror, solved[mirror[j]], entries)
+        else:
+            solved[j] = _column_from_seed(j, order, seed, solved, entries, labels)
     return entries
 
 

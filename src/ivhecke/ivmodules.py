@@ -45,9 +45,9 @@ every other column is filled at every left and right descent, so its seed
 is read only at two-sided extremal pairs and where a peel can be nonzero,
 and every other row of psi is derived from one descent.
 A structure the paper does not prove pre-canonical
-(``proven_precanonical``) is checked before its table is built, and the
-solve from psi's rows, with equal ranks in reverse order, stays as the
-cross-check of ``invariant_suite``.
+(``proven_precanonical``) is checked before its table is built, and
+``invariant_suite`` checks every column of a table against the definition:
+psi(C_j) = C_j, with C_j in m_j + sum v^-1 Z[v^-1] m_x.
 
 The paper's generator recurrences (``recurrence_check``) need only a
 module's table: each reads (H_s + v^-k) C_w = sum_y c_y C_y, so one loop
@@ -146,6 +146,16 @@ class StructureMatrix:
     def bar_shift(self) -> LaurentPoly:
         """c = v^-k - v^k, the constant in bar(H_s) = H_s + c."""
         return -self.parameter_diff
+
+    @property
+    def underline_shift(self) -> LaurentPoly:
+        """v^-k, the constant in the canonical generator H_s + v^-k."""
+        return monomial(-2 if self.squared else -1)
+
+    @cached_property
+    def underline_rows(self) -> list[list[tuple[LaurentPoly, LaurentPoly]]]:
+        """rows[commutes][up] of the canonical generator op_s + v^-k (``_shifted_rows``)."""
+        return _shifted_rows(self, self.underline_shift)
 
     @cached_property
     def action_rows(self) -> list[list[tuple[LaurentPoly, LaurentPoly]]]:
@@ -505,7 +515,7 @@ class TwistedModule:
 
     def act_underline_gen(self, s: int, vec: Vector) -> Vector:
         """Action of the canonical generator H_s + v^-k."""
-        return act_gen(self.gamma, self.block, s, vec, monomial(-2 if self.gamma.squared else -1))
+        return act_gen(self.gamma, self.block, s, vec, self.gamma.underline_shift)
 
     @cached_property
     def _mirror(self) -> Optional[tuple[int, ...]]:
@@ -631,7 +641,7 @@ class TwistedModule:
         gamma = self.gamma
         if not has_eigenvalue_property(self.block, gamma):
             return None
-        vk = monomial(2 if gamma.squared else 1)
+        vk = gamma.underline_shift.bar()
         units = {}
         for commutes in (False, True):
             (b1, _), (_, a2) = gamma.action_rows[commutes]
@@ -758,7 +768,7 @@ class TwistedModule:
             return self.act_underline_gen(s, columns[i]), a1, None
         links = self._links[s] if self._mirror is None else self._two_sided_links(j, s, i)
         cross = block.cross[s]
-        rows = _shifted_rows(self.gamma, monomial(-2 if self.gamma.squared else -1))
+        rows = self.gamma.underline_rows
         seed: Vector = {}
         for x, c in columns[i].items():
             t, commutes, up = cross[x]
@@ -921,7 +931,7 @@ def recurrence_check(which: str, system: CoxeterSystem, theta: Sequence[int]) ->
 
     # the window and the bound over the multipliers: the action's rows (all
     # eight, one side's), then each c (the other side's)
-    rows = _shifted_rows(mod.gamma, monomial(-2 if mod.gamma.squared else -1))
+    rows = mod.gamma.underline_rows
     row_multipliers = [a for row in rows for pair in row for a in pair if a]
     top = max([0] + [a.degree for a in row_multipliers])
     norm = sum(sum(map(abs, a.coeffs)) for a in row_multipliers)
@@ -1006,14 +1016,23 @@ def invariant_suite(system: CoxeterSystem, theta: Sequence[int]) -> dict:
         except NotPreCanonical as exc:
             checks[f"bar_structure_{label}"] = [exc.witness]
 
-    # --- the recurrence's table against the psi-row solve with ties reversed
+    # --- each column against the definition: C_j[j] = 1, every other entry in
+    # v^-1 Z[v^-1], psi(C_j) = C_j.  psi is unitriangular with diagonal 1, so
+    # at a maximal x in the support of the difference D of two such columns,
+    # psi(D) = D reads bar(D_x) = D_x; D_x lies in v^-1 Z[v^-1], so it is 0.
+    # A table that passes is thus the canonical basis, whatever order solved it.
     fails = []
     for label, mod in mods.items():
-        rows = solve_canonical(
-            block.rho, block.lower_indices, mod.bar_row, reverse_ties=True, labels=block.elements
-        )
-        if tables[label].entries != rows:
-            fails.append({"check": "order_independence", "label": label})
+        columns = tables[label].columns
+        for j in range(len(block)):
+            column = columns.get(j, {})
+            if (
+                column.get(j) != ONE
+                or any(p and p.degree >= 0 for i, p in column.items() if i != j)
+                or mod.bar(column) != column
+            ):
+                fails.append({"check": "order_independence", "label": label})
+                break
     checks["order_independence"] = fails
 
     # --- one pass over the comparable pairs: degree bounds, mod-2 congruence

@@ -33,7 +33,7 @@ involution is unique, gamma is its descent-recurrence table rescaled
 
 A poset is its principal ideals (``Poset.lower``), the form in which
 every block already keeps its Bruhat intervals: ``poset_of_block`` passes
-them on as they are, and the solver reads them as ``lower_indices``.
+them on as they are, and ``kls_function`` walks them.
 
 Polynomials in q are represented by LaurentPoly values whose exponent is
 read as the power of q; the bridge to the v-world is exponent doubling
@@ -51,9 +51,9 @@ from dataclasses import InitVar, dataclass, field
 from typing import Optional, Sequence
 
 from .coxeter import CoxeterSystem
-from .hecke import NotPreCanonical, solve_canonical
+from .hecke import NotPreCanonical
 from .ivmodules import GROUP_PLAIN_MATRIX, TwistedModule, apply_psi
-from .laurent import ONE, LaurentPoly, _make, monomial_times
+from .laurent import ONE, ZERO, LaurentPoly, NotAntisymmetric, _make, monomial_times, split_antisymmetric
 from .twisted import Block, GroupBlock, TwistedBlock
 
 
@@ -108,10 +108,6 @@ class Poset:
         ideal = self.lower[j]
         k = bisect_left(ideal, i)
         return k < len(ideal) and ideal[k] == i
-
-    def lower_indices(self, j: int) -> tuple[int, ...]:
-        """Indices of all elements <= elements[j], ascending (j last)."""
-        return self.lower[j]
 
     def pairs(self) -> list[tuple[int, int]]:
         """All order-related index pairs (i, j), i <= j, sorted by j, then i."""
@@ -213,9 +209,23 @@ def kernel_from_bar(bar: BarMatrix) -> IncidenceFunction:
 
     Requires every matrix entry to lie in Z[v^-2] * v^{r(x,y)}; the
     recovered K(x, y) is bar(v^{-r(x,y)} * entry) read as a polynomial
-    in q = v^2.  Entries are checked column by column, each from the
-    diagonal outwards (then by index), so the witness does not depend on
-    the order of the columns or of their keys.
+    in q = v^2 (``_read_kernel``).
+
+    A matrix read off a module (``BarMatrix.module``) has its support in
+    the order (property Z, ``Block``), so K is not validated again
+    (``IncidenceFunction``); any other matrix's is.
+    """
+    values: dict[tuple[int, int], LaurentPoly] = {}
+    _read_kernel(bar, check_grading(bar.poset, bar.grading), values)
+    return IncidenceFunction(bar.poset, values, proven=bar.module is not None)
+
+
+def _read_kernel(bar: BarMatrix, r: tuple[int, ...], values: Optional[dict]) -> None:
+    """Check that every entry of bar lies in Z[v^-2] * v^{r(x,y)}, and read K into values unless it is None.
+
+    Entries are checked column by column, each from the diagonal outwards
+    (then by index), so the witness of NotParityCompatible does not depend
+    on the order of the columns or of their keys.
 
     The values are read off the entry's coefficient tuple cs: g =
     v^{-r(x,y)} * entry has degree top = deg(entry) - r(x,y), which must be
@@ -223,15 +233,9 @@ def kernel_from_bar(bar: BarMatrix) -> IncidenceFunction:
     exponents, so cs[1::2] must be 0 (both ends of cs are nonzero, so
     this reads the same from either end).  Then K(x, y) = q^{-top/2} *
     cs[::-2].  A zero entry raises ValueError (it has no degree).
-
-    A matrix read off a module (``BarMatrix.module``) has its support in
-    the order (property Z, ``Block``), so K is not validated again
-    (``IncidenceFunction``); any other matrix's is.
     """
-    r = check_grading(bar.poset, bar.grading)
     n = len(r)
     key = [i - r[i] * n for i in range(n)]  # orders (r(x, y), x) within a column
-    values = {}
     for j in sorted(bar.columns):
         column = bar.columns[j]
         for i in sorted(column, key=key.__getitem__):
@@ -250,8 +254,8 @@ def kernel_from_bar(bar: BarMatrix) -> IncidenceFunction:
                         "shift": r[j] - r[i],
                     },
                 )
-            values[(i, j)] = _make(-top // 2, cs[::-2])
-    return IncidenceFunction(bar.poset, values, proven=bar.module is not None)
+            if values is not None:
+                values[(i, j)] = _make(-top // 2, cs[::-2])
 
 
 def _label_json(x):
@@ -263,15 +267,55 @@ def kls_function(K: IncidenceFunction, r: Sequence[int]) -> IncidenceFunction:
 
     gamma(x, x) = 1 and deg_q gamma(x, y) < r(x, y)/2; its columns,
     rescaled by v^{-r(x,y)} under q = v^2, are the psi_K-fixed canonical
-    basis (``_kls_values``).
+    basis C (``_kls_values``).  Writing psi_K(a_y) = sum_x r_{x,y} a_x,
+    the entries of column w satisfy
+
+        C_{x,w} - bar(C_{x,w}) = sum_{x < y <= w} r_{x,y} bar(C_{y,w}),
+
+    and the right-hand side, the defect, determines C_{x,w} by the
+    antisymmetric split, walking lower(w) by rank descending, then index
+    ascending.  psi_K is unitriangular: ``bar_from_kernel`` writes only
+    K's keys, which lie in the order (``IncidenceFunction``).
+
+    Raises NotPreCanonical if a diagonal entry of psi_K is not 1 (K(x, x)
+    != 1), or if a defect is not antisymmetric (psi_K^2 != id).
     """
     bar = bar_from_kernel(K, r)
     r = bar.grading
     poset = K.poset
-    entries = solve_canonical(
-        list(r), poset.lower_indices, lambda j: bar.columns.get(j, {}), labels=poset.elements
-    )
-    return IncidenceFunction(poset, _kls_values(entries, r, poset.elements))
+    labels = poset.elements
+    n = len(r)
+    rows = [bar.columns.get(j, {}) for j in range(n)]
+    key = [i - n * ri for i, ri in enumerate(r)].__getitem__
+    entries: dict[tuple[int, int], LaurentPoly] = {}
+    for j in range(n):
+        entries[(j, j)] = ONE
+        diag = rows[j].get(j, ZERO)
+        if diag != ONE:
+            raise NotPreCanonical(
+                f"bar matrix diagonal at {labels[j]} is {diag}, expected 1",
+                {"element": labels[j], "diagonal": diag.to_json()},
+            )
+        column_bar: dict[int, LaurentPoly] = {j: ONE}  # bar(C_{y,j}) for each y solved so far
+        for x in sorted(poset.lower[j][:-1], key=key):
+            d = ZERO
+            for y, c_bar in column_bar.items():
+                rxy = rows[y].get(x)
+                if rxy:
+                    d = d.addmul(rxy, c_bar)
+            if not d:
+                continue
+            try:
+                c = split_antisymmetric(d)
+            except NotAntisymmetric:
+                raise NotPreCanonical(
+                    f"column {labels[j]}: defect at {labels[x]} is not antisymmetric: {d}",
+                    {"column": labels[j], "element": labels[x], "defect": d.to_json()},
+                ) from None
+            if c:
+                column_bar[x] = c.bar()
+                entries[(x, j)] = c
+    return IncidenceFunction(poset, _kls_values(entries, r, labels))
 
 
 def module_kls_function(module: TwistedModule, poset: Poset, r: Sequence[int]) -> IncidenceFunction:
@@ -341,29 +385,36 @@ def bar_involution(bar: BarMatrix) -> tuple[bool, Optional[TwistedModule]]:
     return bar.is_involution(), None
 
 
-def kernel_report(bar: BarMatrix) -> tuple[bool, bool, Optional[IncidenceFunction]]:
-    """(roundtrip identity, psi^2 = id, KLS function) for a bar matrix.
+def kernel_report(bar: BarMatrix) -> tuple[bool, Optional[IncidenceFunction]]:
+    """(psi^2 = id, KLS function) for a bar matrix in the image of K |-> psi_K.
 
-    The kernel K = ``kernel_from_bar(bar)`` always maps back to bar, so the
-    roundtrip identity is True without rebuilding the matrix.
-    ``kernel_from_bar`` reads each entry p at (x, y) as K(x, y) =
-    halve(bar(g)), g = v^{-r(x,y)} p, and returns only if every bar(g) has
-    even exponents, so doubling them back gives bar(g) exactly, and
-    ``bar_from_kernel``'s v^{r(x,y)} bar(bar(g)) is p.  K has exactly bar's
-    keys, and no zero value: a zero entry already makes ``p.degree`` raise.
+    Raises NotParityCompatible when bar is outside the image.  Otherwise
+    K = ``kernel_from_bar(bar)`` maps back to bar, so the roundtrip
+    identity the ``pkernel`` command reports holds unchecked: K(x, y) =
+    halve(bar(g)), g = v^{-r(x,y)} p for the entry p at (x, y), and every
+    bar(g) has even exponents, so doubling them back gives bar(g) exactly,
+    and ``bar_from_kernel``'s v^{r(x,y)} bar(bar(g)) is p.  K has exactly
+    bar's keys, and no zero value: a zero entry already makes ``p.degree``
+    raise.
+
     psi must be an involution (``bar_involution``); when it is, the KLS
     function of K comes from the module that proved psi^2 = id, or else
-    from psi's rows, and otherwise it is None.  Raises
-    NotParityCompatible when bar is outside the image of K |-> psi_K.
+    from psi's rows, and otherwise it is None.  A matrix read off a
+    module is only scanned for parity: its grading is the block's, and the
+    module's table, not K, gives the KLS function.
     """
-    kernel = kernel_from_bar(bar)
+    if bar.module is None:
+        kernel = kernel_from_bar(bar)
+    else:
+        _read_kernel(bar, bar.grading, None)
     involution, module = bar_involution(bar)
     if not involution:
-        return True, False, None
-    if module is None:
-        return True, True, kls_function(kernel, bar.grading)
-    del kernel  # the table does not need it: about 1 MB less at the peak on H3
-    return True, True, module_kls_function(module, bar.poset, bar.grading)
+        return False, None
+    if module is not None:
+        return True, module_kls_function(module, bar.poset, bar.grading)
+    if bar.module is not None:  # psi^2 = id, though the module's own check failed
+        kernel = kernel_from_bar(bar)
+    return True, kls_function(kernel, bar.grading)
 
 
 # ----------------------------------------------------------------------

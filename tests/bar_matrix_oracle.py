@@ -11,7 +11,7 @@ from ivhecke.laurent import ONE, ZERO
 def is_involution_by_scan(bar):
     entries = {(i, j): p for j, column in bar.columns.items() for i, p in column.items()}
     for j in range(len(bar.poset)):
-        for i in bar.poset.lower_indices(j):
+        for i in bar.poset.lower[j]:
             acc = ZERO
             for t in range(i, j + 1):
                 a = entries.get((i, t))

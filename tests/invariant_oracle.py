@@ -15,7 +15,7 @@ ones.
 from typing import Sequence
 
 from ivhecke.coxeter import CoxeterSystem
-from ivhecke.hecke import HeckeAlgebra, NotPreCanonical, solve_canonical
+from ivhecke.hecke import HeckeAlgebra, NotPreCanonical
 from ivhecke.ivmodules import TwistedModule, _halves_report, longest_twist
 from ivhecke.laurent import (
     ONE,
@@ -28,6 +28,7 @@ from ivhecke.laurent import (
 from ivhecke.twisted import TwistedBlock, compose_perms, involutive_automorphisms
 
 from hecke_oracle import entry
+from row_solve_oracle import solve_canonical
 
 
 def invariant_suite(system: CoxeterSystem, theta: Sequence[int]) -> dict:

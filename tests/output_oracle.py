@@ -86,7 +86,7 @@ def pkernel_output(argv):
     """(exit code, output) of ``ivhecke pkernel``, the report built as one dict."""
     args = cli.build_parser().parse_args(argv)
     try:
-        roundtrip, involution, gamma = kernel_report(cli._pkernel_bar(args))
+        involution, gamma = kernel_report(cli._pkernel_bar(args))
     except NotParityCompatible as exc:
         witness = dict(exc.witness, check="kernel_from_bar", basis=args.basis, grading=args.grading)
         if args.fmt == "json":
@@ -97,7 +97,7 @@ def pkernel_output(argv):
         "basis": args.basis,
         "grading": args.grading,
         "in_image": True,
-        "roundtrip_identity": roundtrip,
+        "roundtrip_identity": True,
         "is_involution": involution,
     }
     if gamma is not None:

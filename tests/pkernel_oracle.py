@@ -94,7 +94,7 @@ def convolve(f, g):
     out = {}
     for i, j in poset.pairs():
         acc = ZERO
-        ideal = poset.lower_indices(j)
+        ideal = poset.lower[j]
         for t in ideal[bisect_left(ideal, i):]:
             if poset.leq(i, t):
                 acc = acc.addmul(f.values.get((i, t), ZERO), g.values.get((t, j), ZERO))

@@ -29,7 +29,7 @@ from ivhecke.classify import (
     representation_scan,
 )
 from ivhecke.coxeter import CoxeterSystem, parse_system
-from ivhecke.hecke import CanonicalTable, HeckeAlgebra, solve_canonical
+from ivhecke.hecke import CanonicalTable, HeckeAlgebra
 from ivhecke.ivmodules import (
     TwistedModule,
     invariant_suite,
@@ -51,6 +51,7 @@ from embedding_oracle import embedding_check
 from hecke_oracle import ElementAlgebra
 from laurent_oracle import only_negative_exponents
 from pkernel_oracle import is_p_kernel
+from row_solve_oracle import solve_canonical
 
 CLASS_BATTERY = DEFAULT_SYSTEMS
 DEGREE_BATTERY = ("A3", "B3", "H3", "D4") + tuple(f"I2({m})" for m in range(2, 9))

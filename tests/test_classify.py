@@ -31,7 +31,7 @@ from ivhecke.classify import (
     transport_basis,
 )
 from ivhecke.coxeter import parse_system
-from ivhecke.hecke import HeckeAlgebra, NotPreCanonical, solve_canonical
+from ivhecke.hecke import HeckeAlgebra, NotPreCanonical
 from ivhecke.ivmodules import (
     GROUP_PLAIN_MATRIX,
     IOTA_MATRIX,
@@ -50,6 +50,7 @@ from bar_recipe_oracle import recipe_bar_row
 from classify_oracle import classification_per_pair, screen_per_candidate
 from precanonical_oracle import check_precanonical_with_psi_squared
 from representation_oracle import check_representation_per_element
+from row_solve_oracle import solve_canonical
 
 
 def block(name, theta=None):

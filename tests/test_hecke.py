@@ -15,11 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ivhecke.coxeter import parse_system
-from ivhecke.hecke import (
-    HeckeAlgebra,
-    NotPreCanonical,
-    solve_canonical,
-)
+from ivhecke.hecke import HeckeAlgebra
 from ivhecke.ivmodules import canonical_table
 from ivhecke.laurent import (
     ONE,
@@ -34,6 +30,7 @@ from ivhecke.laurent import (
 
 from hecke_oracle import ElementAlgebra, entry_by_words
 from laurent_oracle import nonnegative_coeffs, only_negative_exponents
+from row_solve_oracle import solve_canonical
 
 
 @pytest.fixture(scope="module")
@@ -247,30 +244,6 @@ class TestCanonicalBasis:
             for j in range(len(table.elements)):
                 scan = {i: c for (i, jj), c in table.entries.items() if jj == j}
                 assert list(table.columns[j].items()) == list(scan.items())
-
-
-class TestSolverFailures:
-    def test_bad_diagonal(self):
-        with pytest.raises(NotPreCanonical) as exc:
-            solve_canonical([0], lambda j: tuple(range(j + 1)), lambda j: {0: V}, labels=[0])
-        assert exc.value.witness["element"] == 0
-
-    def test_not_unitriangular(self):
-        # psi(a_0) reaches a_1 which is not <= a_0
-        def bar_row(j):
-            return {0: ONE, 1: U} if j == 0 else {1: ONE}
-
-        with pytest.raises(NotPreCanonical):
-            solve_canonical([0, 1], lambda j: (j,), bar_row, labels=[0, 1])
-
-    def test_non_involutive_defect(self):
-        # psi(a_1) = a_1 + v a_0 has psi^2 != 1; the defect v is not antisymmetric
-        def bar_row(j):
-            return {1: ONE, 0: V} if j == 1 else {0: ONE}
-
-        with pytest.raises(NotPreCanonical) as exc:
-            solve_canonical([0, 1], lambda j: tuple(range(j + 1)), bar_row, labels=[0, 1])
-        assert "defect" in exc.value.witness
 
 
 class TestTableSerialization:

@@ -16,6 +16,7 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ivhecke import cli
 from ivhecke.classify import enumerate_candidates
 from ivhecke.coxeter import parse_system
 from ivhecke.ivmodules import (
@@ -52,6 +53,7 @@ from bar_recipe_oracle import recipe_bar_row
 from embedding_oracle import embedding_check
 from hecke_oracle import entry_by_words
 from laurent_oracle import only_negative_exponents
+from output_oracle import report_output
 from recurrence_oracle import mu_data
 
 
@@ -415,6 +417,76 @@ def test_invariant_suite_matches_the_oracle(name, corrupt, monkeypatch):
         # unsorted JSON: the text format prints the keys in insertion order
         assert_same_json(report, expected, str(theta))
         assert report["ok"] != corrupt, theta
+
+
+#: one column of each module table corrupted so that exactly one part of the
+#: definition fails: (how, the part that fails)
+COLUMN_CORRUPTIONS = (
+    ("in_lattice", "psi"),  # + v^-1 at (lowest, top): psi(v^-1 m_0) = v m_0
+    ("constant", "lattice"),  # + 1 at (lowest, top): psi(m_0) = m_0, so psi(C_top) is unchanged
+    ("diagonal", "diagonal"),  # C_0 = 2 m_0, psi-invariant with nothing off the diagonal
+)
+
+
+def corrupt_one_column(monkeypatch, how: str) -> None:
+    """Corrupt one column of each of the ``pi``, ``pi_prime`` and ``iota`` tables (``COLUMN_CORRUPTIONS``)."""
+    original = TwistedModule.canonical_table
+    corrupted = {}
+
+    def canonical_table(module):
+        table = original(module)
+        if module.label == "h":
+            return table
+        if module not in corrupted:
+            entries = dict(table.entries)
+            top = len(table.elements) - 1
+            if how == "diagonal":
+                entries[(0, 0)] = 2 * ONE
+            else:
+                entries[(0, top)] = entries.get((0, top), ZERO) + (VI if how == "in_lattice" else ONE)
+            corrupted[module] = dataclasses.replace(table, entries=entries)
+        return corrupted[module]
+
+    monkeypatch.setattr(TwistedModule, "canonical_table", canonical_table)
+
+
+def failing_parts(module: TwistedModule, column: dict, j: int) -> set[str]:
+    """The parts of the definition column j breaks: C_j[j] = 1, the rest in v^-1 Z[v^-1], psi(C_j) = C_j."""
+    parts = set()
+    if column.get(j) != ONE:
+        parts.add("diagonal")
+    if not all(only_negative_exponents(p) for i, p in column.items() if i != j):
+        parts.add("lattice")
+    if module.bar(column) != column:
+        parts.add("psi")
+    return parts
+
+
+@pytest.mark.parametrize("how,part", COLUMN_CORRUPTIONS)
+@pytest.mark.parametrize("name,theta", [("A3", (2, 1, 0)), ("B3", None), ("H3", None)])
+def test_each_part_of_the_column_check_fails_on_its_own(name, theta, how, part, monkeypatch):
+    system = parse_system(name)
+    theta = system.identity_perm() if theta is None else theta
+    corrupt_one_column(monkeypatch, how)
+    block = TwistedBlock(system, theta)
+    labels = ("pi", "pi_prime", "iota")
+    for label in labels:
+        module = TwistedModule(block, label)
+        columns = module.canonical_table().columns
+        broken = {j: parts for j in range(len(block)) if (parts := failing_parts(module, columns[j], j))}
+        assert broken == {0 if how == "diagonal" else len(block) - 1: {part}}, label
+    report = invariant_suite(system, theta)
+    assert report["checks"]["order_independence"] == [{"check": "order_independence", "label": label} for label in labels]
+    assert_same_json(report, invariant_oracle.invariant_suite(system, theta))
+
+
+@pytest.mark.slow
+def test_verify_f4_is_the_oracle_report(capsys):
+    # the direct column check where it does the most work: about 10 s, most of it the oracle
+    assert cli.main(["verify", "--system", "F4", "--format", "json"]) == 0
+    system = parse_system("F4")
+    expected = report_output(invariant_oracle.invariant_suite(system, system.identity_perm()), "json")
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize(

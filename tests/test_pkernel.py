@@ -6,6 +6,7 @@ as the oracle for the KLS computations.
 """
 
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -46,6 +47,7 @@ from pkernel_oracle import (
     pkernel_outcome,
     render,
 )
+from row_solve_oracle import solve_canonical
 
 Q = monomial(1)  # the variable q
 
@@ -179,6 +181,54 @@ def test_two_chain_non_kernel():
     p = chain(2)
     K = IncidenceFunction(p, {(0, 0): ONE, (1, 1): ONE, (0, 1): ONE})
     assert not is_p_kernel(K, (0, 1))
+
+
+# ----------------------------------------------------------------------
+# kls_function's own failures, and its values against the row-solve oracle
+
+def test_kls_function_refuses_a_diagonal_other_than_1():
+    K = IncidenceFunction(chain(2), {(0, 0): ONE, (1, 1): 2 * ONE, (0, 1): Q - 1})
+    with pytest.raises(NotPreCanonical) as exc:
+        kls_function(K, (0, 1))
+    assert exc.value.witness == {"element": 1, "diagonal": {"0": 2}}
+
+
+def test_kls_function_refuses_a_kernel_that_is_no_involution():
+    # psi_K(a_1) = a_1 + v a_0 has psi_K^2 != id; the defect v is not antisymmetric
+    K = IncidenceFunction(chain(2), {(0, 0): ONE, (1, 1): ONE, (0, 1): ONE})
+    with pytest.raises(NotPreCanonical) as exc:
+        kls_function(K, (0, 1))
+    assert exc.value.witness == {"column": 1, "element": 0, "defect": {"1": 1}}
+
+
+def boolean_lattice(n):
+    """The subsets of range(n) by size, then lexicographically, with the
+    characteristic kernel K(x, y) = (q - 1)^{|y| - |x|} of an Eulerian poset."""
+    subsets = sorted((frozenset(c) for k in range(n + 1) for c in combinations(range(n), k)), key=lambda x: (len(x), sorted(x)))
+    lower = tuple(tuple(i for i, x in enumerate(subsets) if x <= y) for y in subsets)
+    poset = Poset(tuple(tuple(sorted(x)) for x in subsets), lower)
+    values = {(i, j): (Q - 1) ** (len(subsets[j]) - len(subsets[i])) for i, j in poset.pairs()}
+    return IncidenceFunction(poset, values), tuple(map(len, subsets))
+
+
+def abstract_kernel(name):
+    """(K, r): the Boolean lattice's kernel, or a Hecke kernel on a validated copy of its poset, with no module behind it."""
+    if name == "boolean3":
+        return boolean_lattice(3)
+    bar = hecke_bar_matrix(parse_system(name))
+    K = kernel_from_bar(bar)
+    return IncidenceFunction(Poset(K.poset.elements, K.poset.lower), dict(K.values)), bar.grading
+
+
+@pytest.mark.parametrize("name", ["boolean3", "B3", "H3"])
+def test_kls_function_is_the_row_solve(name):
+    K, r = abstract_kernel(name)
+    assert is_p_kernel(K, r)
+    poset = K.poset
+    bar = bar_from_kernel(K, r)
+    entries = solve_canonical(r, poset.lower.__getitem__, lambda j: bar.columns.get(j, {}), labels=poset.elements)
+    expected = _kls_values(entries, r, poset.elements)
+    assert list(kls_function(K, r).values.items()) == list(expected.items())
 
 
 def test_parity_failure_witness():
@@ -504,7 +554,7 @@ def test_a_failed_check_reports_the_row_solve(monkeypatch):
         module.check_precanonical()
     bar = _bar_matrix(module, tuple(block.rho))
     built = spy_on_tables(monkeypatch)
-    roundtrip, involution, gamma = kernel_report(bar)
-    assert (roundtrip, involution) == (True, is_involution_by_scan(bar)) == (True, True)
+    involution, gamma = kernel_report(bar)
+    assert (involution, is_involution_by_scan(bar)) == (True, True)
     assert gamma == kls_function(kernel_from_bar(bar), bar.grading)
     assert built == []

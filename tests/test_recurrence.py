@@ -2,8 +2,8 @@
 
 ``TwistedModule.canonical_table()`` reduces the psi-invariant seed
 (H_s + v^-k) C_i at a descent of each element; the oracle is
-``solve_canonical`` fed psi's rows, which shares no step with it but the
-final table.  Both tie orders of the oracle must give the same table.
+the psi-row solve (``tests/row_solve_oracle.py``), which shares no step
+with it but the final table.  Both tie orders of the oracle must give the same table.
 
 ``recurrence_check`` tests the paper's generator recurrences on a table
 with one expansion loop over the mu-graph, in packed integers;
@@ -20,11 +20,12 @@ import hashlib
 import pytest
 
 import recurrence_oracle
+from row_solve_oracle import solve_canonical
 
 from ivhecke import hecke
 from ivhecke.classify import DEFAULT_SYSTEMS, battery, enumerate_candidates, precanonical_test
 from ivhecke.coxeter import parse_system
-from ivhecke.hecke import HeckeAlgebra, NotPreCanonical, solve_canonical
+from ivhecke.hecke import HeckeAlgebra, NotPreCanonical
 from ivhecke.ivmodules import NAMED_STRUCTURES, REGULAR_STRUCTURES, TwistedModule, recurrence_check
 from ivhecke.laurent import ONE, V, VI, monomial
 from ivhecke.twisted import GroupBlock, TwistedBlock, involutive_automorphisms
