@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .coxeter import CoxeterSystem, parse_system
-from .hecke import CanonicalTable, NotPreCanonical
+from .hecke import CanonicalTable, Column, NotPreCanonical
 from .ivmodules import (
     GROUP_PLAIN_MATRIX,
     IOTA_MATRIX,
@@ -404,17 +404,15 @@ def _entry_rule(table: CanonicalTable, a: int, b: int, negate: bool):
     return rule
 
 
-def transport_basis(
-    table: CanonicalTable, a: int, b: int, negate: bool
-) -> dict[tuple[int, int], LaurentPoly]:
-    """Entries of the transported table g_{x,y} = d_x d_y eps(f_{x,y}), in table's key order.
+def transport_basis(table: CanonicalTable, a: int, b: int, negate: bool) -> dict[int, Column]:
+    """Columns of the transported table g_{x,y} = d_x d_y eps(f_{x,y}), in table's key order.
 
     d_w = (-1)^{a l(w) + b rho(w)}; eps is v |-> -v when ``negate``.  The
     signs multiply and eps is an involution that commutes with them, so
     transporting by t1 and then by t2 is transporting by ``_compose(t1, t2)``.
     """
     rule = _entry_rule(table, a, b, negate)
-    return {(i, j): rule(i, j, p) for (i, j), p in table.entries.items()}
+    return {j: {i: rule(i, j, p) for i, p in column.items()} for j, column in table.columns.items()}
 
 
 def _compose(s: Transport, t: Transport) -> Transport:
@@ -422,13 +420,14 @@ def _compose(s: Transport, t: Transport) -> Transport:
 
 
 def _carries(f: CanonicalTable, g: CanonicalTable, t: Transport) -> bool:
-    """``transport_basis(f, *t) == g.entries``, decided at the first unequal entry."""
+    """``transport_basis(f, *t) == g.columns``, decided at the first unequal entry."""
     if t == TRANSPORTS[0]:
-        return f.entries == g.entries
-    if len(f.entries) != len(g.entries):
-        return False
-    rule, target = _entry_rule(f, *t), g.entries
-    return all(rule(i, j, p) == target.get((i, j)) for (i, j), p in f.entries.items())
+        return f.columns == g.columns
+    rule, target = _entry_rule(f, *t), g.columns
+    return len(f.columns) == len(target) and all(
+        len(column) == len(target[j]) and all(rule(i, j, p) == target[j].get(i) for i, p in column.items())
+        for j, column in f.columns.items()
+    )
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,8 @@ Subcommands:
 * ``pkernel``  -- P-kernel roundtrip and KLS report for one structure
 
 Exit codes: 0 all requested checks pass, 1 a check failed (a
-machine-readable witness is printed), 2 bad arguments.  Output is
+machine-readable witness is printed), 2 bad arguments or an output path
+that cannot be written.  Output is
 deterministic for a fixed invocation; elements are always ordered by
 (length, ShortLex word).
 """
@@ -323,8 +324,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, InfiniteOrTooLarge) as exc:
-        # covers bad system/theta specs and size-cap refusals
+    except (ValueError, InfiniteOrTooLarge, OSError) as exc:
+        # covers bad system/theta specs, size-cap refusals and paths that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

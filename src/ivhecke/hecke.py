@@ -62,7 +62,6 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .coxeter import CoxeterSystem, Word
@@ -161,7 +160,7 @@ def solve_canonical(
     *,
     labels: Sequence,
     mirror: Optional[Sequence[int]] = None,
-) -> dict[tuple[int, int], LaurentPoly]:
+) -> dict[int, Column]:
     """Solve for the canonical basis of a pre-canonical involution from its seeds.
 
     ``ranks`` lists a grading, indexed in a linear extension of the order
@@ -186,25 +185,23 @@ def solve_canonical(
       mirror[j], with no seed and no peel (``_mirrored_column``).  The
       regular module's w |-> w^-1 is one (module docstring).
 
-    Returns all nonzero entries pi_{x,w} keyed by (x_index, w_index),
-    including the unit diagonal, each column in the walk order: rank
+    Returns the columns {j: {x: pi_{x,j}}} for j = 0 .. n-1, each holding
+    its nonzero entries: the unit diagonal first, then the walk order, rank
     descending, then index ascending.
 
     Raises NotPreCanonical if a seed coefficient has no bar-invariant split.
     """
     n = len(ranks)
-    entries: dict[tuple[int, int], LaurentPoly] = {}
     solved: dict[int, Column] = {}
 
     key = [i - n * r for i, r in enumerate(ranks)].__getitem__
     for j in range(n):
         order = sorted((i for i in lower(j) if i != j), key=key)
-        entries[(j, j)] = ONE
         if mirror is not None and mirror[j] < j:
-            solved[j] = _mirrored_column(j, order, mirror, solved[mirror[j]], entries)
+            solved[j] = _mirrored_column(j, order, mirror, solved[mirror[j]])
         else:
-            solved[j] = _column_from_seed(j, order, seed, solved, entries, labels)
-    return entries
+            solved[j] = _column_from_seed(j, order, seed, solved, labels)
+    return solved
 
 
 def _mirrored_column(
@@ -212,7 +209,6 @@ def _mirrored_column(
     order: list[int],
     mirror: Sequence[int],
     source: Column,
-    entries: dict[tuple[int, int], LaurentPoly],
 ) -> Column:
     """Column j of ``solve_canonical`` copied from column mirror[j]: pi_{x,j} = pi_{mirror[x],mirror[j]}.
 
@@ -223,7 +219,7 @@ def _mirrored_column(
     for x in order:
         p = source.get(mirror[x])
         if p is not None:
-            column[x] = entries[(x, j)] = p
+            column[x] = p
     return column
 
 
@@ -232,7 +228,6 @@ def _column_from_seed(
     order: list[int],
     seed: Callable[[int, dict[int, Column]], Seed],
     columns: dict[int, Column],
-    entries: dict[tuple[int, int], LaurentPoly],
     labels: Sequence,
 ) -> Column:
     """Column j of ``solve_canonical``, reduced from its psi-invariant seed.
@@ -259,7 +254,7 @@ def _column_from_seed(
                 t, c, e = link
                 above = column.get(t)
                 if above:
-                    column[x] = entries[(x, j)] = monomial_times(c, e, above)
+                    column[x] = monomial_times(c, e, above)
                 continue
         f = vec.get(x)
         if not f:
@@ -282,29 +277,22 @@ def _column_from_seed(
             f = vec.get(x)
             if not f:
                 continue
-        column[x] = entries[(x, j)] = f if sign == 1 else -f if sign else f.exact_div(a1)
+        column[x] = f if sign == 1 else -f if sign else f.exact_div(a1)
     return column
 
 
 # ----------------------------------------------------------------------
 # tables
 
-def column_index(entries: dict[tuple[int, int], LaurentPoly]) -> dict[int, dict[int, LaurentPoly]]:
-    """{j: {i: entries[(i, j)]}}, each column in the order of ``entries``."""
-    columns: dict[int, dict[int, LaurentPoly]] = {}
-    for (i, j), p in entries.items():
-        columns.setdefault(j, {})[i] = p
-    return columns
-
-
 @dataclass
 class CanonicalTable:
     """A computed canonical basis: unitriangular coefficient table.
 
-    ``entries[(i, j)]`` is the coefficient of a_{elements[i]} in the
-    canonical element attached to elements[j]; absent means zero.
-    ``ranks`` is the grading used (length for the regular module, the
-    twisted-involution rank for the block modules).
+    ``columns[j][i]`` is the coefficient of a_{elements[i]} in the
+    canonical element attached to elements[j]; absent means zero.  The
+    columns are keyed j = 0 .. n-1 in order, each as ``solve_canonical``
+    returns it.  ``ranks`` is the grading used (length for the regular
+    module, the twisted-involution rank for the block modules).
     """
 
     label: str
@@ -312,43 +300,37 @@ class CanonicalTable:
     theta: tuple[int, ...]
     elements: list[Word]
     ranks: list[int]
-    entries: dict[tuple[int, int], LaurentPoly]
+    columns: dict[int, Column]
 
-    @cached_property
-    def columns(self) -> dict[int, dict[int, LaurentPoly]]:
-        """{j: {i: entry (i, j)}}, each column in the order of ``entries``; shared, not to be changed."""
-        return column_index(self.entries)
+    @property
+    def entries(self) -> dict[tuple[int, int], LaurentPoly]:
+        """{(i, j): entry}, the columns flattened in j order, built on each read.
 
-    def sorted_keys(self) -> list[tuple[int, int]]:
-        """The keys (i, j) ordered by j, then i: grouped by column, each column sorted on its own."""
-        columns: list[list[tuple[int, int]]] = [[] for _ in self.elements]
-        for key in self.entries:
-            columns[key[1]].append(key)
-        keys = []
-        for column in columns:
-            column.sort()
-            keys += column
-        return keys
+        Only the benchmark and the tests read it; the package reads ``columns``.
+        """
+        return {(i, j): p for j, column in self.columns.items() for i, p in column.items()}
 
     def _labels(self) -> list[str]:
         """Each element's word as the CSV and text forms print it ("e" for the identity)."""
         return [" ".join(map(str, x)) or "e" for x in self.elements]
 
     def _rows(self, labels: Sequence, poly_form: Callable[[LaurentPoly], Any]) -> Iterator[tuple]:
-        """(labels[i], labels[j], poly_form(entry)) in ``sorted_keys`` order, one at a time.
+        """(labels[i], labels[j], poly_form(entry)) by j, then i, one at a time.
 
         poly_form runs once per distinct polynomial: tables repeat a few
         values many times.  The cache is keyed by (val, coeffs), so a
         lookup hashes and compares tuples, not ``LaurentPoly`` objects.
         """
         forms: dict[tuple, Any] = {}
-        for i, j in self.sorted_keys():
-            p = self.entries[(i, j)]
-            key = p.val, p.coeffs
-            form = forms.get(key)
-            if form is None:
-                form = forms[key] = poly_form(p)
-            yield labels[i], labels[j], form
+        for j, column in self.columns.items():
+            w = labels[j]
+            for i in sorted(column):
+                p = column[i]
+                key = p.val, p.coeffs
+                form = forms.get(key)
+                if form is None:
+                    form = forms[key] = poly_form(p)
+                yield labels[i], w, form
 
     def to_json(self) -> str:
         """``json.dumps(doc, indent=2)`` of {"label", "system", "theta", "entries"}.
@@ -361,7 +343,7 @@ class CanonicalTable:
             {"label": self.label, "system": self.system.system_json(), "theta": list(self.theta), "entries": []},
             indent=2,
         )
-        if not self.entries:
+        if not any(self.columns.values()):
             return doc
 
         def piece(value) -> str:

@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .coxeter import CoxeterSystem, Word
 from .hecke import CanonicalTable, HeckeAlgebra, NotPreCanonical, Seed, solve_canonical
@@ -800,7 +800,7 @@ class TwistedModule:
             theta=blk.theta,
             elements=list(blk.elements),
             ranks=list(blk.rho),
-            entries=solve_canonical(
+            columns=solve_canonical(
                 blk.rho, blk.lower_indices, seed=self._seed, mirror=self._mirror, labels=blk.elements
             ),
         )
@@ -821,14 +821,15 @@ def canonical_table(system: CoxeterSystem, theta: Sequence[int], label: str) -> 
 # ----------------------------------------------------------------------
 # recurrence checks (direct expansion)
 
-def _entry_range(entries) -> tuple[int, int]:
-    """(the largest |coefficient|, the largest exponent or 0) over the polynomials ``entries``."""
+def _entry_range(columns: Iterable[Vector]) -> tuple[int, int]:
+    """(the largest |coefficient|, the largest exponent or 0) over the entries of ``columns``."""
     big = top = 0
-    for p in entries:
-        cs = p.coeffs
-        if cs:
-            big = max(big, max(cs), -min(cs))
-            top = max(top, p.val + len(cs) - 1)
+    for column in columns:
+        for p in column.values():
+            cs = p.coeffs
+            if cs:
+                big = max(big, max(cs), -min(cs))
+                top = max(top, p.val + len(cs) - 1)
     return big, top
 
 
@@ -944,7 +945,7 @@ def recurrence_check(which: str, system: CoxeterSystem, theta: Sequence[int]) ->
                 top = max(top, a.degree)
                 rhs_norm += sum(map(abs, a.coeffs))
         norm = max(norm, rhs_norm)
-    big, e = _entry_range(table.entries.values())
+    big, e = _entry_range(columns.values())
     K = digit_width(norm * big)
     packed = {w: {i: pack(p, -e, K) for i, p in column.items()} for w, column in columns.items()}
     prows = [[(pack(a, -top, K), pack(b, -top, K)) for a, b in row] for row in rows]
@@ -1051,10 +1052,11 @@ def invariant_suite(system: CoxeterSystem, theta: Sequence[int]) -> dict:
     norm_values: dict[str, set] = {"h": set(), "pi": set(), "iota": set()}
     words, rho = block.elements, block.rho
     to_h = [system.element_index(w) for w in words]  # h_table is on GroupBlock: W's order
-    entries = {label: t.entries for label, t in tables.items()}
     for j in range(len(block)):
+        columns = {label: t.columns[j] for label, t in tables.items()}
+        h_column = h_table.columns[to_h[j]]
         for i in block.lower_indices(j):
-            values = {label: e.get((i, j), ZERO) for label, e in entries.items()}
+            values = {label: column.get(i, ZERO) for label, column in columns.items()}
             length_gap = len(words[j]) - len(words[i])
             rank_gap = rho[j] - rho[i]
             for label, by_length, member in bounds:
@@ -1070,7 +1072,7 @@ def invariant_suite(system: CoxeterSystem, theta: Sequence[int]) -> dict:
                 if dihedral and label in norm_values:
                     norm_values[label].add(val)
             pi, pip = values["pi"], values["pi_prime"]
-            h = h_table.entries.get((to_h[i], to_h[j]), ZERO)
+            h = h_column.get(to_h[i], ZERO)
             if not (mod2_equal(pip, pi) and mod2_equal(pi, h)):
                 congruence_fails.append({"x": list(words[i]), "w": list(words[j])})
             for a, b, tag in (
@@ -1096,8 +1098,9 @@ def invariant_suite(system: CoxeterSystem, theta: Sequence[int]) -> dict:
     if dihedral:
         # a solved table's keys are its nonzero entries, the diagonal among them
         h_words = h_table.elements
-        for (i, j), p in h_table.entries.items():
-            norm_values["h"].add(p * monomial(len(h_words[j]) - len(h_words[i])))
+        for j, column in h_table.columns.items():
+            for i, p in column.items():
+                norm_values["h"].add(p * monomial(len(h_words[j]) - len(h_words[i])))
         obs["dihedral_values"] = {
             k: sorted(p.to_text() for p in vals) for k, vals in norm_values.items()
         }
@@ -1181,12 +1184,13 @@ def inversion_check(system: CoxeterSystem) -> dict[str, list[dict]]:
     report: dict[str, list[dict]] = {}
     for label in ("pi", "pi_prime", "iota"):
         tables = {theta: TwistedModule(blk, label).canonical_table() for theta, blk in blocks.items()}
-        big, top = _entry_range(p for table in tables.values() for p in table.entries.values())
+        big, top = _entry_range(column for table in tables.values() for column in table.columns.values())
         row_norm = 0
         for table in tables.values():
             norms = [0] * len(table.elements)
-            for (x, _), p in table.entries.items():
-                norms[x] += sum(map(abs, p.coeffs))
+            for column in table.columns.values():
+                for x, p in column.items():
+                    norms[x] += sum(map(abs, p.coeffs))
             row_norm = max(row_norm, *norms)
         K = digit_width(row_norm * big)
         packed = {

@@ -51,7 +51,7 @@ from dataclasses import InitVar, dataclass, field
 from typing import Optional, Sequence
 
 from .coxeter import CoxeterSystem
-from .hecke import NotPreCanonical
+from .hecke import Column, NotPreCanonical
 from .ivmodules import GROUP_PLAIN_MATRIX, TwistedModule, apply_psi
 from .laurent import ONE, ZERO, LaurentPoly, NotAntisymmetric, _make, monomial_times, split_antisymmetric
 from .twisted import Block, GroupBlock, TwistedBlock
@@ -287,9 +287,9 @@ def kls_function(K: IncidenceFunction, r: Sequence[int]) -> IncidenceFunction:
     n = len(r)
     rows = [bar.columns.get(j, {}) for j in range(n)]
     key = [i - n * ri for i, ri in enumerate(r)].__getitem__
-    entries: dict[tuple[int, int], LaurentPoly] = {}
+    columns: dict[int, Column] = {}
     for j in range(n):
-        entries[(j, j)] = ONE
+        columns[j] = column = {j: ONE}
         diag = rows[j].get(j, ZERO)
         if diag != ONE:
             raise NotPreCanonical(
@@ -314,8 +314,8 @@ def kls_function(K: IncidenceFunction, r: Sequence[int]) -> IncidenceFunction:
                 ) from None
             if c:
                 column_bar[x] = c.bar()
-                entries[(x, j)] = c
-    return IncidenceFunction(poset, _kls_values(entries, r, labels))
+                column[x] = c
+    return IncidenceFunction(poset, _kls_values(columns, r, labels))
 
 
 def module_kls_function(module: TwistedModule, poset: Poset, r: Sequence[int]) -> IncidenceFunction:
@@ -327,14 +327,14 @@ def module_kls_function(module: TwistedModule, poset: Poset, r: Sequence[int]) -
     of a unitriangular involution is unique, so this is ``kls_function`` of
     the kernel, without psi's rows.
     """
-    values = _kls_values(module.canonical_table().entries, r, poset.elements)
+    values = _kls_values(module.canonical_table().columns, r, poset.elements)
     return IncidenceFunction(poset, values, proven=True)
 
 
 def _kls_values(
-    entries: dict[tuple[int, int], LaurentPoly], r: Sequence[int], labels: Sequence
+    columns: dict[int, Column], r: Sequence[int], labels: Sequence
 ) -> dict[tuple[int, int], LaurentPoly]:
-    """gamma(x, y) = v^{r(x,y)} C(x, y) read in q = v^2, for the canonical entries C.
+    """gamma(x, y) = v^{r(x,y)} C(x, y) read in q = v^2, for the canonical columns C, keyed (x, y).
 
     Each value must be a polynomial in q, of degree below r(x, y)/2 off the
     diagonal and 1 on it.  For a genuine kernel none of this can fail, so a
@@ -344,24 +344,25 @@ def _kls_values(
     q^{low/2} * cs[::2].
     """
     values = {}
-    for (i, j), p in entries.items():
-        shift = r[j] - r[i]
-        low = p.valuation + shift
-        cs = p.coeffs
-        if low < 0 or low % 2 or any(cs[1::2]):
-            raise RuntimeError(
-                f"internal error: canonical entry {p.to_text()} at "
-                f"({labels[i]}, {labels[j]}) is not a q-polynomial"
-            )
-        gamma = _make(low // 2, cs[::2])
-        if i != j and 2 * gamma.degree >= shift:
-            raise RuntimeError(
-                f"internal error: deg_q {gamma.degree} breaks the bound at "
-                f"({labels[i]}, {labels[j]})"
-            )
-        if i == j and gamma != ONE:
-            raise RuntimeError("internal error: KLS diagonal must be 1")
-        values[(i, j)] = gamma
+    for j, column in columns.items():
+        for i, p in column.items():
+            shift = r[j] - r[i]
+            low = p.valuation + shift
+            cs = p.coeffs
+            if low < 0 or low % 2 or any(cs[1::2]):
+                raise RuntimeError(
+                    f"internal error: canonical entry {p.to_text()} at "
+                    f"({labels[i]}, {labels[j]}) is not a q-polynomial"
+                )
+            gamma = _make(low // 2, cs[::2])
+            if i != j and 2 * gamma.degree >= shift:
+                raise RuntimeError(
+                    f"internal error: deg_q {gamma.degree} breaks the bound at "
+                    f"({labels[i]}, {labels[j]})"
+                )
+            if i == j and gamma != ONE:
+                raise RuntimeError("internal error: KLS diagonal must be 1")
+            values[(i, j)] = gamma
     return values
 
 

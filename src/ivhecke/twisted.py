@@ -60,6 +60,14 @@ def check_automorphism(system: CoxeterSystem, perm: Sequence[int]) -> Perm:
     return p
 
 
+def check_involution(system: CoxeterSystem, perm: Sequence[int]) -> Perm:
+    """``check_automorphism``, then NotAnInvolution unless perm is its own inverse."""
+    p = check_automorphism(system, perm)
+    if compose_perms(p, p) != system.identity_perm():
+        raise NotAnInvolution(f"theta = {p} is not involutive")
+    return p
+
+
 def compose_perms(alpha: Perm, beta: Perm) -> Perm:
     """alpha o beta (apply beta first)."""
     return tuple(alpha[b] for b in beta)
@@ -74,7 +82,7 @@ def involutive_automorphisms(system: CoxeterSystem) -> list[Perm]:
 
 
 def parse_theta(system: CoxeterSystem, text: str) -> Perm:
-    """Parse a theta argument: 'id' or a comma-separated permutation like '1,0'."""
+    """Parse a theta argument: 'id' or a comma-separated permutation like '1,0', which must be involutive."""
     text = text.strip()
     if text == "id":
         return system.identity_perm()
@@ -82,7 +90,7 @@ def parse_theta(system: CoxeterSystem, text: str) -> Perm:
         perm = tuple(int(p.strip()) for p in text.split(","))
     except ValueError as exc:
         raise ValueError(f"cannot parse theta {text!r}: expected 'id' or e.g. '1,0'") from exc
-    return check_automorphism(system, perm)
+    return check_involution(system, perm)
 
 
 # ----------------------------------------------------------------------
@@ -258,9 +266,7 @@ class TwistedBlock(Block):
 
     def __init__(self, system: CoxeterSystem, theta: Sequence[int]) -> None:
         self.system = system
-        self.theta = check_automorphism(system, theta)
-        if compose_perms(self.theta, self.theta) != system.identity_perm():
-            raise NotAnInvolution(f"theta = {self.theta} is not involutive")
+        self.theta = check_involution(system, theta)
         rank = system.rank
 
         rho_of: dict[Word, int] = {(): 0}

@@ -73,13 +73,13 @@ def sign_rescaled_table(table, block, alpha, beta):
         a, b = flip_alpha, 0
     else:
         a, b = flip_alpha ^ flip_beta, flip_alpha
-    return replace(table, entries=transport_basis(table, a, b, False))
+    return replace(table, columns=transport_basis(table, a, b, False))
 
 
 def tables_transport_related(fs, gs):
     """The first transport making every listed f-table equal its g-table."""
     for a, b, neg in TRANSPORTS:
-        if all(transport_basis(f, a, b, neg) == g.entries for f, g in zip(fs, gs)):
+        if all(transport_basis(f, a, b, neg) == g.columns for f, g in zip(fs, gs)):
             return (a, b, neg)
     return None
 

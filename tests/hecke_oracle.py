@@ -156,4 +156,4 @@ def entry_by_words(table: CanonicalTable, x: Iterable[int], w: Iterable[int]) ->
 
 def entry(table: CanonicalTable, i: int, j: int) -> LaurentPoly:
     """The table entry at (i, j); absent means zero."""
-    return table.entries.get((i, j), ZERO)
+    return table.columns[j].get(i, ZERO)

@@ -22,8 +22,9 @@ from ivhecke.twisted import parse_theta
 
 
 def table_rows(table, labels, poly_form):
-    """(labels[i], labels[j], poly_form(entry)) in ``sorted_keys`` order."""
-    return [(labels[i], labels[j], poly_form(table.entries[(i, j)])) for i, j in table.sorted_keys()]
+    """(labels[i], labels[j], poly_form(entry)) ordered by j, then i."""
+    entries = table.entries
+    return [(labels[i], labels[j], poly_form(entries[(i, j)])) for j, i in sorted((j, i) for i, j in entries)]
 
 
 def text_labels(table):

@@ -13,6 +13,14 @@ from ivhecke.ivmodules import act_gen
 from ivhecke.laurent import ONE, monomial, split_bar_invariant, vec_axpy
 
 
+def column_index(entries):
+    """{j: {i: entries[(i, j)]}}, each column in the order of ``entries``: a flat oracle dict as a table's columns."""
+    columns = {}
+    for (i, j), p in entries.items():
+        columns.setdefault(j, {})[i] = p
+    return columns
+
+
 def full_seed(module, j, columns):
     """(X, a1) with X whole, at the descent ``TwistedModule._seed`` picks."""
     block, gamma = module.block, module.gamma

@@ -13,10 +13,12 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from ivhecke.coxeter import CoxeterSystem
-from ivhecke.hecke import CanonicalTable, column_index
+from ivhecke.hecke import CanonicalTable
 from ivhecke.ivmodules import TwistedModule, vec_add, vec_scale, vec_sub
 from ivhecke.laurent import V, VI, ZERO, LaurentPoly, monomial, vec_axpy
 from ivhecke.twisted import TwistedBlock
+
+from peel_oracle import column_index
 
 
 @dataclass

@@ -303,11 +303,16 @@ def test_wrong_twist_second_columns_fail():
 def test_transport_identity_and_involution():
     sysm = parse_system("A2")
     table = HeckeAlgebra(sysm).kl_table()
-    assert transport_basis(table, 0, 0, False) == table.entries
+    assert transport_basis(table, 0, 0, False) == table.columns
     # transporting twice with the same pattern returns the original
     once = transport_basis(table, 1, 1, True)
-    table2 = replace(table, entries=once)
-    assert transport_basis(table2, 1, 1, True) == table.entries
+    table2 = replace(table, columns=once)
+    assert transport_basis(table2, 1, 1, True) == table.columns
+
+
+def flat(columns):
+    """[((i, j), entry)] of columns, by column, each column in its key order."""
+    return [((i, j), p) for j, column in columns.items() for i, p in column.items()]
 
 
 @lru_cache(maxsize=None)
@@ -330,7 +335,7 @@ def test_transport_basis_is_the_entrywise_sign_and_twist():
                 q = p.negate_v() if negate else p
                 expected[(i, j)] = q if sign == 1 else -q
             got = transport_basis(table, a, b, negate)
-            assert list(got.items()) == list(expected.items()), (table.label, a, b, negate)
+            assert flat(got) == list(expected.items()), (table.label, a, b, negate)
 
 
 @settings(max_examples=60, deadline=None)
@@ -338,10 +343,10 @@ def test_transport_basis_is_the_entrywise_sign_and_twist():
 def test_transports_compose_by_xor(k, t1, t2):
     # grouping by sign class rests on this: the transports are the group (Z/2)^3
     table = real_tables()[k]
-    once = replace(table, entries=transport_basis(table, *t1))
+    once = replace(table, columns=transport_basis(table, *t1))
     twice = transport_basis(once, *t2)
     composed = transport_basis(table, t1[0] ^ t2[0], t1[1] ^ t2[1], t1[2] != t2[2])
-    assert list(twice.items()) == list(composed.items())
+    assert flat(twice) == flat(composed)
 
 
 # ----------------------------------------------------------------------
@@ -436,10 +441,10 @@ def test_the_report_takes_the_first_carrying_transport():
     assert (p.transport, q.transport) == ((0, 0, False), (1, 0, False))
 
     def own(survivor):
-        return [replace(table, entries=transport_basis(table, *survivor.transport)) for table in survivor.tables]
+        return [replace(table, columns=transport_basis(table, *survivor.transport)) for table in survivor.tables]
 
     for t in ((1, 0, False), (0, 0, True)):
-        assert all(transport_basis(f, *t) == g.entries for f, g in zip(own(p), own(q)))
+        assert all(transport_basis(f, *t) == g.columns for f, g in zip(own(p), own(q)))
     report = classification_run("hw", ORACLE_SYSTEMS)
     assert report.transports[0] == {
         "from": "grp_plain[1]", "to": "grp_plain[-1]", "sign_l": 0, "sign_rho": 0, "negate_v": True
@@ -573,7 +578,7 @@ def test_every_classified_candidate_has_its_own_oracle_witness(mode, monkeypatch
     for prov, expected in expected_tables.items():
         # the survivor's own tables, rebuilt from its sign class's and its transport
         class_tables, sigma = survivors[prov].tables, survivors[prov].transport
-        tables = [replace(table, entries=transport_basis(table, *sigma)) for table in class_tables]
+        tables = [replace(table, columns=transport_basis(table, *sigma)) for table in class_tables]
         assert len(tables) == len(expected) == len(all_blocks), prov
         for got, want in zip(tables, expected):
             assert (got.label, got.theta, got.elements, got.ranks) == (want.label, want.theta, want.elements, want.ranks)

@@ -2,7 +2,7 @@
 
 main() is called in-process with argv lists; stdout is captured through
 capsys.  Exit-code contract: 0 pass, 1 check failure with witness, 2 bad
-arguments.
+arguments or an output path that cannot be written.
 """
 
 import json
@@ -177,6 +177,29 @@ def test_bad_system_exits_2(capsys):
 
 def test_bad_theta_exits_2(capsys):
     assert main(["verify", "--system", "A2", "--theta", "1,2"]) == 2
+
+
+@pytest.mark.parametrize("command", [["table", "--basis", "h"], ["table", "--basis", "pi"], ["pkernel", "--basis", "h"], ["verify"]])
+def test_non_involutive_theta_exits_2(command, capsys):
+    # D4's triality is a diagram automorphism of order 3
+    assert main(command + ["--system", "D4", "--theta", "2,1,3,0"]) == 2
+    assert capsys.readouterr().err == "error: theta = (2, 1, 3, 0) is not involutive\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--system", "A2", "--basis", "h", "--format", "csv", "--out", "{missing}/t.csv"],
+        ["pkernel", "--system", "A2", "--basis", "h", "--out", "{missing}/p.txt"],
+        ["classify", "--mode", "hw", "--systems", "I2(3)", "--report", "{missing}/r.json"],
+    ],
+)
+def test_unwritable_output_path_exits_2(argv, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main([arg.format(missing=missing) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(missing) in err
 
 
 def test_missing_subcommand_exits_2():

@@ -7,7 +7,7 @@ of the column from the eigenvalue relation.  The tables must equal the
 oracle's, values and key order.  Every column's seed descent now satisfies
 the eigenvalue property by construction, so ``recurrence_check("pi")`` no
 longer checks that descent on its own: this comparison does.
-``pi_prime`` and ``iota`` keep the full peel.
+``pi_prime`` and ``iota`` keep the full peel, which the oracle pins too.
 
 On the regular module, the columns and psi rows at w with w^-1 < w are
 copied from w^-1 (``TwistedModule._mirror``); the ``h`` comparisons cover
@@ -21,11 +21,10 @@ full peel lies there.  Its other psi rows come from one descent each.
 
 import pytest
 
-from peel_oracle import full_peel_entries
+from peel_oracle import column_index, full_peel_entries
 
 from ivhecke.classify import GROUP_FLIP_MATRIX
 from ivhecke.coxeter import parse_system
-from ivhecke.hecke import column_index
 from ivhecke.ivmodules import GROUP_PLAIN_MATRIX, REGULAR_STRUCTURES, TwistedModule, bar_row_vector
 from ivhecke.laurent import ONE
 from ivhecke.twisted import GroupBlock, TwistedBlock, involutive_automorphisms
@@ -122,16 +121,22 @@ def test_pi_fill_matches_full_peel(name):
         assert_matches_full_peel(TwistedModule(TwistedBlock(system, theta), "pi"))
 
 
+@pytest.mark.parametrize("label", ["pi_prime", "iota"])
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_peeled_tables_match_full_peel(name, label):
+    system = parse_system(name)
+    for theta in involutive_automorphisms(system):
+        module = TwistedModule(TwistedBlock(system, theta), label)
+        assert module._fill_units is None
+        assert list(module.canonical_table().entries.items()) == list(full_peel_entries(module).items()), theta
+
+
 def test_fill_units_read_off_the_structures():
     block = TwistedBlock(parse_system("B3"), (0, 1, 2))
     # C[x] = c v^e C[s |*| x] on the ascent half, per commutes case
     assert regular_module("A3", False)._fill_units == {False: (1, -1), True: (1, -1)}
     assert regular_module("A3", True)._fill_units == {False: (1, -2), True: (1, -2)}
     assert TwistedModule(block, "pi")._fill_units == {False: (1, -2), True: (1, -1)}
-    for label in ("pi_prime", "iota"):
-        module = TwistedModule(block, label)
-        assert module._fill_units is None
-        assert list(module.canonical_table().entries.items()) == list(full_peel_entries(module).items())
 
 
 @slow

@@ -237,13 +237,14 @@ class TestCanonicalBasis:
         assert a == b
 
 
-    def test_column_index_matches_scan(self):
+    def test_entries_are_the_columns_flattened(self):
         B3 = parse_system("B3")
-        for label in ("h", "iota"):
-            table = canonical_table(B3, B3.identity_perm(), label)
-            for j in range(len(table.elements)):
-                scan = {i: c for (i, jj), c in table.entries.items() if jj == j}
-                assert list(table.columns[j].items()) == list(scan.items())
+        for label in ("h", "pi", "pi_prime", "iota"):
+            table = canonical_table(B3, (0, 1, 2), label)
+            assert list(table.columns) == list(range(len(table.elements))), label
+            assert all(next(iter(column)) == j for j, column in table.columns.items()), label
+            flattened = [((i, j), p) for j in range(len(table.elements)) for i, p in table.columns[j].items()]
+            assert list(table.entries.items()) == flattened, label
 
 
 class TestTableSerialization:

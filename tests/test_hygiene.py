@@ -92,7 +92,7 @@ def code_names(path: Path) -> Counter:
 
 
 #: defs in src/ whose code references all lie in perfbench/ (a docstring
-#: mention is no reference).  ROADMAP item 2 moves them out of src/ once the
+#: mention is no reference).  ROADMAP item 4 moves them out of src/ once the
 #: tracer stops binding them: remove a name here when it goes, add none.
 PERFBENCH_ONLY = {
     "apply_automorphism",

@@ -375,13 +375,12 @@ def assert_same_json(actual, expected, where="") -> None:
 def corrupt_tables(monkeypatch, how: str) -> None:
     """Corrupt every module table, ``h`` included.
 
-    "entries" adds CORRUPTION at the 2nd-4th off-diagonal keys of
-    ``sorted_keys()``; "diagonal" sets the lowest element's diagonal
+    "entries" adds CORRUPTION at the 2nd-4th off-diagonal keys, by
+    column, then row; "diagonal" sets the lowest element's diagonal
     entry to zero; "wide" sets every diagonal entry to 2^70, so the
     inversion sum at (x, x) is 2^140, too wide for 64-bit packed digits
     and within a factor 2 of its coefficient bound.  The corrupted table
-    is a fresh copy, built once per module, so no ``columns`` cached from
-    the clean entries is read.
+    is a fresh copy, built once per module.
     """
     original = TwistedModule.canonical_table
     corrupted = {}
@@ -389,17 +388,17 @@ def corrupt_tables(monkeypatch, how: str) -> None:
     def canonical_table(module):
         if module not in corrupted:
             table = original(module)
-            entries = dict(table.entries)
+            columns = {j: dict(column) for j, column in table.columns.items()}
             if how == "diagonal":
-                entries[(0, 0)] = ZERO
+                columns[0][0] = ZERO
             elif how == "wide":
-                for j in range(len(table.elements)):
-                    entries[(j, j)] = monomial(0, 2**70)
+                for j, column in columns.items():
+                    column[j] = monomial(0, 2**70)
             else:
-                keys = [key for key in table.sorted_keys() if key[0] != key[1]][1:4]
-                for key, p in zip(keys, CORRUPTION):
-                    entries[key] += p
-            corrupted[module] = dataclasses.replace(table, entries=entries)
+                keys = [(i, j) for j, column in columns.items() for i in sorted(column) if i != j][1:4]
+                for (i, j), p in zip(keys, CORRUPTION):
+                    columns[j][i] += p
+            corrupted[module] = dataclasses.replace(table, columns=columns)
         return corrupted[module]
 
     monkeypatch.setattr(TwistedModule, "canonical_table", canonical_table)
@@ -438,13 +437,13 @@ def corrupt_one_column(monkeypatch, how: str) -> None:
         if module.label == "h":
             return table
         if module not in corrupted:
-            entries = dict(table.entries)
-            top = len(table.elements) - 1
+            columns = {j: dict(column) for j, column in table.columns.items()}
+            top = columns[len(table.elements) - 1]
             if how == "diagonal":
-                entries[(0, 0)] = 2 * ONE
+                columns[0][0] = 2 * ONE
             else:
-                entries[(0, top)] = entries.get((0, top), ZERO) + (VI if how == "in_lattice" else ONE)
-            corrupted[module] = dataclasses.replace(table, entries=entries)
+                top[0] = top.get(0, ZERO) + (VI if how == "in_lattice" else ONE)
+            corrupted[module] = dataclasses.replace(table, columns=columns)
         return corrupted[module]
 
     monkeypatch.setattr(TwistedModule, "canonical_table", canonical_table)

@@ -58,17 +58,18 @@ def test_poly_text_needs_no_csv_quoting(val, coeffs):
 
 
 def random_table(data):
-    """A CanonicalTable over random words, with random entries on random pairs."""
+    """A CanonicalTable over random words, with random entries on random pairs, some columns empty."""
     rank = data.draw(st.integers(1, 14))
     words = data.draw(
         st.lists(st.lists(st.integers(0, rank - 1), max_size=6).map(tuple), min_size=1, max_size=6, unique=True)
     )
     n = len(words)
     keys = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20, unique=True))
-    entries = {key: LaurentPoly(data.draw(st.integers(-30, 30)), data.draw(st.lists(coefficients, min_size=1, max_size=5)))
-               for key in keys}
+    columns = {j: {} for j in range(n)}
+    for i, j in keys:
+        columns[j][i] = LaurentPoly(data.draw(st.integers(-30, 30)), data.draw(st.lists(coefficients, min_size=1, max_size=5)))
     system = parse_system(f"A{rank}")
-    return CanonicalTable("h", system, tuple(range(rank)), words, [len(w) for w in words], entries)
+    return CanonicalTable("h", system, tuple(range(rank)), words, [len(w) for w in words], columns)
 
 
 @settings(max_examples=150, deadline=None)

@@ -47,6 +47,7 @@ from pkernel_oracle import (
     pkernel_outcome,
     render,
 )
+from peel_oracle import column_index
 from row_solve_oracle import solve_canonical
 
 Q = monomial(1)  # the variable q
@@ -227,7 +228,7 @@ def test_kls_function_is_the_row_solve(name):
     poset = K.poset
     bar = bar_from_kernel(K, r)
     entries = solve_canonical(r, poset.lower.__getitem__, lambda j: bar.columns.get(j, {}), labels=poset.elements)
-    expected = _kls_values(entries, r, poset.elements)
+    expected = _kls_values(column_index(entries), r, poset.elements)
     assert list(kls_function(K, r).values.items()) == list(expected.items())
 
 
@@ -311,7 +312,9 @@ def test_kernel_read_off_is_the_products(polys, grading):
 def test_kls_read_off_is_the_products(polys, grading):
     entries = dict(zip([(0, 0), (1, 1), (0, 2)], polys))
     labels = ["x", "y", "z"]
-    assert outcome(_kls_values, entries, grading, labels) == outcome(kls_values_by_products, entries, grading, labels)
+    assert outcome(_kls_values, column_index(entries), grading, labels) == outcome(
+        kls_values_by_products, entries, grading, labels
+    )
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3"])
@@ -326,7 +329,7 @@ def test_module_kernels_are_the_products(name):
         assert list(K.values.items()) == list(kernel_by_products(bm).values.items())
         assert IncidenceFunction(bm.poset, K.values) == K
     table = HeckeAlgebra(system).kl_table()
-    assert _kls_values(table.entries, table.ranks, table.elements) == kls_values_by_products(
+    assert _kls_values(table.columns, table.ranks, table.elements) == kls_values_by_products(
         table.entries, table.ranks, table.elements
     )
 

@@ -97,7 +97,7 @@ LABELS = ("pi", "pi_prime", "iota")
 
 
 def corrupt_tables(monkeypatch, exponent: int, coefficient: int = 1) -> None:
-    """Make every module table gain coefficient * v^exponent at its first two off-diagonal keys of ``sorted_keys()``.
+    """Make every module table gain coefficient * v^exponent at its first two off-diagonal keys, by column, then row.
 
     The corrupted table is a function of the module's own table, built once
     per module, so both checks read the same one.  A coefficient of 2^70
@@ -109,10 +109,10 @@ def corrupt_tables(monkeypatch, exponent: int, coefficient: int = 1) -> None:
     def canonical_table(module):
         if module not in corrupted:
             table = original(module)
-            entries = dict(table.entries)
-            for key in [key for key in table.sorted_keys() if key[0] != key[1]][:2]:
-                entries[key] += monomial(exponent, coefficient)
-            corrupted[module] = dataclasses.replace(table, entries=entries)
+            columns = {j: dict(column) for j, column in table.columns.items()}
+            for i, j in [(i, j) for j, column in columns.items() for i in sorted(column) if i != j][:2]:
+                columns[j][i] += monomial(exponent, coefficient)
+            corrupted[module] = dataclasses.replace(table, columns=columns)
         return corrupted[module]
 
     monkeypatch.setattr(TwistedModule, "canonical_table", canonical_table)

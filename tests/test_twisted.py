@@ -170,6 +170,14 @@ def test_perm_helpers():
         check_automorphism(W, (0, 0, 1))
 
 
+def test_parse_theta_refuses_a_non_involutive_automorphism():
+    D4 = parse_system("D4")
+    assert check_automorphism(D4, (2, 1, 3, 0)) == (2, 1, 3, 0)  # triality
+    with pytest.raises(NotAnInvolution, match="not involutive"):
+        parse_theta(D4, "2,1,3,0")
+    assert parse_theta(D4, "3,1,2,0") == (3, 1, 2, 0)
+
+
 def test_theta_validation():
     W = parse_system("A3")
     # the 3-cycle on the outer nodes of D4 is an automorphism but not involutive
