@@ -263,8 +263,7 @@ def check_representation(
     relation of bond m holds at a basis vector exactly when it holds at
     the vector's position p in its orbit's shape: one verdict per
     (m, shape, p), computed when the scan first reaches it and kept in
-    verdicts, which may be shared by every block checked with gamma.  An
-    infinite bond (m = 0) has no braid relation.
+    verdicts, which may be shared by every block checked with gamma.
     """
     system = block.system
     for s, i in enumerate(quadratic_failures(gamma, block)):
@@ -281,8 +280,6 @@ def check_representation(
     for s in range(system.rank):
         for t in range(s + 1, system.rank):
             m = system.bond(s, t)
-            if m == 0:
-                continue
             for i, shape, p in positions[(s, t)]:
                 key = (m, shape, p)
                 holds = verdicts.get(key)

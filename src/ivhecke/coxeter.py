@@ -13,9 +13,11 @@ by s(v) = v - 2B(alpha_s, v) alpha_s, where 2B(alpha_s, alpha_t) =
 -2cos(pi/m(s, t)).  These coefficients lie in Z[zeta_N], with N the lcm of
 2m over the bonds m other than 2, 3 and infinity, so every root is stored
 exactly, reduced modulo the cyclotomic polynomial Phi_N (plain integers
-when all bonds are 2, 3 or infinity).  Positive roots get ids as they are
-first reached, and a table records the id of s(root) for each generator s;
-for a finite W it saturates at the |Phi+| positive roots.
+when all bonds are 2, 3 or infinity).  A system closes the simple roots
+under the simple reflections when it is built, giving each positive root an
+id and a row of the ids of s(root) for each generator s.  Since |Phi+| =
+l(w0), a system with more positive roots than the word cap, an infinite W
+among them, is refused there.
 
 Walking alpha_s through a reduced word a_1 ... a_k, a_1 first, computes
 w^-1(alpha_s).  The root stays positive unless, at some step j, it equals
@@ -56,7 +58,7 @@ DEFAULT_MAX_ELEMENTS = 200_000
 
 
 class InfiniteOrTooLarge(RuntimeError):
-    """Enumeration exceeded the configured element bound."""
+    """A size cap refused the system: its positive roots, elements or intervals."""
 
 
 class WordLengthExceeded(ValueError):
@@ -267,9 +269,11 @@ class CyclotomicIntegers:
 class CoxeterSystem:
     """A Coxeter system (W, S) with S = range(rank).
 
-    The instance grows its table of positive roots as words need them, and
-    keeps the normal forms ``reduce`` has computed, the Bruhat cache and,
-    once ``elements()`` has run, the multiplication tables, so it should be
+    W must be finite with at most ``max_word_length`` positive roots, so
+    that w0 fits the word cap; otherwise construction raises
+    InfiniteOrTooLarge.  The instance keeps its root table, the normal
+    forms ``reduce`` has computed, the Bruhat cache and, once
+    ``elements()`` has run, the multiplication tables, so it should be
     shared and reused.  All words returned by its methods are ShortLex
     normal forms.
     """
@@ -286,8 +290,15 @@ class CoxeterSystem:
         self.name = name
         self.max_word_length = max_word_length
         self.max_elements = max_elements
+        too_many = (
+            f"{self!r}: more than {max_word_length} positive roots: the group is infinite, "
+            f"or its longest element is longer than the word cap {max_word_length}"
+        )
+        # a bond m alone gives m positive roots (its dihedral subgroup's): refuse before the ring
+        if any(m > max_word_length for row in self.matrix for m in row):
+            raise InfiniteOrTooLarge(too_many)
         # roots: ids 0..rank-1 are the simple roots; _act[p][c] is the id of
-        # s_c(root p), or ~c (the root -alpha_c) when p == c; None until needed
+        # s_c(root p), or ~c (the root -alpha_c) when p == c
         rank = self.rank
         ring = CyclotomicIntegers(
             math.lcm(1, *(2 * m for row in self.matrix for m in row if m not in (0, 1, 2, 3)))
@@ -306,7 +317,11 @@ class CoxeterSystem:
             tuple(ring.one if t == s else ring.zero for t in range(rank)) for s in range(rank)
         ]
         self._root_ids: dict[tuple[Cyclo, ...], int] = {v: i for i, v in enumerate(self._root_vecs)}
-        self._act: list[Optional[list[int]]] = [None] * rank
+        self._act: list[list[int]] = []
+        while len(self._act) < len(self._root_vecs):
+            if len(self._root_vecs) > max_word_length:
+                raise InfiniteOrTooLarge(too_many)
+            self._act.append(self._root_row(len(self._act)))
         self._nf: dict[Word, Word] = {}  # normal forms of the words reduce() was given
         self._elements: Optional[list[Word]] = None
         self._index: dict[Word, int] = {}
@@ -332,12 +347,12 @@ class CoxeterSystem:
     # ------------------------------------------------------------------
     # roots
 
-    def _grow(self, p: int) -> list[int]:
-        """Fill row p of the root table and return it.
+    def _root_row(self, p: int) -> list[int]:
+        """Row p of the root table: the id of s_c(root p) for each generator c.
 
         s_c permutes the positive roots other than alpha_c, so every image
         but the one at c is a positive root: no sign is ever decided.  Roots
-        met for the first time get the next ids and empty rows.
+        met for the first time get the next ids.
         """
         ring, vec = self._ring, self._root_vecs[p]
         row = []
@@ -354,29 +369,11 @@ class CoxeterSystem:
                 q = len(self._root_vecs)
                 self._root_vecs.append(image)
                 self._root_ids[image] = q
-                self._act.append(None)
             row.append(q)
-        self._act[p] = row
         return row
 
     def positive_root_count(self) -> int:
-        """|Phi+|, which is the length of the longest element of a finite W.
-
-        Closes the simple roots under the simple reflections.  More than
-        ``max_word_length`` positive roots means W is infinite or its longest
-        element is longer than the word cap, and raises InfiniteOrTooLarge.
-        """
-        cap = self.max_word_length
-        p = 0
-        while p < len(self._root_vecs):
-            if len(self._root_vecs) > cap:
-                raise InfiniteOrTooLarge(
-                    f"more than {cap} positive roots: the group is infinite, "
-                    f"or its longest element is longer than the word cap {cap}"
-                )
-            if self._act[p] is None:
-                self._grow(p)
-            p += 1
+        """|Phi+|, which is the length of the longest element w0."""
         return len(self._root_vecs)
 
     def _left_flip(self, s: int, word: Sequence[int]) -> int:
@@ -391,7 +388,7 @@ class CoxeterSystem:
         for j, c in enumerate(word):
             if r == c:
                 return j
-            r = (act[r] or self._grow(r))[c]
+            r = act[r][c]
         return -1
 
     def _right_flip(self, word: Sequence[int], s: int) -> int:
@@ -402,7 +399,7 @@ class CoxeterSystem:
             c = word[j]
             if r == c:
                 return j
-            r = (act[r] or self._grow(r))[c]
+            r = act[r][c]
         return -1
 
     # ------------------------------------------------------------------
@@ -561,10 +558,7 @@ class CoxeterSystem:
                 w, key = elements[i], element_keys[i]
                 row = []
                 for s in range(rank):
-                    image = tuple(
-                        (act[r] or self._grow(r))[s] if r >= 0 else ~(act[~r] or self._grow(~r))[s]
-                        for r in key
-                    )
+                    image = tuple(act[r][s] if r >= 0 else ~act[~r][s] for r in key)
                     j = keys.get(image)
                     if j is None:
                         j = len(elements)
@@ -583,7 +577,6 @@ class CoxeterSystem:
     def _ensure_tables(self) -> None:
         if self._elements is not None:
             return
-        self.positive_root_count()  # refuses infinite systems before enumerating
         elements, right = self._breadth_first()
         inv = []
         for w in elements:
@@ -598,7 +591,7 @@ class CoxeterSystem:
         self._elements = elements
 
     def elements(self) -> list[Word]:
-        """All elements, sorted by (length, ShortLex word).  Finite systems only."""
+        """All elements, sorted by (length, ShortLex word), at most ``max_elements``."""
         self._ensure_tables()
         assert self._elements is not None
         return self._elements
@@ -611,7 +604,7 @@ class CoxeterSystem:
         return len(self.elements())
 
     def longest_element(self) -> Word:
-        """The longest element w0.  Raises InfiniteOrTooLarge on infinite systems."""
+        """The longest element w0, of length ``positive_root_count()``."""
         els = self.elements()
         w0 = els[-1]
         if len(els) > 1 and len(els[-2]) == len(w0):

@@ -260,8 +260,9 @@ class TwistedBlock(Block):
     ``cross[s][i] = (j, commutes, up)`` describes s |*| elements[i] =
     elements[j]; ``commutes`` is the s*x = x*theta(s) flag and ``up`` says
     rho goes up.  The search raises InfiniteOrTooLarge once the block has
-    more than ``system.max_elements`` elements or an element longer than
-    ``system.max_word_length``.
+    more than ``system.max_elements`` elements.  Its words need no cap of
+    their own: the system is finite, and no element of W is longer than w0,
+    whose length |Phi+| the system's construction holds within the word cap.
     """
 
     def __init__(self, system: CoxeterSystem, theta: Sequence[int]) -> None:
@@ -291,13 +292,6 @@ class TwistedBlock(Block):
                                 f"twisted block for theta={self.theta}: more than "
                                 f"{system.max_elements} elements (reached {len(rho_of) + 1}); "
                                 "raise max_elements if intended"
-                            )
-                        if len(y) > system.max_word_length:
-                            raise InfiniteOrTooLarge(
-                                f"twisted block for theta={self.theta}: an element of length "
-                                f"{len(y)} (reached {len(rho_of) + 1} elements): the group is "
-                                f"infinite, or its longest element is longer than the word cap "
-                                f"{system.max_word_length}"
                             )
                         rho_of[y] = r + 1
                         nxt.append(y)

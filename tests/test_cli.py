@@ -249,6 +249,48 @@ def test_infinite_system_refusal(capsys):
     assert "the group is infinite" in capsys.readouterr().err
 
 
+REFUSED_SYSTEMS = {  # --system value -> the label its error names
+    "E8": "E8",  # 120 positive roots
+    "A11": "A11",  # 66
+    "I2(65)": "I2(65)",  # 65
+    "I2(100000)": "I2(100000)",  # refused by its bond, before Z[zeta_200000] is built
+    "I2(0)": "I2(0)",  # infinite
+    '{"matrix": [[1, 0], [0, 1]]}': "rank-2",  # infinite, unnamed
+}
+REFUSING_COMMANDS = [
+    ["table", "--basis", "pi"],
+    ["table", "--basis", "h"],
+    ["verify"],
+    ["invert"],
+    ["pkernel", "--basis", "iota"],
+    ["classify", "--mode", "hi", "--systems"],
+]
+
+
+@pytest.mark.parametrize(
+    "system,command",
+    [
+        (system, command)
+        for system in REFUSED_SYSTEMS
+        for command in REFUSING_COMMANDS
+        # --systems splits on commas, so a JSON matrix never reaches classify
+        if not (command[0] == "classify" and system.startswith("{"))
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else REFUSED_SYSTEMS[v],
+)
+def test_refusal_by_root_count_is_quick(system, command, capsys):
+    # more positive roots than the word cap 64 refuses the system as it is
+    # parsed, before any block is searched; an exception other than a
+    # refusal would escape main and fail the test
+    argv = command + [system] if command[0] == "classify" else command + ["--system", system]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"CoxeterSystem({REFUSED_SYSTEMS[system]}): more than 64 positive roots" in err[0]
+
+
 @pytest.mark.parametrize("cap", ["0", "-3", "x"])
 def test_max_elements_must_be_positive(cap, capsys):
     with pytest.raises(SystemExit) as exc:

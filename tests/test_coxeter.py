@@ -188,9 +188,8 @@ class TestEnumeration:
         assert els[0] == ()
 
     def test_infinite_raises(self):
-        W = parse_system("I2(0)")
-        with pytest.raises(InfiniteOrTooLarge, match="the group is infinite"):
-            W.elements()
+        with pytest.raises(InfiniteOrTooLarge, match=r"CoxeterSystem\(I2\(0\)\): .* the group is infinite"):
+            parse_system("I2(0)")
 
     def test_element_cap(self):
         W = CoxeterSystem(coxeter_matrix_from_name("A3"), max_elements=10)
@@ -229,12 +228,6 @@ class TestBruhat:
             for w in els:
                 if x != w and a3.bruhat_leq(x, w):
                     assert not a3.bruhat_leq(w, x)
-
-    def test_infinite_system_bruhat(self):
-        W = parse_system("I2(0)")
-        assert W.bruhat_leq((0,), (1, 0, 1))
-        assert W.bruhat_leq((0, 1), (0, 1, 0, 1))
-        assert not W.bruhat_leq((0, 1), (1, 0))
 
 
 class TestAutomorphisms:

@@ -59,7 +59,7 @@ def test_poly_text_needs_no_csv_quoting(val, coeffs):
 
 def random_table(data):
     """A CanonicalTable over random words, with random entries on random pairs, some columns empty."""
-    rank = data.draw(st.integers(1, 14))
+    rank = data.draw(st.integers(1, 10))  # A10 has 55 positive roots; A11 is refused
     words = data.draw(
         st.lists(st.lists(st.integers(0, rank - 1), max_size=6).map(tuple), min_size=1, max_size=6, unique=True)
     )

@@ -101,11 +101,16 @@ def test_block_honours_max_elements(name, cap):
         TwistedBlock(W, W.identity_perm())
 
 
-def test_infinite_block_refused():
-    W = parse_system("I2(0)")
+@pytest.mark.parametrize("name", ["B3", "D4", "I2(8)", "E6"])
+def test_block_words_stay_within_the_root_count(name):
+    # why a block's search needs no word cap: theta(w0) = w0 = w0^-1 puts w0
+    # in every block, and no element is longer than w0, of length |Phi+|
+    W = parse_system(name)
+    w0 = W.longest_element()
     for theta in involutive_automorphisms(W):
-        with pytest.raises(InfiniteOrTooLarge, match="twisted block .* the group is infinite"):
-            TwistedBlock(W, theta)
+        block = TwistedBlock(W, theta)
+        assert block.elements[-1] == w0
+        assert max(map(len, block.elements)) == W.positive_root_count()
 
 
 def test_kappa_action_cases():

@@ -3,8 +3,7 @@
 ``braid_oracle.BraidOracle`` is Tits' braid-closure solution, the word
 problem ``CoxeterSystem`` used before it moved to root arithmetic.  Every
 word operation is compared on random words of up to 12 letters, both on a
-fresh system (root walks) and, for finite systems, on an enumerated one
-(multiplication tables).  I2(0) is infinite, so only the walks run there.
+fresh system (root walks) and on an enumerated one (multiplication tables).
 """
 
 import pytest
@@ -13,18 +12,16 @@ from hypothesis import given, settings, strategies as st
 from braid_oracle import BraidOracle
 from ivhecke.coxeter import CoxeterSystem, InfiniteOrTooLarge, coxeter_matrix_from_name, parse_system
 
-SYSTEMS = ("B3", "H3", "D4", "I2(5)", "I2(7)", "I2(0)")
+SYSTEMS = ("B3", "H3", "D4", "I2(5)", "I2(7)")
 _INSTANCES: dict = {}
 
 
 def instances(name):
     """(oracle, systems under test), shared across examples so caches build up."""
     if name not in _INSTANCES:
-        systems = [parse_system(name)]
-        if name != "I2(0)":
-            tabled = parse_system(name)
-            tabled.elements()
-            systems.append(tabled)
+        tabled = parse_system(name)
+        tabled.elements()
+        systems = [parse_system(name), tabled]
         _INSTANCES[name] = (BraidOracle(systems[0].matrix), systems)
     return _INSTANCES[name]
 
@@ -52,8 +49,9 @@ def test_word_ops_match_oracle(name, data):
         assert W.bruhat_leq(sub, r) and oracle.bruhat_leq(sub, r)  # the subword property
 
 
-@pytest.mark.parametrize(
-    "name,count", [("A5", 15), ("B4", 16), ("D4", 12), ("H3", 15), ("F4", 24), ("E6", 36)]
+@pytest.mark.parametrize(  # B8 and I2(64) meet the word cap of 64 exactly
+    "name,count",
+    [("A5", 15), ("B4", 16), ("D4", 12), ("H3", 15), ("F4", 24), ("E6", 36), ("B8", 64), ("I2(64)", 64)],
 )
 def test_positive_root_count(name, count):
     assert parse_system(name).positive_root_count() == count
@@ -79,7 +77,6 @@ def test_enumeration_matches_oracle(name):
 
 
 def test_longest_element_beyond_word_cap():
-    # finite, but w0 (length 24) is longer than the cap: refused honestly
-    W = CoxeterSystem(coxeter_matrix_from_name("F4"), max_word_length=20)
-    with pytest.raises(InfiniteOrTooLarge, match="word cap 20"):
-        W.elements()
+    # finite, but w0 (length 24) is longer than the cap: refused as it is built
+    with pytest.raises(InfiniteOrTooLarge, match=r"CoxeterSystem\(F4\): more than 20 .* word cap 20"):
+        CoxeterSystem(coxeter_matrix_from_name("F4"), name="F4", max_word_length=20)
